@@ -24,7 +24,7 @@
 //! track per worker, and per-worker busy time is accumulated for the
 //! utilization report.
 
-use crate::fsim::{FaultSim, Kernel};
+use crate::fsim::FaultSim;
 use rescue_netlist::{Fault, Levelized, PatternBlock, WideBlock};
 use rescue_obs::live::LiveCounter;
 use std::time::Instant;
@@ -135,9 +135,9 @@ pub struct FaultShards<'a, const W: usize = 1> {
 
 impl<'a> FaultShards<'a> {
     /// Create `threads` workers (at least 1) over a shared view, with
-    /// the default 64-pattern width and kernel.
+    /// the default 64-pattern width.
     pub fn new(lev: &'a Levelized, threads: usize) -> Self {
-        Self::wide(lev, threads, Kernel::default())
+        Self::wide(lev, threads)
     }
 
     /// First detecting lane per fault under `block`, in `faults` order.
@@ -151,11 +151,11 @@ impl<'a> FaultShards<'a> {
 
 impl<'a, const W: usize> FaultShards<'a, W> {
     /// Create `threads` workers (at least 1) of width `W` over a shared
-    /// view, all using `kernel`.
-    pub fn wide(lev: &'a Levelized, threads: usize, kernel: Kernel) -> Self {
+    /// view.
+    pub fn wide(lev: &'a Levelized, threads: usize) -> Self {
         let threads = threads.max(1);
         FaultShards {
-            sims: (0..threads).map(|_| FaultSim::wide(lev, kernel)).collect(),
+            sims: (0..threads).map(|_| FaultSim::wide(lev)).collect(),
             busy_ns: vec![0; threads],
             wall_ns: 0,
         }
@@ -267,11 +267,10 @@ impl<'a, const W: usize> FaultShards<'a, W> {
 
 /// Runtime lane-width dispatch over the three [`FaultShards`]
 /// monomorphizations, so the ATPG loop can take `lane_words` as a plain
-/// config knob. Width 1 keeps the default bucket kernel (the historical
-/// configuration); the wide variants use [`Kernel::Ppsfp`], whose full
-/// faulty copy amortizes best when each propagation carries hundreds of
-/// patterns. All kernels produce identical detections and counters, so
-/// the choice only affects wall-clock time.
+/// config knob. Every width runs the same PPSFP kernel; lane results are
+/// width-invariant, so the choice only affects wall-clock time (and the
+/// gate-eval count, since a wide pass evaluates the union of its words'
+/// cones).
 #[derive(Debug)]
 pub enum LaneShards<'a> {
     /// 64 patterns per pass (`[u64; 1]` lanes).
@@ -288,16 +287,8 @@ impl<'a> LaneShards<'a> {
     pub fn new(lev: &'a Levelized, threads: usize, lane_words: usize) -> Option<Self> {
         match lane_words {
             1 => Some(LaneShards::W1(FaultShards::new(lev, threads))),
-            4 => Some(LaneShards::W4(FaultShards::wide(
-                lev,
-                threads,
-                Kernel::Ppsfp,
-            ))),
-            8 => Some(LaneShards::W8(FaultShards::wide(
-                lev,
-                threads,
-                Kernel::Ppsfp,
-            ))),
+            4 => Some(LaneShards::W4(FaultShards::wide(lev, threads))),
+            8 => Some(LaneShards::W8(FaultShards::wide(lev, threads))),
             _ => None,
         }
     }

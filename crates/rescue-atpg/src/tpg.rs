@@ -55,16 +55,15 @@ pub struct AtpgConfig {
     /// only wall-clock changes (see [`crate::parallel`]).
     pub threads: usize,
     /// Fault-simulation lane width in 64-pattern words: 1 (the
-    /// default) runs the classic `Kernel::Bucket` engine, while 4 and
-    /// 8 route each pattern block through the wide PPSFP kernel
-    /// ([`crate::parallel::LaneShards`]). Like `threads`, this is a
-    /// datapath knob, not a semantic one: lanes are numbered
+    /// default), 4 or 8, i.e. 64, 256 or 512 patterns per pass of the
+    /// PPSFP kernel ([`crate::parallel::LaneShards`]). Like `threads`,
+    /// this is a datapath knob, not a semantic one: lanes are numbered
     /// `word * 64 + bit` in vector order and the flush cadence stays
     /// at 64 cubes, so fault classes, vectors, the coverage curve and
     /// the deterministic counters are bit-identical for any supported
-    /// value. (The multi-block throughput of the wide kernels is
-    /// measured by the `fsim_kernel` bench matrix, which feeds them
-    /// full 4/8-block groups.)
+    /// value. (The multi-block throughput of the wide passes is
+    /// measured by the `fsim_kernel` bench width sweep, which feeds
+    /// them full 4/8-block groups.)
     pub lane_words: usize,
     /// Static redundancy pre-pass: before the PODEM loop, build the
     /// implication engine ([`rescue_lint::ImplicationEngine`]) under

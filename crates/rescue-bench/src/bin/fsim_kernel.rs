@@ -1,5 +1,5 @@
-//! Standalone event-kernel microbench: the `fsim_kernel` bucket-vs-heap
-//! throughput section, the 1-vs-N thread scaling row, and the
+//! Standalone fault-sim microbench: the `fsim_kernel` lane-width sweep,
+//! the 1-vs-N thread scaling row, and the
 //! `obs.overhead` telemetry self-benchmark — without regenerating the
 //! full table/figure suite.
 //!

@@ -5,7 +5,7 @@
 //! Reads the append-only history written by the bench binaries'
 //! `--history` flag (default path `BENCH_history.jsonl`), prints the
 //! markdown leaderboard — chronological throughput trajectory plus
-//! per-kernel standings — to stdout, and optionally writes it as
+//! per-mode and per-lane-width standings — to stdout, and optionally writes it as
 //! markdown (`--md`) and/or a JSON document (`--json`). Exit codes:
 //! 0 = rendered, 2 = usage error, missing/unreadable history, or a
 //! history file with no valid records.

@@ -831,8 +831,8 @@ mod tests {
             parse(&format!(
                 r#"{{"title":"all","sections":[
                     {{"name":"t.fsim.parallel","metrics":{{"threads":{threads},"wall_ms":3.0}}}},
-                    {{"name":"fsim_kernel","metrics":{{"gate_evals_bucket":500,
-                       "bucket_evals_per_sec":{per_sec},"kernel_speedup":{speedup}}}}}],
+                    {{"name":"fsim_kernel","metrics":{{"gate_evals_ppsfp":500,
+                       "ppsfp_evals_per_sec":{per_sec},"atpg_speedup":{speedup}}}}}],
                    "spans":[]}}"#
             ))
             .unwrap()
@@ -850,8 +850,8 @@ mod tests {
         let c_bad = parse(
             r#"{"title":"all","sections":[
                 {"name":"t.fsim.parallel","metrics":{"threads":1,"wall_ms":3.0}},
-                {"name":"fsim_kernel","metrics":{"gate_evals_bucket":501,
-                   "bucket_evals_per_sec":1e6,"kernel_speedup":1.0}}],
+                {"name":"fsim_kernel","metrics":{"gate_evals_ppsfp":501,
+                   "ppsfp_evals_per_sec":1e6,"atpg_speedup":1.0}}],
                "spans":[]}"#,
         )
         .unwrap();
@@ -996,8 +996,9 @@ mod tests {
         let b = mk(9, 1, 0, "6000.0");
         let r = diff(&b, &mk(9, 1, 0, "9500.0"), &DiffConfig::default()).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
-        assert!(r.deltas.iter().any(|d| d.severity == Severity::Info
-            && d.path == "atpg.prepass.rescue.proofs_per_sec"));
+        assert!(r.deltas.iter().any(
+            |d| d.severity == Severity::Info && d.path == "atpg.prepass.rescue.proofs_per_sec"
+        ));
         // ...but losing proofs, moving a vector (`vectors_identical`
         // 1 → 0), or any non-upgrade class change (`unsound_diffs`
         // 0 → 1) is a regression.
@@ -1009,12 +1010,19 @@ mod tests {
             .any(|d| d.severity == Severity::Fail && d.path == "atpg.prepass.rescue.proven"));
         let r = diff(&b, &mk(9, 0, 0, "6000.0"), &DiffConfig::default()).unwrap();
         assert!(r.regressed());
-        assert!(r.deltas.iter().any(|d| d.severity == Severity::Fail
-            && d.path == "atpg.prepass.rescue.vectors_identical"));
+        assert!(r
+            .deltas
+            .iter()
+            .any(|d| d.severity == Severity::Fail
+                && d.path == "atpg.prepass.rescue.vectors_identical"));
         let r = diff(&b, &mk(9, 1, 1, "6000.0"), &DiffConfig::default()).unwrap();
         assert!(r.regressed());
-        assert!(r.deltas.iter().any(|d| d.severity == Severity::Fail
-            && d.path == "atpg.prepass.rescue.unsound_diffs"));
+        assert!(
+            r.deltas
+                .iter()
+                .any(|d| d.severity == Severity::Fail
+                    && d.path == "atpg.prepass.rescue.unsound_diffs")
+        );
     }
 
     #[test]

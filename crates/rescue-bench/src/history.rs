@@ -35,46 +35,7 @@ pub struct HistoryRecord {
 /// name they are recorded under. Leaderboard standings are driven by
 /// the `fsim_kernel.*_evals_per_sec` entries.
 const TRACKED: &[(&str, &str, &str)] = &[
-    (
-        "fsim_kernel",
-        "bucket_evals_per_sec",
-        "bucket_evals_per_sec",
-    ),
-    ("fsim_kernel", "heap_evals_per_sec", "heap_evals_per_sec"),
     ("fsim_kernel", "ppsfp_evals_per_sec", "ppsfp_evals_per_sec"),
-    ("fsim_kernel", "kernel_speedup", "kernel_speedup"),
-    ("fsim_kernel", "ppsfp_speedup", "ppsfp_speedup"),
-    ("fsim_kernel", "gate_evals_bucket", "gate_evals_bucket"),
-    (
-        "fsim_kernel.bucket.w64",
-        "evals_per_sec",
-        "bucket_w64_evals_per_sec",
-    ),
-    (
-        "fsim_kernel.bucket.w256",
-        "evals_per_sec",
-        "bucket_w256_evals_per_sec",
-    ),
-    (
-        "fsim_kernel.bucket.w512",
-        "evals_per_sec",
-        "bucket_w512_evals_per_sec",
-    ),
-    (
-        "fsim_kernel.heap.w64",
-        "evals_per_sec",
-        "heap_w64_evals_per_sec",
-    ),
-    (
-        "fsim_kernel.heap.w256",
-        "evals_per_sec",
-        "heap_w256_evals_per_sec",
-    ),
-    (
-        "fsim_kernel.heap.w512",
-        "evals_per_sec",
-        "heap_w512_evals_per_sec",
-    ),
     (
         "fsim_kernel.ppsfp.w64",
         "evals_per_sec",
@@ -298,7 +259,7 @@ pub fn utc_date(unix_secs: u64) -> String {
 mod tests {
     use super::*;
 
-    fn rec(sha: &str, secs: u64, bucket: f64) -> HistoryRecord {
+    fn rec(sha: &str, secs: u64, w64: f64) -> HistoryRecord {
         HistoryRecord {
             sha: sha.to_owned(),
             date: utc_date(secs),
@@ -307,8 +268,8 @@ mod tests {
             threads: 4,
             quick: true,
             metrics: vec![
-                ("bucket_evals_per_sec".to_owned(), bucket),
-                ("heap_evals_per_sec".to_owned(), bucket / 2.0),
+                ("ppsfp_evals_per_sec".to_owned(), w64 * 2.0),
+                ("ppsfp_w64_evals_per_sec".to_owned(), w64),
             ],
         }
     }
@@ -348,16 +309,14 @@ mod tests {
     fn from_report_extracts_stats_medians() {
         use rescue_obs::report::RobustStats;
         let mut report = Report::new("fsim_kernel");
-        report
-            .section("fsim_kernel")
-            .u64("gate_evals_bucket", 1000)
-            .stats(
-                "bucket_evals_per_sec",
-                RobustStats::from_samples(&[1e6, 2e6, 3e6]),
-            );
+        report.section("fsim_kernel").stats(
+            "ppsfp_evals_per_sec",
+            RobustStats::from_samples(&[1e6, 2e6, 3e6]),
+        );
+        report.section("obs.overhead").f64("overhead_pct", 1.5);
         let r = HistoryRecord::from_report(&report, 2, false);
-        assert_eq!(r.metric("bucket_evals_per_sec"), Some(2e6));
-        assert_eq!(r.metric("gate_evals_bucket"), Some(1000.0));
+        assert_eq!(r.metric("ppsfp_evals_per_sec"), Some(2e6));
+        assert_eq!(r.metric("obs_overhead_pct"), Some(1.5));
         assert_eq!(r.threads, 2);
         assert!(!r.quick);
         assert_eq!(r.title, "fsim_kernel");

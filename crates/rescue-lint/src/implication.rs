@@ -205,9 +205,7 @@ impl ImplicationEngine {
                 continue;
             }
             kinds.push(g.kind);
-            opaque.push(
-                !g.inputs.iter().all(|&n| ok(n)) || !g.kind.arity_ok(g.inputs.len()),
-            );
+            opaque.push(!g.inputs.iter().all(|&n| ok(n)) || !g.kind.arity_ok(g.inputs.len()));
             gate_ins.extend(g.inputs.iter().copied().filter(|&n| ok(n)));
             gate_in_offsets.push(gate_ins.len() as u32);
             gate_out.push(g.output);
@@ -260,7 +258,10 @@ impl ImplicationEngine {
         let mut cursor = fan_offsets.clone();
         let mut fan_gates = vec![0u32; gate_ins.len()];
         for gi in 0..kinds.len() {
-            let (a, b) = (gate_in_offsets[gi] as usize, gate_in_offsets[gi + 1] as usize);
+            let (a, b) = (
+                gate_in_offsets[gi] as usize,
+                gate_in_offsets[gi + 1] as usize,
+            );
             for &n in &gate_ins[a..b] {
                 let c = &mut cursor[n as usize];
                 fan_gates[*c as usize] = gi as u32;
@@ -526,7 +527,10 @@ impl ImplicationEngine {
         let mut visited = 1usize;
         'walk: while let Some(l) = self.lit_stack.pop() {
             let l = l as usize;
-            let (a, b) = (self.edge_offsets[l] as usize, self.edge_offsets[l + 1] as usize);
+            let (a, b) = (
+                self.edge_offsets[l] as usize,
+                self.edge_offsets[l + 1] as usize,
+            );
             for i in a..b {
                 let m = self.edges[i] as usize;
                 if self.lit_seen[m] {
@@ -719,7 +723,10 @@ impl ImplicationEngine {
         self.lit_touched.push(l0 as u32);
         while let Some(l) = self.lit_stack.pop() {
             let l = l as usize;
-            let (a, b) = (self.edge_offsets[l] as usize, self.edge_offsets[l + 1] as usize);
+            let (a, b) = (
+                self.edge_offsets[l] as usize,
+                self.edge_offsets[l + 1] as usize,
+            );
             for i in a..b {
                 let m = self.edges[i] as usize;
                 if self.lit_seen[m] {

@@ -198,8 +198,18 @@ mod tests {
         // JSON carries the impl section with the exact count.
         let v = rescue_obs::json::parse(&r.to_json("seeded")).unwrap();
         let imp_json = v.get("impl").unwrap();
-        assert_eq!(imp_json.get("redundant_faults").unwrap().as_int().unwrap(), 2);
-        assert!(imp_json.get("direct_implications").unwrap().as_int().unwrap() > 0);
+        assert_eq!(
+            imp_json.get("redundant_faults").unwrap().as_int().unwrap(),
+            2
+        );
+        assert!(
+            imp_json
+                .get("direct_implications")
+                .unwrap()
+                .as_int()
+                .unwrap()
+                > 0
+        );
     }
 
     #[test]

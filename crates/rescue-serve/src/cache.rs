@@ -11,12 +11,22 @@
 //!   to the finished canonical result line, so a repeated identical job
 //!   skips the engines entirely.
 //!
+//! A 64-bit hash is only a lookup key, never proof of identity: FNV-1a
+//! collisions are easy to construct, and a trusted collision would hand
+//! one client another client's design or result. So each entry keeps
+//! what it was built from — the posted text (an `Arc<str>` shared with
+//! the [`Design`]) and, for results, the result-relevant
+//! [`JobConfig`] fields — and a hit whose stored inputs differ from the
+//! request's is treated as a miss. Honest traffic never collides, so
+//! its hit/miss counts are unchanged.
+//!
 //! Both are bounded LRUs (monotonic-tick recency, O(n) eviction — the
 //! caps are small) behind mutexes, with hit/miss/eviction counters
 //! registered in the global [`rescue_obs::metrics`] registry under
 //! `serve.cache.*`, which makes them visible on `/metrics` and exactly
 //! gated by `bench-diff`.
 
+use crate::job::JobConfig;
 use rescue_netlist::scan::insert_scan;
 use rescue_netlist::{fnv1a64, BuildError, Fault, Levelized, Netlist};
 use rescue_obs::metrics::Counter;
@@ -28,8 +38,9 @@ use std::sync::{Arc, Mutex};
 /// shares, built once per distinct netlist text and reused.
 #[derive(Debug)]
 pub struct Design {
-    /// FNV/SplitMix hash of the netlist text as POSTed (cache key).
-    pub text_hash: u64,
+    /// The netlist text as POSTed, which cache hits are verified
+    /// against.
+    pub text: Arc<str>,
     /// Structural content hash of the parsed netlist
     /// ([`Netlist::content_hash`]), echoed in results so two texts that
     /// parse to the same structure are recognizably identical.
@@ -61,7 +72,7 @@ impl Design {
         let lev = Levelized::new(sim_netlist);
         let faults = sim_netlist.collapse_faults();
         Ok(Design {
-            text_hash: fnv1a64(text.as_bytes()),
+            text: Arc::from(text),
             content_hash,
             base,
             scanned,
@@ -131,10 +142,25 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
+/// A cached result line with the inputs it was computed from: the
+/// netlist text and the result-relevant config
+/// ([`JobConfig::result_fields`]).
+#[derive(Clone)]
+struct ResultEntry {
+    text: Arc<str>,
+    config: JobConfig,
+    line: Arc<String>,
+}
+
 /// The server's caches plus their `serve.cache.*` counters.
 pub struct ServeCaches {
     designs: Mutex<LruCache<u64, Arc<Design>>>,
-    results: Mutex<LruCache<(u64, u64), Arc<String>>>,
+    results: Mutex<LruCache<(u64, u64), ResultEntry>>,
+    /// Lookup key of a netlist text ([`fnv1a64`] outside tests).
+    text_key: fn(&[u8]) -> u64,
+    /// Lookup key of a job config ([`JobConfig::config_hash`] outside
+    /// tests).
+    config_key: fn(&JobConfig) -> u64,
     design_hits: Arc<Counter>,
     design_misses: Arc<Counter>,
     result_hits: Arc<Counter>,
@@ -146,10 +172,21 @@ impl ServeCaches {
     /// Caches bounded to `design_cap` prepared designs and
     /// `result_cap` result lines, with counters registered globally.
     pub fn new(design_cap: usize, result_cap: usize) -> ServeCaches {
+        Self::with_keys(design_cap, result_cap, fnv1a64, JobConfig::config_hash)
+    }
+
+    fn with_keys(
+        design_cap: usize,
+        result_cap: usize,
+        text_key: fn(&[u8]) -> u64,
+        config_key: fn(&JobConfig) -> u64,
+    ) -> ServeCaches {
         let reg = rescue_obs::metrics::global();
         ServeCaches {
             designs: Mutex::new(LruCache::new(design_cap)),
             results: Mutex::new(LruCache::new(result_cap)),
+            text_key,
+            config_key,
             design_hits: reg.counter("serve.cache.design.hits"),
             design_misses: reg.counter("serve.cache.design.misses"),
             result_hits: reg.counter("serve.cache.result.hits"),
@@ -159,10 +196,13 @@ impl ServeCaches {
     }
 
     /// Fetch the prepared design for `text`, building and caching it on
-    /// a miss. Returns the design and whether this was a cache hit.
+    /// a miss. Returns the design and whether this was a cache hit. An
+    /// entry under the same key built from a different text is a miss,
+    /// and the rebuilt design replaces it.
     pub fn design(&self, text: &str) -> Result<(Arc<Design>, bool), String> {
-        let key = fnv1a64(text.as_bytes());
-        if let Some(d) = self.designs.lock().expect("design cache lock").get(&key) {
+        let key = (self.text_key)(text.as_bytes());
+        let cached = self.designs.lock().expect("design cache lock").get(&key);
+        if let Some(d) = cached.filter(|d| *d.text == *text) {
             self.design_hits.inc();
             return Ok((d, true));
         }
@@ -178,13 +218,23 @@ impl ServeCaches {
         Ok((built, false))
     }
 
-    /// Look up a finished result line.
-    pub fn result(&self, text_hash: u64, config_hash: u64) -> Option<Arc<String>> {
+    fn result_key(&self, text: &str, config: &JobConfig) -> (u64, u64) {
+        ((self.text_key)(text.as_bytes()), (self.config_key)(config))
+    }
+
+    /// Look up the finished result line of job `config` on `text`. An
+    /// entry under the same key computed from a different text or
+    /// config is a miss.
+    pub fn result(&self, text: &str, config: &JobConfig) -> Option<Arc<String>> {
+        let key = self.result_key(text, config);
+        let fields = config.result_fields();
         let hit = self
             .results
             .lock()
             .expect("result cache lock")
-            .get(&(text_hash, config_hash));
+            .get(&key)
+            .filter(|e| *e.text == *text && e.config == fields)
+            .map(|e| e.line);
         match &hit {
             Some(_) => self.result_hits.inc(),
             None => self.result_misses.inc(),
@@ -192,13 +242,20 @@ impl ServeCaches {
         hit
     }
 
-    /// Store a finished result line.
-    pub fn store_result(&self, text_hash: u64, config_hash: u64, line: Arc<String>) {
+    /// Store the finished result line of job `config` on `text`
+    /// (normally the [`Design::text`] it ran on).
+    pub fn store_result(&self, text: Arc<str>, config: &JobConfig, line: Arc<String>) {
+        let key = self.result_key(&text, config);
+        let entry = ResultEntry {
+            text,
+            config: config.result_fields(),
+            line,
+        };
         if self
             .results
             .lock()
             .expect("result cache lock")
-            .insert((text_hash, config_hash), line)
+            .insert(key, entry)
         {
             self.evictions.inc();
         }
@@ -248,5 +305,74 @@ mod tests {
     fn design_build_rejects_garbage_without_panicking() {
         assert!(Design::build("gate and 0 99\n").is_err());
         assert!(Design::build("\x00\x01\x02").is_err());
+    }
+
+    /// A key function that sends every input to one slot, so any two
+    /// netlists and any two configs collide.
+    fn collide<T: ?Sized>(_: &T) -> u64 {
+        0
+    }
+
+    fn fixture(gate: &str) -> String {
+        // Signals: inputs a=0 b=1, dff q=2, gate=3.
+        format!("component c\ninput a\ninput b\ngate {gate} 0 1\ndff q c 3\noutput o 3\n")
+    }
+
+    #[test]
+    fn colliding_designs_each_get_their_own_build() {
+        let caches = ServeCaches::with_keys(4, 4, collide, collide);
+        let and = fixture("and");
+        let or = fixture("or");
+        let (d_and, hit) = caches.design(&and).unwrap();
+        assert!(!hit);
+        let (d_or, hit) = caches.design(&or).unwrap();
+        assert!(!hit, "a colliding text must not hit another design");
+        assert_eq!(&*d_or.text, or.as_str());
+        assert_ne!(d_and.content_hash, d_or.content_hash);
+        // The same text hits again once it owns the slot.
+        let (again, hit) = caches.design(&or).unwrap();
+        assert!(hit && Arc::ptr_eq(&again, &d_or));
+        let (back, hit) = caches.design(&and).unwrap();
+        assert!(!hit, "the slot now holds the other text");
+        assert_eq!(back.content_hash, d_and.content_hash);
+    }
+
+    #[test]
+    fn colliding_results_each_get_their_own_answer() {
+        use crate::job::JobKind;
+        let caches = ServeCaches::with_keys(4, 4, collide, collide);
+        let and: Arc<str> = Arc::from(fixture("and"));
+        let or = fixture("or");
+        let fsim = JobConfig::new(JobKind::Fsim);
+        let seeded = JobConfig {
+            seed: 7,
+            ..JobConfig::new(JobKind::Fsim)
+        };
+        caches.store_result(Arc::clone(&and), &fsim, Arc::new("and-fsim".to_owned()));
+        // Same key, different netlist: miss.
+        assert_eq!(caches.result(&or, &fsim), None);
+        // Same key and netlist, different result-relevant config: miss.
+        assert_eq!(caches.result(&and, &seeded), None);
+        // Datapath knobs are not result-relevant: still a hit.
+        let wide = JobConfig {
+            threads: 3,
+            lane_words: 8,
+            ..fsim.clone()
+        };
+        assert_eq!(
+            caches.result(&and, &wide).as_deref().map(String::as_str),
+            Some("and-fsim")
+        );
+        // Each colliding job stores and gets back its own line.
+        caches.store_result(
+            Arc::from(or.as_str()),
+            &seeded,
+            Arc::new("or-seeded".to_owned()),
+        );
+        assert_eq!(
+            caches.result(&or, &seeded).as_deref().map(String::as_str),
+            Some("or-seeded")
+        );
+        assert_eq!(caches.result(&and, &fsim), None, "slot was taken over");
     }
 }

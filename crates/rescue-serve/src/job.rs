@@ -197,6 +197,20 @@ impl JobConfig {
         h.finish()
     }
 
+    /// This config with the datapath knobs (`threads`, `lane_words`)
+    /// reset to their defaults: exactly the fields
+    /// [`JobConfig::config_hash`] covers, so two configs share a result
+    /// exactly when their `result_fields` are equal. The result cache
+    /// compares these on every hit.
+    pub(crate) fn result_fields(&self) -> JobConfig {
+        let defaults = JobConfig::new(self.kind);
+        JobConfig {
+            threads: defaults.threads,
+            lane_words: defaults.lane_words,
+            ..self.clone()
+        }
+    }
+
     fn atpg_config(&self) -> AtpgConfig {
         AtpgConfig {
             podem: PodemConfig {
@@ -432,10 +446,13 @@ mod tests {
         threads.threads = 7;
         threads.lane_words = 4;
         assert_eq!(base.config_hash(), threads.config_hash());
+        // The fields the result cache verifies match what is hashed.
+        assert_eq!(base.result_fields(), threads.result_fields());
 
         let mut seeded = base.clone();
         seeded.fill_seed = 1;
         assert_ne!(base.config_hash(), seeded.config_hash());
+        assert_ne!(base.result_fields(), seeded.result_fields());
         let mut other_kind = base.clone();
         other_kind.kind = JobKind::Lint;
         assert_ne!(base.config_hash(), other_kind.config_hash());

@@ -281,8 +281,7 @@ fn serve_job(state: &State, req: &Request, stream: &mut TcpStream) -> std::io::R
         .as_bytes(),
     )?;
 
-    let config_hash = cfg.config_hash();
-    let result = run_cached(state, &cfg, config_hash, netlist_text, stream);
+    let result = run_cached(state, &cfg, netlist_text, stream);
     drop(permit);
 
     match result {
@@ -305,12 +304,10 @@ fn serve_job(state: &State, req: &Request, stream: &mut TcpStream) -> std::io::R
 fn run_cached(
     state: &State,
     cfg: &JobConfig,
-    config_hash: u64,
     netlist_text: &str,
     stream: &mut TcpStream,
 ) -> Result<Arc<String>, String> {
-    let text_hash = rescue_netlist::fnv1a64(netlist_text.as_bytes());
-    if let Some(line) = state.caches.result(text_hash, config_hash) {
+    if let Some(line) = state.caches.result(netlist_text, cfg) {
         let _ = stream.write_all(
             event_line("serve.result.cache", |o| {
                 o.bool("hit", true);
@@ -336,7 +333,7 @@ fn run_cached(
     let line = Arc::new(run_job(&design, cfg)?);
     state
         .caches
-        .store_result(text_hash, config_hash, Arc::clone(&line));
+        .store_result(Arc::clone(&design.text), cfg, Arc::clone(&line));
     Ok(line)
 }
 
@@ -360,6 +357,24 @@ fn error_response(
         body: error_line(message),
     };
     write_response(stream, &resp, false)
+}
+
+/// `/stats.json`: instantaneous server state (distinct from the
+/// cumulative counters on `/metrics`).
+fn stats_json(state: &State) -> String {
+    let (running, queued) = state.gate.load();
+    let (designs, results) = state.caches.sizes();
+    let mut o = JsonObj::new();
+    o.str("title", &state.title)
+        .u64("jobs_running", running as u64)
+        .u64("jobs_queued", queued as u64)
+        .u64("designs_cached", designs as u64)
+        .u64("results_cached", results as u64)
+        .u64("jobs_accepted", state.jobs_accepted.get())
+        .u64("jobs_completed", state.jobs_completed.get())
+        .u64("jobs_failed", state.jobs_failed.get())
+        .u64("jobs_shed", state.jobs_shed.get());
+    o.finish()
 }
 
 #[cfg(test)]
@@ -409,22 +424,4 @@ mod tests {
         drop(permit);
         assert!(gate.enter().is_some(), "freed slot must admit again");
     }
-}
-
-/// `/stats.json`: instantaneous server state (distinct from the
-/// cumulative counters on `/metrics`).
-fn stats_json(state: &State) -> String {
-    let (running, queued) = state.gate.load();
-    let (designs, results) = state.caches.sizes();
-    let mut o = JsonObj::new();
-    o.str("title", &state.title)
-        .u64("jobs_running", running as u64)
-        .u64("jobs_queued", queued as u64)
-        .u64("designs_cached", designs as u64)
-        .u64("results_cached", results as u64)
-        .u64("jobs_accepted", state.jobs_accepted.get())
-        .u64("jobs_completed", state.jobs_completed.get())
-        .u64("jobs_failed", state.jobs_failed.get())
-        .u64("jobs_shed", state.jobs_shed.get());
-    o.finish()
 }
