@@ -1,16 +1,20 @@
 //! The cycle-stepped simulation engine.
+//!
+//! A cycle in which no stage changes any state is not repeated one cycle
+//! at a time: the engine jumps to the next cycle at which a time-guarded
+//! condition can change and accounts for the skipped cycles exactly as
+//! stepping them would (`Engine::skip_idle_cycles`).
 
 use crate::config::{CoreConfig, Policy, Resources, SimConfig};
 use crate::result::{SimResult, IPC_WINDOW_CYCLES};
 use rescue_workloads::{InstrKind, TraceInstr};
 use std::collections::VecDeque;
 
-/// Ring size for producer-readiness tracking; must exceed twice the
-/// maximum dependence distance a trace can carry (`u16::MAX`).
-const READY_RING: usize = 1 << 17;
-
 /// Result not yet available.
 const NOT_READY: u64 = u64::MAX;
+
+/// Cycles without a commit after which the run is declared deadlocked.
+const WATCHDOG_CYCLES: u64 = 1_000_000;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
@@ -79,7 +83,12 @@ struct Engine<'c, T: Iterator<Item = TraceInstr>> {
     rob_base: u64,
     next_id: u64,
 
+    /// Producer readiness cycle, indexed by instruction id masked with
+    /// `ready_mask`. Only ids in the ROB are ever read or written (every
+    /// source read is guarded by `p >= rob_base`), and the ring is at
+    /// least `rob_entries` long, so live ids never share a slot.
     ready_at: Vec<u64>,
+    ready_mask: usize,
     intq: Queue,
     fpq: Queue,
     lsq_count: usize,
@@ -106,6 +115,17 @@ struct Engine<'c, T: Iterator<Item = TraceInstr>> {
     last_commit_cycle: u64,
     /// Committed count at the last IPC-window boundary.
     window_committed_base: u64,
+    /// Why dispatch stalled in the last stepped cycle, if it did.
+    last_stall: Option<StallCause>,
+    /// Whether fetch sat out the last stepped cycle on a redirect.
+    fetch_stalled: bool,
+    /// Step every cycle, never jumping over idle ones (the reference the
+    /// skip is tested against).
+    #[cfg(test)]
+    step_every_cycle: bool,
+    /// Cycles stepped rather than skipped.
+    #[cfg(test)]
+    stepped: u64,
 }
 
 /// Why dispatch blocked this cycle (first blocked instruction's need).
@@ -120,6 +140,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     fn new(cfg: &'c SimConfig, core: &'c CoreConfig, trace: T) -> Self {
         let (int_cap, fp_cap, lsq_cap) = core.capacities(cfg);
         let (hold_extra, squash_window) = (cfg.hold_extra, cfg.squash_window);
+        let ready_ring = cfg.rob_entries.next_power_of_two();
         Engine {
             cfg,
             core,
@@ -129,7 +150,8 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             rob: VecDeque::with_capacity(cfg.rob_entries),
             rob_base: 0,
             next_id: 0,
-            ready_at: vec![NOT_READY; READY_RING],
+            ready_at: vec![NOT_READY; ready_ring],
+            ready_mask: ready_ring - 1,
             intq: Queue::default(),
             fpq: Queue::default(),
             lsq_count: 0,
@@ -149,6 +171,12 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             stats: SimResult::default(),
             last_commit_cycle: 0,
             window_committed_base: 0,
+            last_stall: None,
+            fetch_stalled: false,
+            #[cfg(test)]
+            step_every_cycle: false,
+            #[cfg(test)]
+            stepped: 0,
         }
     }
 
@@ -167,7 +195,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 break;
             }
             assert!(
-                self.cycle - self.last_commit_cycle < 1_000_000,
+                self.cycle - self.last_commit_cycle < WATCHDOG_CYCLES,
                 "simulator deadlock at cycle {} (committed {})",
                 self.cycle,
                 self.stats.committed
@@ -178,39 +206,133 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     }
 
     fn step(&mut self) {
+        #[cfg(test)]
+        {
+            self.stepped += 1;
+        }
         self.stats.sum_iq_occupancy += self.intq.occupancy() as u64;
         self.stats.sum_fpq_occupancy += self.fpq.occupancy() as u64;
         self.stats.sum_rob_occupancy += self.rob.len() as u64;
-        self.retire();
-        self.handle_miss_detections();
-        self.select_and_issue();
-        self.remove_safe_entries();
-        self.compact();
-        self.dispatch();
-        self.fetch();
-        self.cycle += 1;
-        if self.cycle.is_multiple_of(IPC_WINDOW_CYCLES) {
-            let window = self.stats.committed - self.window_committed_base;
-            self.stats.ipc_windows.record(window);
-            self.window_committed_base = self.stats.committed;
-            let hub = rescue_obs::live::global();
-            hub.record(rescue_obs::LiveCounter::PipesimCycles, IPC_WINDOW_CYCLES);
-            hub.record(rescue_obs::LiveCounter::PipesimCommitted, window);
-            // Counter tracks for the Perfetto timeline (no-ops unless the
-            // tracer is enabled; cheap enough for the window boundary).
-            if rescue_obs::global().enabled() {
-                rescue_obs::counter(
-                    "pipesim.window_ipc",
-                    window as f64 / IPC_WINDOW_CYCLES as f64,
-                );
-                rescue_obs::counter("pipesim.int_iq_occupancy", self.intq.occupancy() as f64);
-                rescue_obs::counter("pipesim.rob_occupancy", self.rob.len() as f64);
+        // Non-short-circuiting `|`: every stage runs, in order.
+        let busy = self.retire()
+            | self.handle_miss_detections()
+            | self.select_and_issue()
+            | self.remove_safe_entries()
+            | self.compact()
+            | self.dispatch()
+            | self.fetch();
+        self.advance(1);
+        if !busy {
+            #[cfg(test)]
+            if self.step_every_cycle {
+                return;
             }
+            self.skip_idle_cycles();
+        }
+    }
+
+    /// Jump over the cycles that would repeat the idle one just stepped.
+    ///
+    /// A cycle in which no stage changed any state leaves the engine as
+    /// it found it, so every following cycle repeats it until a
+    /// time-guarded condition flips: a source becomes ready, an issued
+    /// instruction finishes or leaves the replay shadow, a miss is
+    /// detected, or fetch resumes after a redirect. Each skipped cycle is
+    /// accounted exactly as stepping it would be. The jump stops at the
+    /// watchdog limit so a deadlock still panics at the same cycle.
+    fn skip_idle_cycles(&mut self) {
+        let now = self.cycle;
+        let next = self
+            .next_event(now)
+            .min(self.last_commit_cycle + WATCHDOG_CYCLES);
+        if next <= now {
+            return;
+        }
+        let k = next - now;
+        self.stats.sum_iq_occupancy += k * self.intq.occupancy() as u64;
+        self.stats.sum_fpq_occupancy += k * self.fpq.occupancy() as u64;
+        self.stats.sum_rob_occupancy += k * self.rob.len() as u64;
+        if let Some(cause) = self.last_stall {
+            self.count_stall(cause, k);
+        }
+        if self.fetch_stalled {
+            self.stats.fetch_stall_cycles += k;
+        }
+        self.advance(k);
+    }
+
+    /// The earliest cycle `>= now` at which a time-guarded condition of
+    /// some stage can change (`u64::MAX` if none can).
+    fn next_event(&self, now: u64) -> u64 {
+        let mut next = u64::MAX;
+        let mut at = |t: u64| {
+            if t >= now && t < next {
+                next = t;
+            }
+        };
+        let shadow = self.cfg.l1_latency + self.hold_extra;
+        for (id, s) in (self.rob_base..).zip(&self.rob) {
+            match s.state {
+                State::Issued | State::Done => {
+                    at(s.done_cycle);
+                    if s.in_queue {
+                        at(s.issue_cycle + shadow);
+                    }
+                }
+                State::InQueue => {
+                    // Today a source's ready time is also its producer's
+                    // `done_cycle` or miss-check time; watching it directly
+                    // keeps the skip exact if a bypass ever differs.
+                    for dep in s.instr.src_deps.into_iter().flatten() {
+                        match id.checked_sub(dep as u64) {
+                            Some(p) if p >= self.rob_base => {
+                                at(self.ready_at[p as usize & self.ready_mask]);
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                State::InBuffer => {}
+            }
+        }
+        if let Some(&(when, _)) = self.miss_checks.front() {
+            at(when);
+        }
+        at(self.fetch_resume_at);
+        next
+    }
+
+    /// Move the clock `k` cycles forward, closing every IPC window whose
+    /// boundary it crosses.
+    fn advance(&mut self, k: u64) {
+        let from = self.cycle;
+        self.cycle += k;
+        for _ in from / IPC_WINDOW_CYCLES..self.cycle / IPC_WINDOW_CYCLES {
+            self.close_window();
+        }
+    }
+
+    fn close_window(&mut self) {
+        let window = self.stats.committed - self.window_committed_base;
+        self.stats.ipc_windows.record(window);
+        self.window_committed_base = self.stats.committed;
+        let hub = rescue_obs::live::global();
+        hub.record(rescue_obs::LiveCounter::PipesimCycles, IPC_WINDOW_CYCLES);
+        hub.record(rescue_obs::LiveCounter::PipesimCommitted, window);
+        // Counter tracks for the Perfetto timeline (no-ops unless the
+        // tracer is enabled; cheap enough for the window boundary).
+        if rescue_obs::global().enabled() {
+            rescue_obs::counter(
+                "pipesim.window_ipc",
+                window as f64 / IPC_WINDOW_CYCLES as f64,
+            );
+            rescue_obs::counter("pipesim.int_iq_occupancy", self.intq.occupancy() as f64);
+            rescue_obs::counter("pipesim.rob_occupancy", self.rob.len() as f64);
         }
     }
 
     // ---- Stage 1: retire.
-    fn retire(&mut self) {
+    fn retire(&mut self) -> bool {
         let mut n = 0;
         while n < self.cfg.commit_width {
             let Some(head) = self.rob.front() else { break };
@@ -229,15 +351,18 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             self.last_commit_cycle = self.cycle;
             n += 1;
         }
+        n > 0
     }
 
     // ---- Stage 2: L1-miss detection and issue-shadow squash.
-    fn handle_miss_detections(&mut self) {
+    fn handle_miss_detections(&mut self) -> bool {
+        let mut changed = false;
         while let Some(&(when, load_id)) = self.miss_checks.front() {
             if when > self.cycle {
                 break;
             }
             self.miss_checks.pop_front();
+            changed = true;
             if load_id < self.rob_base {
                 continue; // already retired (cannot happen for misses)
             }
@@ -253,25 +378,18 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 // Stale check from an issue that was squashed and redone.
                 continue;
             }
-            self.ready_at[(load_id as usize) % READY_RING] = actual;
+            self.ready_at[load_id as usize & self.ready_mask] = actual;
 
             // Squash everything issued in the shadow window.
             let lo = self.cycle.saturating_sub(self.squash_window);
-            let squash: Vec<u64> = self
-                .recent_issues
-                .iter()
-                .filter(|&&(c, id)| c >= lo && c < self.cycle && id != load_id)
-                .map(|&(_, id)| id)
-                .collect();
-            for id in squash {
-                if id < self.rob_base {
+            for &(c, id) in &self.recent_issues {
+                if c < lo || c >= self.cycle || id == load_id || id < self.rob_base {
                     continue;
                 }
-                let ring = (id as usize) % READY_RING;
-                let s = self.slot_mut(id);
+                let s = &mut self.rob[(id - self.rob_base) as usize];
                 if s.state == State::Issued {
                     s.state = State::InQueue;
-                    self.ready_at[ring] = NOT_READY;
+                    self.ready_at[id as usize & self.ready_mask] = NOT_READY;
                     self.stats.miss_squashes += 1;
                 }
             }
@@ -281,10 +399,12 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
         while matches!(self.recent_issues.front(), Some(&(c, _)) if c < keep_from) {
             self.recent_issues.pop_front();
         }
+        changed
     }
 
     // ---- Stage 3: wakeup, select, issue.
-    fn select_and_issue(&mut self) {
+    fn select_and_issue(&mut self) -> bool {
+        let issued_before = self.stats.issued_total;
         match self.cfg.policy {
             Policy::Baseline => {
                 let mut used = Resources::zero();
@@ -353,6 +473,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 }
             }
         }
+        self.stats.issued_total != issued_before
     }
 
     fn issue(&mut self, id: u64) {
@@ -365,7 +486,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             self.cfg.fp_add_latency,
             self.cfg.fp_mul_latency,
         );
-        let ring = (id as usize) % READY_RING;
+        let ring = id as usize & self.ready_mask;
         let is_redirect = self.redirect_branch == Some(id);
         let mut miss_check = None;
         let mut resume_at = None;
@@ -415,22 +536,16 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     }
 
     /// Oldest-first pick across the given queue parts under the shared
-    /// budget; also promotes completed entries to Done.
-    fn pick_from(&mut self, parts: &[QueuePart], used: &mut Resources) -> Vec<u64> {
+    /// budget.
+    fn pick_from(&self, parts: &[QueuePart], used: &mut Resources) -> Vec<u64> {
         let mut picks = Vec::new();
         for &part in parts {
-            let ids: Vec<u64> = self.part(part).iter().copied().collect();
-            for id in ids {
+            for &id in self.part(part) {
                 let s = self.slot(id);
-                if s.state != State::InQueue {
-                    // Mark finished execution lazily.
+                if s.state != State::InQueue || !self.sources_ready(id) {
                     continue;
                 }
-                if !self.sources_ready(id) {
-                    continue;
-                }
-                let need = kind_usage(self.slot(id).instr.kind);
-                let after = used.plus(&need);
+                let after = used.plus(&kind_usage(s.instr.kind));
                 if !self.budget.fits(&after) {
                     continue;
                 }
@@ -449,7 +564,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             if p < self.rob_base {
                 continue; // producer retired long ago
             }
-            if self.ready_at[(p as usize) % READY_RING] > self.cycle {
+            if self.ready_at[p as usize & self.ready_mask] > self.cycle {
                 return false;
             }
         }
@@ -458,45 +573,43 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
 
     // ---- Stage 3b: release queue slots out of the replay shadow, and
     // promote finished instructions to Done.
-    fn remove_safe_entries(&mut self) {
+    fn remove_safe_entries(&mut self) -> bool {
         let l1 = self.cfg.l1_latency;
         let hold = self.hold_extra;
         let cycle = self.cycle;
+        let mut changed = false;
         // Promote Done.
         for slot in self.rob.iter_mut() {
             if slot.state == State::Issued && slot.done_cycle <= cycle {
                 slot.state = State::Done;
+                changed = true;
             }
         }
-        let rob = &self.rob;
+        let rob = &mut self.rob;
         let base = self.rob_base;
-        let removable = |id: &u64| {
-            let s = &rob[(*id - base) as usize];
-            matches!(s.state, State::Issued | State::Done) && cycle >= s.issue_cycle + l1 + hold
-        };
-        let mut removed: Vec<u64> = Vec::new();
         for dq in [
             &mut self.intq.old,
             &mut self.intq.new,
             &mut self.fpq.old,
             &mut self.fpq.new,
         ] {
-            dq.retain(|id| {
-                if removable(id) {
-                    removed.push(*id);
-                    false
-                } else {
-                    true
+            dq.retain(|&id| {
+                let s = &mut rob[(id - base) as usize];
+                let safe = matches!(s.state, State::Issued | State::Done)
+                    && cycle >= s.issue_cycle + l1 + hold;
+                if safe {
+                    s.in_queue = false;
+                    changed = true;
                 }
+                !safe
             });
         }
-        for id in removed {
-            self.rob[(id - self.rob_base) as usize].in_queue = false;
-        }
+        changed
     }
 
     // ---- Stage 4: compaction.
-    fn compact(&mut self) {
+    fn compact(&mut self) -> bool {
+        let mut changed = false;
         match self.cfg.policy {
             Policy::Baseline => {
                 // Single-cycle inter-segment compaction: the queue behaves
@@ -506,6 +619,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                     while q.old.len() < half && !q.new.is_empty() {
                         let id = q.new.pop_front().expect("non-empty");
                         q.old.push_back(id);
+                        changed = true;
                     }
                 }
             }
@@ -523,6 +637,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                     while q.old.len() < half && !q.buf.is_empty() {
                         let id = q.buf.pop_front().expect("non-empty");
                         q.old.push_back(id);
+                        changed = true;
                     }
                     // New half forwards entries toward the buffer based on
                     // *last* cycle's free-slot count (cycle-split request).
@@ -531,44 +646,39 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                         let id = q.new.pop_front().expect("non-empty");
                         q.buf.push_back(id);
                         quota -= 1;
+                        changed = true;
                     }
-                    q.old_free_prev = half - q.old.len().min(half);
+                    let old_free = half - q.old.len().min(half);
+                    changed |= old_free != q.old_free_prev;
+                    q.old_free_prev = old_free;
                 }
+                let rob = &mut self.rob;
+                let base = self.rob_base;
                 // Buffer residents change state for bookkeeping.
-                let ids: Vec<u64> = self
-                    .intq
-                    .buf
-                    .iter()
-                    .chain(self.fpq.buf.iter())
-                    .copied()
-                    .collect();
-                for id in ids {
-                    let s = self.slot_mut(id);
+                for &id in self.intq.buf.iter().chain(&self.fpq.buf) {
+                    let s = &mut rob[(id - base) as usize];
                     if s.state == State::InQueue {
                         s.state = State::InBuffer;
+                        changed = true;
                     }
                 }
                 // And entries arriving in the old half become selectable.
-                let ids: Vec<u64> = self
-                    .intq
-                    .old
-                    .iter()
-                    .chain(self.fpq.old.iter())
-                    .copied()
-                    .collect();
-                for id in ids {
-                    let s = self.slot_mut(id);
+                for &id in self.intq.old.iter().chain(&self.fpq.old) {
+                    let s = &mut rob[(id - base) as usize];
                     if s.state == State::InBuffer {
                         s.state = State::InQueue;
+                        changed = true;
                     }
                 }
             }
         }
+        changed
     }
 
     // ---- Stage 5: dispatch from the fetch queue into the window.
-    fn dispatch(&mut self) {
+    fn dispatch(&mut self) -> bool {
         let mut stalled: Option<StallCause> = None;
+        let rob_before = self.rob.len();
         for _ in 0..self.fe_width {
             let Some(&(id, instr)) = self.fetchq.front() else {
                 break;
@@ -617,7 +727,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             }
             self.fetchq.pop_front();
             debug_assert_eq!(id, self.next_rob_id());
-            self.ready_at[(id as usize) % READY_RING] = NOT_READY;
+            self.ready_at[id as usize & self.ready_mask] = NOT_READY;
             self.rob.push_back(Slot {
                 instr,
                 state: State::InQueue,
@@ -625,18 +735,24 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 done_cycle: u64::MAX,
                 in_queue: true,
             });
-            let _ = fp;
             if instr.kind.is_mem() {
                 self.lsq_count += 1;
             }
         }
         if let Some(cause) = stalled {
-            self.stats.dispatch_stall_cycles += 1;
-            match cause {
-                StallCause::Rob => self.stats.stall_rob_full += 1,
-                StallCause::Lsq => self.stats.stall_lsq_full += 1,
-                StallCause::Iq => self.stats.stall_iq_full += 1,
-            }
+            self.count_stall(cause, 1);
+        }
+        self.last_stall = stalled;
+        self.rob.len() != rob_before
+    }
+
+    /// Count `k` dispatch-stall cycles blocked on `cause`.
+    fn count_stall(&mut self, cause: StallCause, k: u64) {
+        self.stats.dispatch_stall_cycles += k;
+        match cause {
+            StallCause::Rob => self.stats.stall_rob_full += k,
+            StallCause::Lsq => self.stats.stall_lsq_full += k,
+            StallCause::Iq => self.stats.stall_iq_full += k,
         }
     }
 
@@ -645,18 +761,19 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     }
 
     // ---- Stage 6: fetch.
-    fn fetch(&mut self) {
-        if self.fetch_stall {
-            if self.redirect_branch.is_some() || self.cycle < self.fetch_resume_at {
-                self.stats.fetch_stall_cycles += 1;
-                return;
-            }
-            self.fetch_stall = false;
+    fn fetch(&mut self) -> bool {
+        self.fetch_stalled = self.fetch_stall
+            && (self.redirect_branch.is_some() || self.cycle < self.fetch_resume_at);
+        if self.fetch_stalled {
+            self.stats.fetch_stall_cycles += 1;
+            return false;
         }
+        let mut changed = std::mem::take(&mut self.fetch_stall);
         for _ in 0..self.fe_width {
             if self.fetchq.len() >= 32 || self.trace_done {
                 break;
             }
+            changed = true;
             let Some(instr) = self.trace.next() else {
                 self.trace_done = true;
                 break;
@@ -672,6 +789,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 break;
             }
         }
+        changed
     }
 
     fn part(&self, part: QueuePart) -> &VecDeque<u64> {
@@ -717,4 +835,84 @@ fn kind_usage(kind: InstrKind) -> Resources {
         }
     }
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ReplayPolicy;
+    use rescue_obs::SplitMix64;
+    use rescue_workloads::{BenchmarkProfile, TraceGenerator};
+
+    /// [`simulate`], stepping every cycle or skipping idle ones; also
+    /// returns how many cycles were stepped.
+    fn run(
+        cfg: &SimConfig,
+        core: &CoreConfig,
+        trace: impl Iterator<Item = TraceInstr>,
+        n_instr: u64,
+        skip: bool,
+    ) -> (SimResult, u64) {
+        core.validate();
+        let mut eng = Engine::new(cfg, core, trace);
+        eng.step_every_cycle = !skip;
+        let result = eng.run(n_instr);
+        (result, eng.stepped)
+    }
+
+    #[test]
+    fn skipping_idle_cycles_matches_stepping() {
+        let cores = CoreConfig::all_degraded();
+        let replays = [
+            ReplayPolicy::SmallerHalf,
+            ReplayPolicy::NewHalf,
+            ReplayPolicy::LargerHalf,
+        ];
+        let mut rng = SplitMix64::new(0x51c1_d1e5);
+        let (mut case, mut cycles, mut stepped) = (0, 0, 0);
+        for policy in [Policy::Baseline, Policy::Rescue] {
+            for bench in ["gzip", "mcf", "swim", "art"] {
+                let prof = BenchmarkProfile::by_name(bench).unwrap();
+                for seed in [1, 2] {
+                    for halvings in [0, 2, 5] {
+                        let mut cfg = SimConfig::paper(policy).scaled_to_halvings(halvings);
+                        cfg.replay_policy = replays[case % 3];
+                        cfg.compaction_buffer = [1, 4, 8][case / 3 % 3];
+                        let core = cores[rng.below(cores.len())];
+                        case += 1;
+                        let trace = || TraceGenerator::new(&prof, seed);
+                        let (want, _) = run(&cfg, &core, trace(), 3_000, false);
+                        let (got, steps) = run(&cfg, &core, trace(), 3_000, true);
+                        assert_eq!(
+                            got, want,
+                            "{policy:?} {bench} seed {seed} halvings {halvings} {core:?} \
+                             {:?} buffer {}",
+                            cfg.replay_policy, cfg.compaction_buffer
+                        );
+                        cycles += want.cycles;
+                        stepped += steps;
+                    }
+                }
+            }
+        }
+        // The grid spends most of its cycles waiting on memory: if it did
+        // not, the comparison above would not exercise the skip.
+        assert!(stepped * 2 < cycles, "stepped {stepped} of {cycles} cycles");
+    }
+
+    #[test]
+    fn skipping_drains_a_finite_trace_like_stepping() {
+        for policy in [Policy::Baseline, Policy::Rescue] {
+            for bench in ["mcf", "art"] {
+                let prof = BenchmarkProfile::by_name(bench).unwrap();
+                let cfg = SimConfig::paper(policy).scaled_to_halvings(5);
+                let trace = || TraceGenerator::new(&prof, 3).take(1_500);
+                let core = CoreConfig::healthy();
+                let (want, _) = run(&cfg, &core, trace(), 10_000, false);
+                let (got, _) = run(&cfg, &core, trace(), 10_000, true);
+                assert_eq!(want.committed, 1_500);
+                assert_eq!(got, want, "{policy:?} {bench}");
+            }
+        }
+    }
 }

@@ -178,3 +178,37 @@ fn utilization_counters_move() {
     assert!(r.issued_total >= r.committed);
     assert!(r.wasted_issue_fraction() < 0.5);
 }
+
+#[test]
+fn fp_starved_core_trips_the_watchdog_at_the_stepped_cycle() {
+    // One backend way with one FP group leaves an FP issue width of 0,
+    // so swim's first FP instruction can never issue. The watchdog must
+    // fire at the cycle a one-cycle-at-a-time engine reaches, a million
+    // cycles after the last commit, even though idle cycles are skipped.
+    let prof = BenchmarkProfile::by_name("swim").unwrap();
+    let core = CoreConfig {
+        fp_be_groups: 1,
+        ..CoreConfig::healthy()
+    };
+    for (policy, want) in [
+        (
+            Policy::Baseline,
+            "simulator deadlock at cycle 1000008 (committed 2)",
+        ),
+        (
+            Policy::Rescue,
+            "simulator deadlock at cycle 1000009 (committed 2)",
+        ),
+    ] {
+        let cfg = SimConfig {
+            backend_ways: 1,
+            ..SimConfig::paper(policy)
+        };
+        assert_eq!(core.resources(&cfg).fp_width, 0);
+        let err = std::panic::catch_unwind(|| {
+            simulate(&cfg, &core, TraceGenerator::new(&prof, 1), 10_000)
+        })
+        .expect_err("an FP-starved core must deadlock");
+        assert_eq!(err.downcast_ref::<String>().map(String::as_str), Some(want));
+    }
+}

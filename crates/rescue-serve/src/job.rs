@@ -95,6 +95,12 @@ pub struct JobConfig {
     pub seed: u64,
 }
 
+/// Largest PODEM backtrack budget a job may ask for.
+const MAX_BACKTRACKS: usize = 100_000;
+
+/// Largest number of 64-pattern blocks an fsim job may ask for.
+const MAX_PATTERN_BLOCKS: usize = 4096;
+
 impl JobConfig {
     /// The default config for `kind`.
     pub fn new(kind: JobKind) -> JobConfig {
@@ -168,8 +174,14 @@ impl JobConfig {
                 _ => return Err("\"static_prepass\" must be a boolean".to_owned()),
             }
         }
-        if cfg.patterns == 0 || cfg.patterns > 4096 {
-            return Err("\"patterns\" must be in 1..=4096".to_owned());
+        // Admission caps: one request must not hold a worker for long.
+        if cfg.max_backtracks > MAX_BACKTRACKS {
+            return Err(format!(
+                "\"max_backtracks\" must be at most {MAX_BACKTRACKS}"
+            ));
+        }
+        if cfg.patterns == 0 || cfg.patterns > MAX_PATTERN_BLOCKS {
+            return Err(format!("\"patterns\" must be in 1..={MAX_PATTERN_BLOCKS}"));
         }
         Ok(cfg)
     }
@@ -429,6 +441,29 @@ mod tests {
         assert!(JobConfig::parse(r#"{"kind":"fsim","patterns":0}"#).is_err());
         assert!(JobConfig::parse(r#"{"kind":"atpg","merge_cubes":3}"#).is_err());
         assert!(JobConfig::parse(r#"{"kind":"atpg","static_prepass":"yes"}"#).is_err());
+    }
+
+    #[test]
+    fn admission_caps_accept_the_cap_and_name_the_field_above_it() {
+        let at = format!(r#"{{"kind":"atpg","max_backtracks":{MAX_BACKTRACKS}}}"#);
+        assert_eq!(
+            JobConfig::parse(&at).unwrap().max_backtracks,
+            MAX_BACKTRACKS
+        );
+        let over = format!(
+            r#"{{"kind":"atpg","max_backtracks":{}}}"#,
+            MAX_BACKTRACKS + 1
+        );
+        assert!(JobConfig::parse(&over)
+            .unwrap_err()
+            .contains("\"max_backtracks\""));
+
+        let at = format!(r#"{{"kind":"fsim","patterns":{MAX_PATTERN_BLOCKS}}}"#);
+        assert_eq!(JobConfig::parse(&at).unwrap().patterns, MAX_PATTERN_BLOCKS);
+        let over = format!(r#"{{"kind":"fsim","patterns":{}}}"#, MAX_PATTERN_BLOCKS + 1);
+        assert!(JobConfig::parse(&over)
+            .unwrap_err()
+            .contains("\"patterns\""));
     }
 
     #[test]

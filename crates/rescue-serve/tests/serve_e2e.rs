@@ -188,6 +188,15 @@ fn malformed_jobs_get_4xx_and_the_server_survives() {
     assert!(status.contains("400"), "{status}");
     assert!(body.contains("\"type\":\"error\""), "{body}");
 
+    // Over an admission cap: refused before any work, naming the field.
+    let (status, body) = post_job(
+        addr,
+        r#"{"kind":"atpg","max_backtracks":100001}"#,
+        "input a\n",
+    );
+    assert!(status.contains("400"), "{status}");
+    assert!(body.contains("max_backtracks"), "{body}");
+
     // Good config, empty netlist.
     let (status, _) = post_job(addr, r#"{"kind":"netlist"}"#, "");
     assert!(status.contains("400"), "{status}");
