@@ -8,8 +8,8 @@
 //! constraints model test-mode wiring — `scan_enable` is held at 0 during
 //! capture.
 
-use crate::threeval::{controlling_value, eval_gate_v3, V3};
-use rescue_netlist::{Driver, Fault, FaultSite, GateKind, NetId, Netlist};
+use rescue_netlist::threeval::{controlling_value, eval_gate_v3, V3};
+use rescue_netlist::{Driver, Fault, FaultSite, GateKind, Levelized, NetId, Netlist};
 use rescue_obs::metrics::{Counter, Histogram};
 
 /// Tuning knobs for PODEM.
@@ -76,9 +76,10 @@ pub struct Podem<'a> {
     netlist: &'a Netlist,
     /// Per primary input: a fixed test-mode value, if constrained.
     constraints: Vec<Option<bool>>,
-    /// SCOAP-style controllability costs per net.
-    cc0: Vec<u32>,
-    cc1: Vec<u32>,
+    /// SCOAP controllability per net under `constraints`
+    /// ([`rescue_lint::scoap::controllability`]).
+    cc0: Vec<u64>,
+    cc1: Vec<u64>,
     config: PodemConfig,
     stats: PodemStats,
 }
@@ -89,14 +90,19 @@ struct Machine {
     bad: Vec<V3>,
 }
 
-const INF: u32 = u32::MAX / 4;
-
 impl<'a> Podem<'a> {
-    /// Create an engine. `constraints` has one entry per primary input
-    /// (use `None` for free pins).
-    pub fn new(netlist: &'a Netlist, constraints: Vec<Option<bool>>, config: PodemConfig) -> Self {
+    /// Create an engine. `lev` must be `Levelized::new(netlist)`: the
+    /// backtrace costs are the shared SCOAP over it. `constraints` has
+    /// one entry per primary input (use `None` for free pins).
+    pub fn new(
+        netlist: &'a Netlist,
+        lev: &Levelized,
+        constraints: Vec<Option<bool>>,
+        config: PodemConfig,
+    ) -> Self {
         assert_eq!(constraints.len(), netlist.inputs().len());
-        let (cc0, cc1) = scoap(netlist, &constraints);
+        assert_eq!(lev.num_nets(), netlist.num_nets());
+        let (cc0, cc1) = rescue_lint::scoap::controllability(lev, &constraints);
         Podem {
             netlist,
             constraints,
@@ -418,7 +424,7 @@ impl<'a> Podem<'a> {
         }
     }
 
-    fn cost(&self, net: NetId, value: bool) -> u32 {
+    fn cost(&self, net: NetId, value: bool) -> u64 {
         if value {
             self.cc1[net.index()]
         } else {
@@ -447,102 +453,15 @@ impl<'a> Podem<'a> {
     }
 }
 
-/// SCOAP combinational controllability (cost to set each net to 0 / 1).
-fn scoap(netlist: &Netlist, constraints: &[Option<bool>]) -> (Vec<u32>, Vec<u32>) {
-    let mut cc0 = vec![INF; netlist.num_nets()];
-    let mut cc1 = vec![INF; netlist.num_nets()];
-    for (i, &net) in netlist.inputs().iter().enumerate() {
-        match constraints[i] {
-            Some(false) => {
-                cc0[net.index()] = 0;
-            }
-            Some(true) => {
-                cc1[net.index()] = 0;
-            }
-            None => {
-                cc0[net.index()] = 1;
-                cc1[net.index()] = 1;
-            }
-        }
-    }
-    for d in netlist.dffs() {
-        cc0[d.q().index()] = 1;
-        cc1[d.q().index()] = 1;
-    }
-    for &gid in netlist.topo_order() {
-        let g = netlist.gate(gid);
-        let out = g.output().index();
-        let i0 = |n: NetId| cc0[n.index()];
-        let i1 = |n: NetId| cc1[n.index()];
-        let sum = |vals: Vec<u32>| -> u32 {
-            vals.iter()
-                .fold(0u32, |a, &b| a.saturating_add(b))
-                .saturating_add(1)
-        };
-        let min1 =
-            |vals: Vec<u32>| -> u32 { vals.into_iter().min().unwrap_or(INF).saturating_add(1) };
-        let (c0, c1) = match g.kind() {
-            GateKind::Const0 => (0, INF),
-            GateKind::Const1 => (INF, 0),
-            GateKind::Buf => (i0(g.inputs()[0]) + 1, i1(g.inputs()[0]) + 1),
-            GateKind::Not => (i1(g.inputs()[0]) + 1, i0(g.inputs()[0]) + 1),
-            GateKind::And => (
-                min1(g.inputs().iter().map(|&n| i0(n)).collect()),
-                sum(g.inputs().iter().map(|&n| i1(n)).collect()),
-            ),
-            GateKind::Nand => (
-                sum(g.inputs().iter().map(|&n| i1(n)).collect()),
-                min1(g.inputs().iter().map(|&n| i0(n)).collect()),
-            ),
-            GateKind::Or => (
-                sum(g.inputs().iter().map(|&n| i0(n)).collect()),
-                min1(g.inputs().iter().map(|&n| i1(n)).collect()),
-            ),
-            GateKind::Nor => (
-                min1(g.inputs().iter().map(|&n| i1(n)).collect()),
-                sum(g.inputs().iter().map(|&n| i0(n)).collect()),
-            ),
-            GateKind::Xor | GateKind::Xnor => {
-                // Two-input approximation extended pairwise.
-                let mut a0 = i0(g.inputs()[0]);
-                let mut a1 = i1(g.inputs()[0]);
-                for &n in &g.inputs()[1..] {
-                    let b0 = i0(n);
-                    let b1 = i1(n);
-                    let x0 = (a0.saturating_add(b0)).min(a1.saturating_add(b1));
-                    let x1 = (a0.saturating_add(b1)).min(a1.saturating_add(b0));
-                    a0 = x0;
-                    a1 = x1;
-                }
-                if g.kind() == GateKind::Xor {
-                    (a0.saturating_add(1), a1.saturating_add(1))
-                } else {
-                    (a1.saturating_add(1), a0.saturating_add(1))
-                }
-            }
-            GateKind::Mux => {
-                let s = g.inputs()[0];
-                let a = g.inputs()[1];
-                let b = g.inputs()[2];
-                let c0 = (i0(s).saturating_add(i0(a)))
-                    .min(i1(s).saturating_add(i0(b)))
-                    .saturating_add(1);
-                let c1 = (i0(s).saturating_add(i1(a)))
-                    .min(i1(s).saturating_add(i1(b)))
-                    .saturating_add(1);
-                (c0, c1)
-            }
-        };
-        cc0[out] = c0;
-        cc1[out] = c1;
-    }
-    (cc0, cc1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rescue_netlist::{NetlistBuilder, StuckAt};
+
+    /// PODEM over `n` with default limits.
+    fn podem(n: &Netlist, constraints: Vec<Option<bool>>) -> Podem<'_> {
+        Podem::new(n, &Levelized::new(n), constraints, PodemConfig::default())
+    }
 
     fn and_circuit() -> Netlist {
         let mut b = NetlistBuilder::new();
@@ -557,7 +476,7 @@ mod tests {
     #[test]
     fn generates_test_for_and_sa0() {
         let n = and_circuit();
-        let p = Podem::new(&n, vec![None, None], PodemConfig::default());
+        let p = podem(&n, vec![None, None]);
         let out_net = n.outputs()[0].1;
         match p.generate(Fault::net(out_net, StuckAt::Zero)) {
             PodemResult::Test(cube) => {
@@ -571,7 +490,7 @@ mod tests {
     #[test]
     fn generates_test_for_pin_fault() {
         let n = and_circuit();
-        let p = Podem::new(&n, vec![None, None], PodemConfig::default());
+        let p = podem(&n, vec![None, None]);
         let g = rescue_netlist::GateId::from_index(0);
         match p.generate(Fault::pin(g, 0, StuckAt::One)) {
             PodemResult::Test(cube) => {
@@ -592,7 +511,7 @@ mod tests {
         let x = b.and2(a, na);
         b.output(x, "o");
         let n = b.finish().unwrap();
-        let p = Podem::new(&n, vec![None], PodemConfig::default());
+        let p = podem(&n, vec![None]);
         let out_net = n.outputs()[0].1;
         assert_eq!(
             p.generate(Fault::net(out_net, StuckAt::Zero)),
@@ -609,7 +528,7 @@ mod tests {
     fn constrained_pin_blocks_activation() {
         // With b constrained to 0, an AND output sa0 cannot be activated.
         let n = and_circuit();
-        let p = Podem::new(&n, vec![None, Some(false)], PodemConfig::default());
+        let p = podem(&n, vec![None, Some(false)]);
         let out_net = n.outputs()[0].1;
         assert_eq!(
             p.generate(Fault::net(out_net, StuckAt::Zero)),
@@ -627,7 +546,7 @@ mod tests {
         let inv = b.not(q0);
         let _q1 = b.dff(inv, "r1");
         let n = b.finish().unwrap();
-        let p = Podem::new(&n, vec![None], PodemConfig::default());
+        let p = podem(&n, vec![None]);
         match p.generate(Fault::net(inv, StuckAt::One)) {
             PodemResult::Test(cube) => {
                 // r0 must hold 1 so the inverter output is 0 (difference).

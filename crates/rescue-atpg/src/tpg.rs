@@ -3,7 +3,7 @@
 use crate::error::AtpgError;
 use crate::parallel::{resolve_threads, FsimParallel, LaneShards};
 use crate::podem::{Podem, PodemConfig, PodemResult, TestCube};
-use crate::threeval::V3;
+use rescue_netlist::V3;
 use rescue_netlist::{Driver, Fault, FaultSite, Levelized, PatternBlock, ScanNetlist};
 use rescue_obs::coverage::{CoverageRecorder, LabelId};
 use rescue_obs::metrics::HistogramSnapshot;
@@ -459,7 +459,7 @@ impl<'a> Atpg<'a> {
             counts.prepass_proven = prepass_proven.len() as u64;
         }
 
-        let podem = Podem::new(n, constraints, self.config.podem);
+        let podem = Podem::new(n, lev, constraints, self.config.podem);
 
         let lane_words = self.config.lane_words;
         let mut shards = LaneShards::new(lev, resolve_threads(self.config.threads), lane_words)

@@ -2,8 +2,16 @@
 //! [`SplitMix64`] case generator (the sandbox has no `proptest`).
 
 use rescue_atpg::{merge_cubes, Podem, PodemConfig, PodemResult, TestCube, V3};
-use rescue_netlist::{Fault, GateId, NetId, Netlist, NetlistBuilder, PatternBlock, StuckAt};
+use rescue_netlist::{
+    Fault, GateId, Levelized, NetId, Netlist, NetlistBuilder, PatternBlock, StuckAt,
+};
 use rescue_obs::SplitMix64;
+
+/// PODEM with every primary input free and default limits.
+fn unconstrained_podem(n: &Netlist) -> Podem<'_> {
+    let free = vec![None; n.inputs().len()];
+    Podem::new(n, &Levelized::new(n), free, PodemConfig::default())
+}
 
 /// Random gate picks, the shape `random_circuit` consumes.
 fn random_picks(rng: &mut SplitMix64, lo: usize, hi: usize) -> Vec<(u8, u16, u16)> {
@@ -104,7 +112,7 @@ fn podem_cubes_detect_their_faults() {
             };
             f
         };
-        let podem = Podem::new(&n, vec![None; n.inputs().len()], PodemConfig::default());
+        let podem = unconstrained_podem(&n);
         if let PodemResult::Test(cube) = podem.generate(fault) {
             for polarity in [false, true] {
                 let block = fill(&cube, polarity);
@@ -127,7 +135,7 @@ fn podem_untestable_faults_really_are() {
         let n = random_circuit(&picks);
         let faults = n.collapse_faults();
         let fault = faults[rng.below(faults.len())];
-        let podem = Podem::new(&n, vec![None; n.inputs().len()], PodemConfig::default());
+        let podem = unconstrained_podem(&n);
         if podem.generate(fault) == PodemResult::Untestable {
             // Exhaustively try every input/state assignment (4 PIs + <=2
             // flops => at most 64 patterns: one block).
@@ -174,7 +182,7 @@ fn merged_cubes_detect_both_faults() {
         if f1 == f2 {
             continue;
         }
-        let podem = Podem::new(&n, vec![None; n.inputs().len()], PodemConfig::default());
+        let podem = unconstrained_podem(&n);
         let (PodemResult::Test(c1), PodemResult::Test(c2)) =
             (podem.generate(f1), podem.generate(f2))
         else {
@@ -216,7 +224,7 @@ fn merge_cube_basics() {
 #[test]
 fn pin_fault_on_first_gate_is_testable() {
     let n = random_circuit(&[(0, 0, 1), (1, 2, 3)]);
-    let podem = Podem::new(&n, vec![None; n.inputs().len()], PodemConfig::default());
+    let podem = unconstrained_podem(&n);
     let fault = Fault::pin(GateId::from_index(0), 0, StuckAt::One);
     match podem.generate(fault) {
         PodemResult::Test(cube) => {

@@ -1,5 +1,5 @@
 //! Differential fuzzing entry point: seeded random scan designs run
-//! through the seven cross-engine oracles (`crates/rescue-fuzz`).
+//! through the eight cross-engine oracles (`crates/rescue-fuzz`).
 //!
 //! ```text
 //! fuzz [--seed N] [--cases N] [--max-gates N] [--oracle a,b,...]
@@ -10,7 +10,8 @@
 //!   deterministic case stream; `--max-gates` (default 48) bounds the
 //!   generated circuit size.
 //! * `--oracle` restricts the run to a comma-separated subset of
-//!   `engines,shards,wide,atpg,dropping,collapse,lint` (default: all seven).
+//!   `engines,shards,wide,atpg,dropping,collapse,lint,redundancy`
+//!   (default: all eight).
 //! * Divergences are shrunk and written to `--repro-dir` (default
 //!   `tests/regressions`); the process exits 1 so CI fails loudly.
 //! * `--serve-metrics ADDR` exposes live case/divergence counters at
@@ -41,7 +42,8 @@ fn main() {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!(
-                        "error: {e} (expected engines,shards,wide,atpg,dropping,collapse,lint)"
+                        "error: {e} (expected \
+                         engines,shards,wide,atpg,dropping,collapse,lint,redundancy)"
                     );
                     std::process::exit(2);
                 }

@@ -27,9 +27,11 @@
 //!   enumerated fault's full detection signature must be exhibited by
 //!   some collapsed representative.
 //! * [`lint_clean`] — every generated circuit must pass the static DFT
-//!   design-rule checks error-clean, pre- and post-scan, and any net
-//!   lint proves constant must never have its stuck-at-constant fault
-//!   classified `Detected` by ATPG.
+//!   design-rule checks error-clean, pre- and post-scan; every fault
+//!   the pre-scan report proves redundant must be `Untestable` per a
+//!   deep unconstrained PODEM search; and any net lint proves constant
+//!   must never have its stuck-at-constant fault classified `Detected`
+//!   by ATPG.
 //! * [`redundancy`] — every fault the static implication engine proves
 //!   redundant under capture constraints must be `Untestable` per a
 //!   deep PODEM search with the pre-pass off — a `Test` or an abort
@@ -40,7 +42,7 @@ use rescue_atpg::{
     Atpg, AtpgConfig, FaultClass, FaultShards, FaultSim, Podem, PodemConfig, PodemResult,
 };
 use rescue_netlist::scan::insert_scan;
-use rescue_netlist::{Fault, Levelized, Netlist, PatternBlock};
+use rescue_netlist::{Fault, Levelized, NetId, Netlist, PatternBlock, StuckAt};
 
 /// Which oracle to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -60,8 +62,9 @@ pub enum OracleKind {
     Dropping,
     /// Fault-equivalence collapsing vs. brute-force signatures.
     Collapse,
-    /// Static DFT lint cleanliness, plus lint-vs-ATPG agreement on
-    /// constant-net untestability.
+    /// Static DFT lint cleanliness, plus lint-vs-PODEM agreement on
+    /// redundant faults and lint-vs-ATPG agreement on constant-net
+    /// untestability.
     Lint,
     /// Static redundancy proofs vs. a deep PODEM search: proven faults
     /// must be `Untestable`, never testable or aborted.
@@ -164,7 +167,7 @@ pub fn engines(case: &CaseIr) -> Result<(), String> {
         if gv != lv {
             return Err(format!(
                 "good machine disagrees on net {i} ({}): interpreter {gv:#x}, levelized {lv:#x}",
-                netlist.net_name(rescue_netlist::NetId::from_index(i)),
+                netlist.net_name(NetId::from_index(i)),
             ));
         }
     }
@@ -434,10 +437,14 @@ pub fn collapse(case: &CaseIr) -> Result<(), String> {
 
 /// Oracle (e): the generator must only produce circuits the static DFT
 /// lint accepts error-clean, both pre-scan and after `insert_scan`.
-/// When lint's constant-propagation pass proves nets stuck, those
-/// structurally-untestable faults are cross-checked against ATPG: a
-/// collapsed representative for a provably-constant net may be absent
-/// or `Untestable`, but never `Detected`.
+/// Every fault the pre-scan report's implication analysis proves
+/// redundant must be `Untestable` per an unconstrained deep PODEM
+/// search on the pre-scan netlist; as in [`redundancy`], an abort fails
+/// the case. This pins lint's translation of engine net ids back to
+/// `NetId`s. When lint's constant-propagation pass proves nets stuck,
+/// those structurally-untestable faults are cross-checked against
+/// ATPG: a collapsed representative for a provably-constant net may be
+/// absent or `Untestable`, but never `Detected`.
 pub fn lint_clean(case: &CaseIr) -> Result<(), String> {
     let netlist = case.build()?;
     let pre = rescue_lint::lint_netlist(&netlist);
@@ -467,6 +474,39 @@ pub fn lint_clean(case: &CaseIr) -> Result<(), String> {
         ));
     }
 
+    let redundant = pre
+        .implication
+        .as_ref()
+        .map_or(&[][..], |imp| &imp.redundant_faults);
+    if !redundant.is_empty() {
+        let lev = Levelized::new(&netlist);
+        let podem = Podem::new(
+            &netlist,
+            &lev,
+            vec![None; netlist.inputs().len()],
+            PodemConfig {
+                max_backtracks: 10_000,
+            },
+        );
+        for &(net, value) in redundant {
+            let fault = Fault::net(NetId::from_index(net as usize), stuck_at(value));
+            match podem.generate(fault) {
+                PodemResult::Untestable => {}
+                PodemResult::Test(_) => {
+                    return Err(format!(
+                        "lint proves pre-scan {fault} redundant but PODEM generated a test"
+                    ));
+                }
+                PodemResult::Aborted => {
+                    return Err(format!(
+                        "lint proves pre-scan {fault} redundant but PODEM aborted \
+                         at 10000 backtracks (proof not independently confirmed)"
+                    ));
+                }
+            }
+        }
+    }
+
     if pre.stuck_nets.is_empty() {
         return Ok(());
     }
@@ -479,14 +519,7 @@ pub fn lint_clean(case: &CaseIr) -> Result<(), String> {
         .run()
         .map_err(|e| format!("Atpg::run: {e}"))?;
     for &(net, value) in &pre.stuck_nets {
-        let fault = Fault::net(
-            rescue_netlist::NetId::from_index(net as usize),
-            if value {
-                rescue_netlist::StuckAt::One
-            } else {
-                rescue_netlist::StuckAt::Zero
-            },
-        );
+        let fault = Fault::net(NetId::from_index(net as usize), stuck_at(value));
         if let Some(&class) = run.classes.get(&fault) {
             if class == FaultClass::Detected {
                 return Err(format!(
@@ -498,6 +531,14 @@ pub fn lint_clean(case: &CaseIr) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+fn stuck_at(one: bool) -> StuckAt {
+    if one {
+        StuckAt::One
+    } else {
+        StuckAt::Zero
+    }
 }
 
 /// Oracle (h): soundness of FIRE-style redundancy identification. Every
@@ -516,6 +557,7 @@ pub fn redundancy(case: &CaseIr) -> Result<(), String> {
     let mut engine = rescue_lint::ImplicationEngine::from_levelized(&lev, &constraints);
     let podem = Podem::new(
         &scanned.netlist,
+        &lev,
         constraints,
         PodemConfig {
             max_backtracks: 10_000,

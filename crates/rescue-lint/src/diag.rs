@@ -182,14 +182,15 @@ impl Diagnostic {
     }
 }
 
-/// Implication-engine results attached to a [`LintReport`] when the
-/// netlist levelizes soundly.
+/// Implication-engine results attached to a [`LintReport`], under the
+/// same gate as its SCOAP analysis.
 #[derive(Clone, Debug, Default)]
 pub struct ImplicationReport {
     /// Database statistics (literal count, edge count, learned
     /// constants, reconvergent-stem census).
     pub stats: crate::implication::ImplicationStats,
-    /// Stuck-at faults proven redundant, as `(net, stuck_value)`.
+    /// Stuck-at faults proven redundant, as `(net, stuck_value)` with
+    /// `net` an original `NetId` index.
     /// Excludes nets already reported by [`Rule::StuckNet`] — those
     /// are the 3-valued-simulation subset and keep their own rule.
     pub redundant_faults: Vec<(u32, bool)>,
@@ -206,8 +207,8 @@ pub struct LintReport {
     /// appear as [`Rule::StuckNet`] diagnostics, so programmatic
     /// consumers (the fuzz oracle, tests) need not re-parse messages.
     pub stuck_nets: Vec<(u32, bool)>,
-    /// SCOAP analysis, when the netlist was structurally sound enough
-    /// to levelize (no errors that break topological ordering).
+    /// SCOAP analysis of a validated netlist when no structural rule
+    /// fired; `None` for raw views linted with [`crate::lint`].
     pub scoap: Option<crate::scoap::ScoapAnalysis>,
     /// Static implication analysis, under the same soundness gate as
     /// SCOAP.

@@ -37,7 +37,7 @@
 //! `false` just means "not proven". The fuzz harness's `redundancy`
 //! oracle cross-checks every proof against PODEM.
 
-use crate::ir::{LintNetlist, NO_NET};
+use rescue_netlist::threeval::{eval_gate_v3, wired_constant, V3};
 use rescue_netlist::{Fault, FaultSite, GateKind, Levelized};
 use std::collections::VecDeque;
 
@@ -73,15 +73,12 @@ pub struct ImplicationStats {
     pub reconvergent_stems: u64,
 }
 
-/// Where a fault sits, in the engine's own net/gate index space.
-///
-/// For an engine built by [`ImplicationEngine::from_levelized`] the net
-/// space is the `Levelized` internal (level-order) numbering and gates
-/// are packed positions; use
+/// Where a fault sits, in the engine's own net/gate index space: the
+/// [`Levelized`] internal (level-order) net numbering and packed gate
+/// positions. Translate original ids with [`Levelized::new_net`] /
+/// [`Levelized::pos_of`], or use
 /// [`ImplicationEngine::prove_fault_levelized`] to map a
-/// [`rescue_netlist::Fault`] directly. For
-/// [`ImplicationEngine::from_lint`] nets are `LintNetlist` net indices
-/// and gates index its (topologically reordered) gate list.
+/// [`rescue_netlist::Fault`] directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProofSite {
     /// Stem fault on a net.
@@ -104,9 +101,6 @@ pub struct ImplicationEngine {
     num_nets: usize,
     // Gates in topological order, CSR over input nets.
     kinds: Vec<GateKind>,
-    /// Gates whose wiring could not be trusted (invalid pins in the
-    /// lint view): no implications, no blocking, diffs pass through.
-    opaque: Vec<bool>,
     gate_in_offsets: Vec<u32>,
     gate_ins: Vec<u32>,
     gate_out: Vec<u32>,
@@ -139,11 +133,12 @@ fn lit(net: usize, v: bool) -> usize {
 }
 
 impl ImplicationEngine {
-    /// Build the engine over the ATPG capture view: a [`Levelized`]
-    /// combinational frame with per-primary-input pin constraints
-    /// (index-aligned with the netlist's input declaration order, as
-    /// produced by `Atpg::capture_constraints`). Observation points are
-    /// primary outputs and flip-flop D inputs.
+    /// Build the engine over a [`Levelized`] combinational frame with
+    /// per-primary-input pin constraints (index-aligned with the
+    /// netlist's input declaration order, as produced by
+    /// `Atpg::capture_constraints`; `&[]` is the unconstrained view
+    /// lint uses). Observation points are primary outputs and flip-flop
+    /// D inputs.
     pub fn from_levelized(lev: &Levelized, constraints: &[Option<bool>]) -> ImplicationEngine {
         let _prof = rescue_obs::profile::scope("implication.build");
         let num_nets = lev.num_nets();
@@ -159,94 +154,13 @@ impl ImplicationEngine {
             gate_in_offsets.push(gate_ins.len() as u32);
             gate_out.push(lev.out_net(pos));
         }
-        let mut obs = vec![false; num_nets];
-        for (ni, o) in obs.iter_mut().enumerate() {
-            *o = !lev.fanout_outputs(ni).is_empty() || !lev.fanout_dffs(ni).is_empty();
-        }
+        let obs = (0..num_nets)
+            .map(|ni| !lev.fanout_outputs(ni).is_empty() || !lev.fanout_dffs(ni).is_empty())
+            .collect();
         let mut constv = vec![None; num_nets];
-        for (i, c) in constraints.iter().enumerate() {
-            if let (Some(v), Some(&ni)) = (c, lev.input_nets().get(i)) {
-                constv[ni as usize] = Some(*v);
-            }
+        for (c, &ni) in constraints.iter().zip(lev.input_nets()) {
+            constv[ni as usize] = *c;
         }
-        let opaque = vec![false; kinds.len()];
-        let mut eng = ImplicationEngine::assemble(
-            num_nets,
-            kinds,
-            opaque,
-            gate_in_offsets,
-            gate_ins,
-            gate_out,
-            obs,
-            constv,
-        );
-        eng.learn();
-        eng
-    }
-
-    /// Build the engine over the functional lint view (no pin
-    /// constraints). `topo` is a topological gate order as produced by
-    /// [`crate::rules::levelize`]. Observation points are declared
-    /// outputs and flip-flop D nets. Gates wired to invalid nets are
-    /// kept opaque: they emit no implications and never block
-    /// propagation, so proofs stay sound on unvalidated input.
-    pub fn from_lint(netlist: &LintNetlist, topo: &[usize]) -> ImplicationEngine {
-        let _prof = rescue_obs::profile::scope("implication.build");
-        let num_nets = netlist.num_nets();
-        let ok = |n: u32| n != NO_NET && (n as usize) < num_nets;
-        let mut kinds = Vec::with_capacity(topo.len());
-        let mut opaque = Vec::with_capacity(topo.len());
-        let mut gate_in_offsets = vec![0u32];
-        let mut gate_ins = Vec::new();
-        let mut gate_out = Vec::new();
-        for &gi in topo {
-            let g = &netlist.gates[gi];
-            if !ok(g.output) {
-                continue;
-            }
-            kinds.push(g.kind);
-            opaque.push(!g.inputs.iter().all(|&n| ok(n)) || !g.kind.arity_ok(g.inputs.len()));
-            gate_ins.extend(g.inputs.iter().copied().filter(|&n| ok(n)));
-            gate_in_offsets.push(gate_ins.len() as u32);
-            gate_out.push(g.output);
-        }
-        let mut obs = vec![false; num_nets];
-        for (_, n) in &netlist.outputs {
-            if ok(*n) {
-                obs[*n as usize] = true;
-            }
-        }
-        for d in &netlist.dffs {
-            if ok(d.d) {
-                obs[d.d as usize] = true;
-            }
-        }
-        let constv = vec![None; num_nets];
-        let mut eng = ImplicationEngine::assemble(
-            num_nets,
-            kinds,
-            opaque,
-            gate_in_offsets,
-            gate_ins,
-            gate_out,
-            obs,
-            constv,
-        );
-        eng.learn();
-        eng
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        num_nets: usize,
-        kinds: Vec<GateKind>,
-        opaque: Vec<bool>,
-        gate_in_offsets: Vec<u32>,
-        gate_ins: Vec<u32>,
-        gate_out: Vec<u32>,
-        obs: Vec<bool>,
-        constv: Vec<Option<bool>>,
-    ) -> ImplicationEngine {
         // Fanout CSR: count, prefix-sum, fill.
         let mut fan_offsets = vec![0u32; num_nets + 1];
         for &n in &gate_ins {
@@ -257,7 +171,7 @@ impl ImplicationEngine {
         }
         let mut cursor = fan_offsets.clone();
         let mut fan_gates = vec![0u32; gate_ins.len()];
-        for gi in 0..kinds.len() {
+        for gi in 0..n_gates {
             let (a, b) = (
                 gate_in_offsets[gi] as usize,
                 gate_in_offsets[gi + 1] as usize,
@@ -268,10 +182,9 @@ impl ImplicationEngine {
                 *c += 1;
             }
         }
-        ImplicationEngine {
+        let mut eng = ImplicationEngine {
             num_nets,
             kinds,
-            opaque,
             gate_in_offsets,
             gate_ins,
             gate_out,
@@ -290,7 +203,9 @@ impl ImplicationEngine {
             diff: vec![false; num_nets],
             diff_touched: Vec::new(),
             gate_queue: VecDeque::new(),
-        }
+        };
+        eng.learn();
+        eng
     }
 
     #[inline]
@@ -303,96 +218,27 @@ impl ImplicationEngine {
         &self.fan_gates[self.fan_offsets[ni] as usize..self.fan_offsets[ni + 1] as usize]
     }
 
-    /// 3-valued evaluation of one gate under the current constants,
-    /// including the structural identities `xor(a,a)=0` / `xnor(a,a)=1`
-    /// and the equal-leg mux.
-    fn eval_const(&self, gi: usize) -> Option<bool> {
-        if self.opaque[gi] {
-            return None;
-        }
-        let v = |n: u32| self.constv[n as usize];
-        let ins = self.ins(gi);
-        match self.kinds[gi] {
-            GateKind::Const0 => Some(false),
-            GateKind::Const1 => Some(true),
-            GateKind::Buf => ins.first().and_then(|&n| v(n)),
-            GateKind::Not => ins.first().and_then(|&n| v(n)).map(|b| !b),
-            GateKind::And | GateKind::Nand => {
-                let invert = matches!(self.kinds[gi], GateKind::Nand);
-                let mut unknown = false;
-                for &n in ins {
-                    match v(n) {
-                        Some(false) => return Some(invert),
-                        Some(true) => {}
-                        None => unknown = true,
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(!invert)
-                }
-            }
-            GateKind::Or | GateKind::Nor => {
-                let invert = matches!(self.kinds[gi], GateKind::Nor);
-                let mut unknown = false;
-                for &n in ins {
-                    match v(n) {
-                        Some(true) => return Some(!invert),
-                        Some(false) => {}
-                        None => unknown = true,
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(invert)
-                }
-            }
-            GateKind::Xor | GateKind::Xnor => {
-                let invert = matches!(self.kinds[gi], GateKind::Xnor);
-                if ins.len() == 2 && ins[0] == ins[1] {
-                    return Some(invert);
-                }
-                let mut acc = false;
-                for &n in ins {
-                    acc ^= v(n)?;
-                }
-                Some(acc ^ invert)
-            }
-            GateKind::Mux => {
-                let (s, a, b) = (ins[0], ins[1], ins[2]);
-                match v(s) {
-                    Some(false) => v(a),
-                    Some(true) => v(b),
-                    None => {
-                        if a == b {
-                            v(a)
-                        } else {
-                            match (v(a), v(b)) {
-                                (Some(x), Some(y)) if x == y => Some(x),
-                                _ => None,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Propagate constants to a forward fixed point (gates are already
     /// in topological order, so each round is one pass; learned
-    /// constants injected between rounds re-trigger it).
+    /// constants injected between rounds re-trigger it). A gate's output
+    /// is constant when its wiring fixes it or when 3-valued evaluation
+    /// over the current constants does.
     fn propagate_constants(&mut self) {
+        let mut pins: Vec<V3> = Vec::new();
         loop {
             let mut changed = false;
             for gi in 0..self.kinds.len() {
                 let out = self.gate_out[gi] as usize;
-                if self.constv[out].is_none() {
-                    if let Some(v) = self.eval_const(gi) {
-                        self.constv[out] = Some(v);
-                        changed = true;
-                    }
+                if self.constv[out].is_some() {
+                    continue;
+                }
+                let (kind, ins) = (self.kinds[gi], self.ins(gi));
+                pins.clear();
+                pins.extend(ins.iter().map(|&n| V3::from(self.constv[n as usize])));
+                let v = wired_constant(kind, ins).or_else(|| eval_gate_v3(kind, &pins).to_bool());
+                if v.is_some() {
+                    self.constv[out] = v;
+                    changed = true;
                 }
             }
             if !changed {
@@ -417,9 +263,6 @@ impl ImplicationEngine {
             }
         }
         for gi in 0..self.kinds.len() {
-            if self.opaque[gi] {
-                continue;
-            }
             let o = self.gate_out[gi] as usize;
             if self.constv[o].is_some() {
                 continue; // literals on a constant net are settled
@@ -768,9 +611,6 @@ impl ImplicationEngine {
     /// Can the fault effect pass gate `gi`? `is_diff(pin)` marks the
     /// pins carrying a potential difference.
     fn gate_passes(&self, gi: usize, is_diff: impl Fn(usize) -> bool) -> bool {
-        if self.opaque[gi] {
-            return true;
-        }
         let ins = self.ins(gi);
         match self.kinds[gi] {
             GateKind::Const0 | GateKind::Const1 => false,
@@ -978,17 +818,16 @@ mod tests {
     }
 
     #[test]
-    fn lint_view_agrees_with_unconstrained_levelized_view() {
+    fn unconstrained_view_learns_the_conflict_and_stem_stats() {
         let n = conflict_netlist();
-        let lint = crate::ir::LintNetlist::from_netlist(&n);
-        let topo = crate::rules::levelize(&lint).expect("acyclic");
-        let mut eng = ImplicationEngine::from_lint(&lint, &topo);
-        // Same net ids as the builder handles in the lint view.
-        assert_eq!(eng.net_constant(3), Some(false));
-        assert!(eng.prove_redundant(ProofSite::Net(3), false));
-        assert!(!eng.prove_redundant(ProofSite::Net(3), true));
+        let lev = Levelized::new(&n);
+        let mut eng = ImplicationEngine::from_levelized(&lev, &[]);
+        let x = lev.new_net(3);
+        assert_eq!(eng.net_constant(x), Some(false));
+        assert!(eng.prove_redundant(ProofSite::Net(x), false));
+        assert!(!eng.prove_redundant(ProofSite::Net(x), true));
         let stats = eng.stats();
-        assert_eq!(stats.literals, 2 * lint.num_nets() as u64);
+        assert_eq!(stats.literals, 2 * n.num_nets() as u64);
         assert!(stats.direct_implications > 0);
         assert!(stats.constant_literals >= 1);
         // Net `a` fans out to the NOT and the AND and the branches
@@ -1024,6 +863,7 @@ mod tests {
         let mut eng = ImplicationEngine::from_levelized(&lev, &constraints);
         let podem = Podem::new(
             &scanned.netlist,
+            &lev,
             constraints.clone(),
             PodemConfig {
                 max_backtracks: 10_000,

@@ -1,4 +1,4 @@
-//! The raw circuit view the lint rules run on.
+//! The raw wiring view the lint rules run on.
 //!
 //! [`rescue_netlist::Netlist`] is validated at elaboration time — a
 //! value of that type can *never* contain a combinational loop, a
@@ -14,6 +14,11 @@
 //! [`LintNetlist::from_netlist`] / [`from_scan`](LintNetlist::from_scan)
 //! / [`from_multi_scan`](LintNetlist::from_multi_scan); pathological
 //! ones are constructed literally in tests.
+//!
+//! Only the design rules read this view. The value analyses (SCOAP,
+//! static implication) need a validated netlist and run on its
+//! [`rescue_netlist::Levelized`] view instead, so a raw view linted with
+//! [`crate::lint`] gets the rules only.
 
 use rescue_netlist::scan::{MultiScanNetlist, ScanChain, ScanNetlist};
 use rescue_netlist::{GateKind, Netlist};

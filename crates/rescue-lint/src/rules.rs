@@ -15,9 +15,15 @@
 //! 3. **Scan integrity** (when chains are present) — every flip-flop on
 //!    exactly one chain, chain wiring consistent with the declared
 //!    order, no combinational path bypassing a scan mux.
+//!
+//! The rules read only the raw [`LintNetlist`] wiring view. The value
+//! analyses (SCOAP, static implication) run on the validated netlist's
+//! [`rescue_netlist::Levelized`] view instead, behind the same
+//! soundness gate (see [`crate::lint_netlist`]).
 
 use crate::diag::{Diagnostic, Rule};
-use crate::ir::{LintDriver, LintGate, LintNetlist, NO_NET};
+use crate::ir::{LintDriver, LintNetlist, NO_NET};
+use rescue_netlist::threeval::{eval_gate_v3, wired_constant, V3};
 use rescue_netlist::GateKind;
 
 /// How many elements a loop/cone message names before eliding.
@@ -27,13 +33,11 @@ const NAME_CAP: usize = 8;
 pub struct RuleOutcome {
     /// All findings.
     pub diagnostics: Vec<Diagnostic>,
-    /// Topological order of gate indices, when the netlist is acyclic.
-    pub topo: Option<Vec<usize>>,
     /// Constant nets as `(net, value)` (subset of the
     /// [`Rule::StuckNet`] diagnostics, machine-readable).
     pub stuck_nets: Vec<(u32, bool)>,
     /// True when no structural (group 1) error fired, i.e. value-based
-    /// analyses such as SCOAP are meaningful.
+    /// analyses such as SCOAP and static implication are meaningful.
     pub sound: bool,
 }
 
@@ -72,7 +76,6 @@ pub fn run_rules(lint: &LintNetlist) -> RuleOutcome {
     diags.sort_by_key(|d| d.rule);
     RuleOutcome {
         diagnostics: diags,
-        topo,
         stuck_nets,
         sound,
     }
@@ -217,7 +220,7 @@ fn check_drivers(lint: &LintNetlist, drivers: &[Vec<LintDriver>], diags: &mut Ve
 ///
 /// Out-of-range references never block placement — they are reported
 /// separately by [`check_references`].
-pub fn levelize(lint: &LintNetlist) -> Result<Vec<usize>, Vec<usize>> {
+fn levelize(lint: &LintNetlist) -> Result<Vec<usize>, Vec<usize>> {
     let n_nets = lint.num_nets();
     let mut drivers_left = vec![0u32; n_nets];
     for g in &lint.gates {
@@ -467,22 +470,24 @@ fn check_dead_logic(lint: &LintNetlist, drivers: &[Vec<LintDriver>], diags: &mut
 
 /// Three-valued constant propagation. Primary inputs and flip-flop Qs
 /// are unknown (full scan makes all state freely loadable); constants
-/// flow forward from `const0`/`const1` gates and from algebraic
-/// identities (`xor(a, a) = 0`, `xnor(a, a) = 1`). Every net proved
-/// constant-`v` makes its stuck-at-`v` fault untestable by
-/// construction.
+/// flow forward from `const0`/`const1` gates and from wiring
+/// identities (an XOR/XNOR over an even number of copies of one net).
+/// Every net proved constant-`v` makes its stuck-at-`v` fault
+/// untestable by construction. Runs on sound netlists only, so every
+/// pin is a valid net and every arity is legal.
 fn check_stuck_nets(
     lint: &LintNetlist,
     topo: &[usize],
     diags: &mut Vec<Diagnostic>,
 ) -> Vec<(u32, bool)> {
     let mut val: Vec<Option<bool>> = vec![None; lint.num_nets()];
+    let mut pins: Vec<V3> = Vec::new();
     for &gi in topo {
         let g = &lint.gates[gi];
-        let v = eval3(g, &val);
-        if net_ok(lint, g.output) {
-            val[g.output as usize] = v;
-        }
+        pins.clear();
+        pins.extend(g.inputs.iter().map(|&n| V3::from(val[n as usize])));
+        val[g.output as usize] =
+            wired_constant(g.kind, &g.inputs).or_else(|| eval_gate_v3(g.kind, &pins).to_bool());
     }
     let mut stuck = Vec::new();
     for (net, v) in val.iter().enumerate() {
@@ -499,68 +504,6 @@ fn check_stuck_nets(
         stuck.push((net as u32, v));
     }
     stuck
-}
-
-/// Evaluate one gate in three-valued logic (`None` = unknown).
-fn eval3(g: &LintGate, val: &[Option<bool>]) -> Option<bool> {
-    let pin = |i: usize| -> Option<bool> {
-        g.inputs
-            .get(i)
-            .and_then(|&n| val.get(n as usize).copied().flatten())
-    };
-    let all_same_net = || g.inputs.windows(2).all(|w| w[0] == w[1]);
-    match g.kind {
-        GateKind::Const0 => Some(false),
-        GateKind::Const1 => Some(true),
-        GateKind::Buf => pin(0),
-        GateKind::Not => pin(0).map(|v| !v),
-        GateKind::And | GateKind::Nand => {
-            let vs: Vec<Option<bool>> = (0..g.inputs.len()).map(pin).collect();
-            let and = if vs.contains(&Some(false)) {
-                Some(false)
-            } else if vs.iter().all(|v| *v == Some(true)) && !vs.is_empty() {
-                Some(true)
-            } else {
-                None
-            };
-            and.map(|v| if g.kind == GateKind::Nand { !v } else { v })
-        }
-        GateKind::Or | GateKind::Nor => {
-            let vs: Vec<Option<bool>> = (0..g.inputs.len()).map(pin).collect();
-            let or = if vs.contains(&Some(true)) {
-                Some(true)
-            } else if vs.iter().all(|v| *v == Some(false)) && !vs.is_empty() {
-                Some(false)
-            } else {
-                None
-            };
-            or.map(|v| if g.kind == GateKind::Nor { !v } else { v })
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let vs: Vec<Option<bool>> = (0..g.inputs.len()).map(pin).collect();
-            let parity = if vs.iter().all(Option::is_some) && !vs.is_empty() {
-                Some(vs.iter().fold(false, |a, v| a ^ v.unwrap_or(false)))
-            } else if g.inputs.len() >= 2 && g.inputs.len().is_multiple_of(2) && all_same_net() {
-                // xor(a, a, ...) over an even count of one net is 0
-                // regardless of a's value.
-                Some(false)
-            } else {
-                None
-            };
-            parity.map(|v| if g.kind == GateKind::Xnor { !v } else { v })
-        }
-        GateKind::Mux => {
-            let (s, a, b) = (pin(0), pin(1), pin(2));
-            match s {
-                Some(false) => a,
-                Some(true) => b,
-                None => match (a, b) {
-                    (Some(x), Some(y)) if x == y => Some(x),
-                    _ => None,
-                },
-            }
-        }
-    }
 }
 
 /// Cap on the per-net component-set size tracked by the capture-cone

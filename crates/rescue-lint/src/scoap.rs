@@ -2,23 +2,28 @@
 //! controllability (CC0/CC1) and observability (CO) per net, plus
 //! per-component aggregates.
 //!
+//! This is the one SCOAP in the workspace: lint reports it per ICI
+//! component, and PODEM's backtrace reads its [`controllability`] under
+//! the capture pin constraints.
+//!
 //! Conventions for the full-scan context this repo models:
 //!
 //! * Primary inputs and flip-flop Q outputs cost 1 to control to either
 //!   value (state is freely loadable through the scan chain).
+//! * A tied net — the output of a `const0`/`const1` gate, or a primary
+//!   input held by a pin constraint — costs 0 for its value and
+//!   [`SCOAP_INF`] for the other: nothing has to be decided to get the
+//!   tied value, and the other one is unreachable.
 //! * Primary outputs and flip-flop D inputs cost 0 to observe (state is
 //!   freely unloadable through the scan chain).
 //! * Every gate traversal adds 1.
 //! * Values saturate at [`SCOAP_INF`]; a CC1 of `SCOAP_INF` means "this
 //!   net can never be driven to 1" (e.g. the output of a `const0`).
 //!
-//! The analysis needs a topological order of the gates, so it is
-//! skipped (the linter stores `None`) when the netlist has structural
-//! errors — loops, floating pins, bad arity — that make levelization
-//! meaningless.
+//! The passes run over the [`Levelized`] view in its level order; every
+//! value handed out is indexed by the original [`rescue_netlist::NetId`].
 
-use crate::ir::LintNetlist;
-use rescue_netlist::GateKind;
+use rescue_netlist::{ComponentId, GateKind, Levelized, Netlist};
 use rescue_obs::json::JsonObj;
 use rescue_obs::metrics::HistogramSnapshot;
 
@@ -63,67 +68,106 @@ pub struct ComponentScoap {
     pub uncontrollable: u64,
 }
 
-impl ScoapAnalysis {
-    /// Compute SCOAP values over `lint`. `topo` is a topological order
-    /// of gate indices (produced by the rule pass's levelization).
-    pub fn compute(lint: &LintNetlist, topo: &[usize]) -> ScoapAnalysis {
-        let n = lint.num_nets();
-        let mut cc0 = vec![SCOAP_INF; n];
-        let mut cc1 = vec![SCOAP_INF; n];
+/// (CC0, CC1) per net, indexed by original `NetId`. `constraints` has
+/// one optional tied value per primary input in declaration order (as
+/// produced by `Atpg::capture_constraints`); a shorter slice leaves the
+/// remaining inputs free, so `&[]` is the unconstrained view.
+pub fn controllability(lev: &Levelized, constraints: &[Option<bool>]) -> (Vec<u64>, Vec<u64>) {
+    let (cc0, cc1) = forward(lev, constraints);
+    (original_order(lev, &cc0), original_order(lev, &cc1))
+}
 
-        // Controllability sources: primary inputs and scan-loadable Qs.
-        for &i in &lint.inputs {
-            cc0[i as usize] = 1;
-            cc1[i as usize] = 1;
-        }
-        for f in &lint.dffs {
-            cc0[f.q as usize] = 1;
-            cc1[f.q as usize] = 1;
-        }
+/// The forward (controllability) pass, in `lev`'s internal net ids.
+fn forward(lev: &Levelized, constraints: &[Option<bool>]) -> (Vec<u64>, Vec<u64>) {
+    let n = lev.num_nets();
+    let mut cc0 = vec![SCOAP_INF; n];
+    let mut cc1 = vec![SCOAP_INF; n];
 
-        // Forward pass in topological order.
-        for &gi in topo {
-            let g = &lint.gates[gi];
-            let ins: Vec<(u64, u64)> = g
-                .inputs
+    // Controllability sources: primary inputs (tied or free) and
+    // scan-loadable Qs.
+    for (i, &net) in lev.input_nets().iter().enumerate() {
+        let (c0, c1) = match constraints.get(i).copied().flatten() {
+            Some(false) => (0, SCOAP_INF),
+            Some(true) => (SCOAP_INF, 0),
+            None => (1, 1),
+        };
+        cc0[net as usize] = c0;
+        cc1[net as usize] = c1;
+    }
+    for &q in lev.dff_q_nets() {
+        cc0[q as usize] = 1;
+        cc1[q as usize] = 1;
+    }
+
+    let mut ins: Vec<(u64, u64)> = Vec::with_capacity(lev.max_fanin());
+    for pos in 0..lev.num_gates() as u32 {
+        ins.clear();
+        ins.extend(
+            lev.inputs(pos)
                 .iter()
-                .map(|&i| (cc0[i as usize], cc1[i as usize]))
-                .collect();
-            let (c0, c1) = gate_cc(g.kind, &ins);
-            let o = g.output as usize;
-            cc0[o] = cc0[o].min(c0);
-            cc1[o] = cc1[o].min(c1);
-        }
+                .map(|&i| (cc0[i as usize], cc1[i as usize])),
+        );
+        let (c0, c1) = gate_cc(lev.kind(pos), &ins);
+        let o = lev.out_net(pos) as usize;
+        cc0[o] = c0;
+        cc1[o] = c1;
+    }
+    (cc0, cc1)
+}
 
-        // Observability sinks: primary outputs and scan-unloadable Ds.
-        let mut co = vec![SCOAP_INF; n];
-        for (_, o) in &lint.outputs {
-            co[*o as usize] = 0;
+/// The backward (observability) pass, in `lev`'s internal net ids: a
+/// gate's input is observable through the gate if the output is
+/// observable and the side pins are held at their non-controlling
+/// values.
+fn backward(lev: &Levelized, cc0: &[u64], cc1: &[u64]) -> Vec<u64> {
+    // Observability sinks: primary outputs and scan-unloadable Ds.
+    let co_sink = |ni: usize| {
+        if lev.fanout_outputs(ni).is_empty() && lev.fanout_dffs(ni).is_empty() {
+            SCOAP_INF
+        } else {
+            0
         }
-        for f in &lint.dffs {
-            co[f.d as usize] = 0;
+    };
+    let mut co: Vec<u64> = (0..lev.num_nets()).map(co_sink).collect();
+    for pos in (0..lev.num_gates() as u32).rev() {
+        let inputs = lev.inputs(pos);
+        let co_out = co[lev.out_net(pos) as usize];
+        for (pin, &inp) in inputs.iter().enumerate() {
+            let through = pin_co(lev.kind(pos), pin, inputs, cc0, cc1);
+            let cost = sat(sat(co_out, 1), through);
+            let i = inp as usize;
+            co[i] = co[i].min(cost);
         }
+    }
+    co
+}
 
-        // Backward pass: a gate's input is observable through the gate
-        // if the output is observable and the side pins are held at
-        // their non-controlling values.
-        for &gi in topo.iter().rev() {
-            let g = &lint.gates[gi];
-            let co_out = co[g.output as usize];
-            for (pin, &inp) in g.inputs.iter().enumerate() {
-                let through = pin_co(g.kind, pin, &g.inputs, &cc0, &cc1);
-                let cost = sat(sat(co_out, 1), through);
-                let i = inp as usize;
-                co[i] = co[i].min(cost);
-            }
-        }
+/// Re-index a per-net vector from internal to original net ids.
+fn original_order(lev: &Levelized, internal: &[u64]) -> Vec<u64> {
+    (0..internal.len())
+        .map(|old| internal[lev.new_net(old)])
+        .collect()
+}
+
+impl ScoapAnalysis {
+    /// Compute SCOAP values for `netlist`; `lev` must be
+    /// `Levelized::new(netlist)`. `constraints` are per-input tied
+    /// values as for [`controllability`].
+    pub fn compute(
+        netlist: &Netlist,
+        lev: &Levelized,
+        constraints: &[Option<bool>],
+    ) -> ScoapAnalysis {
+        let (cc0, cc1) = forward(lev, constraints);
+        let co = original_order(lev, &backward(lev, &cc0, &cc1));
+        let (cc0, cc1) = (original_order(lev, &cc0), original_order(lev, &cc1));
 
         // Per-component aggregation over driven nets.
-        let mut per_component: Vec<ComponentScoap> = lint
-            .components
-            .iter()
-            .map(|name| ComponentScoap {
-                name: name.clone(),
+        let mut per_component: Vec<ComponentScoap> = (0..netlist.num_components())
+            .map(|c| ComponentScoap {
+                name: netlist
+                    .component_name(ComponentId::from_index(c))
+                    .to_owned(),
                 cc0: HistogramSnapshot::default(),
                 cc1: HistogramSnapshot::default(),
                 co: HistogramSnapshot::default(),
@@ -131,11 +175,9 @@ impl ScoapAnalysis {
                 uncontrollable: 0,
             })
             .collect();
-        for g in &lint.gates {
-            let Some(comp) = per_component.get_mut(g.component as usize) else {
-                continue;
-            };
-            let o = g.output as usize;
+        for g in netlist.gates() {
+            let comp = &mut per_component[g.component().index()];
+            let o = g.output().index();
             if cc0[o] < SCOAP_INF {
                 comp.cc0.record(cc0[o]);
             }
@@ -243,8 +285,8 @@ fn gate_cc(kind: GateKind, ins: &[(u64, u64)]) -> (u64, u64) {
     let sum0 = ins.iter().fold(0u64, |a, &(c0, _)| sat(a, c0));
     let sum1 = ins.iter().fold(0u64, |a, &(_, c1)| sat(a, c1));
     match kind {
-        GateKind::Const0 => (1, SCOAP_INF),
-        GateKind::Const1 => (SCOAP_INF, 1),
+        GateKind::Const0 => (0, SCOAP_INF),
+        GateKind::Const1 => (SCOAP_INF, 0),
         GateKind::Buf => (sat(ins[0].0, 1), sat(ins[0].1, 1)),
         GateKind::Not => (sat(ins[0].1, 1), sat(ins[0].0, 1)),
         // AND is 0 when any input is 0, 1 only when all are 1.
@@ -263,17 +305,13 @@ fn gate_cc(kind: GateKind, ins: &[(u64, u64)]) -> (u64, u64) {
         }
         // Mux inputs are [sel, a, b]; output = a when sel=0.
         GateKind::Mux => {
-            if ins.len() == 3 {
-                let (s0, s1) = ins[0];
-                let (a0, a1) = ins[1];
-                let (b0, b1) = ins[2];
-                (
-                    sat(sat(s0, a0).min(sat(s1, b0)), 1),
-                    sat(sat(s0, a1).min(sat(s1, b1)), 1),
-                )
-            } else {
-                (SCOAP_INF, SCOAP_INF)
-            }
+            let (s0, s1) = ins[0];
+            let (a0, a1) = ins[1];
+            let (b0, b1) = ins[2];
+            (
+                sat(sat(s0, a0).min(sat(s1, b0)), 1),
+                sat(sat(s0, a1).min(sat(s1, b1)), 1),
+            )
         }
     }
 }
@@ -310,9 +348,6 @@ fn pin_co(kind: GateKind, pin: usize, inputs: &[u32], cc0: &[u64], cc1: &[u64]) 
         // XOR side pins only need *known* values: cheapest of each.
         GateKind::Xor | GateKind::Xnor => others().fold(0u64, |a, i| sat(a, cc0[i].min(cc1[i]))),
         GateKind::Mux => {
-            if inputs.len() != 3 {
-                return SCOAP_INF;
-            }
             let (s, a, b) = (inputs[0] as usize, inputs[1] as usize, inputs[2] as usize);
             match pin {
                 // Observing sel requires the data legs to differ.
@@ -329,11 +364,12 @@ fn pin_co(kind: GateKind, pin: usize, inputs: &[u32], cc0: &[u64], cc1: &[u64]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::LintNetlist;
     use rescue_netlist::NetlistBuilder;
 
-    fn topo_of(lint: &LintNetlist) -> Vec<usize> {
-        crate::rules::levelize(lint).expect("acyclic")
+    /// Unconstrained SCOAP of a builder's netlist.
+    fn analyze(b: NetlistBuilder) -> ScoapAnalysis {
+        let n = b.finish().unwrap();
+        ScoapAnalysis::compute(&n, &Levelized::new(&n), &[])
     }
 
     #[test]
@@ -344,8 +380,7 @@ mod tests {
         let x1 = b.not(a);
         let x2 = b.not(x1);
         b.output(x2, "o");
-        let lint = LintNetlist::from_netlist(&b.finish().unwrap());
-        let s = ScoapAnalysis::compute(&lint, &topo_of(&lint));
+        let s = analyze(b);
         // a=net0, x1=net1, x2=net2.
         assert_eq!((s.cc0[0], s.cc1[0]), (1, 1));
         assert_eq!((s.cc0[1], s.cc1[1]), (2, 2));
@@ -364,8 +399,7 @@ mod tests {
         let c = b.input("b");
         let x = b.and2(a, c);
         b.output(x, "o");
-        let lint = LintNetlist::from_netlist(&b.finish().unwrap());
-        let s = ScoapAnalysis::compute(&lint, &topo_of(&lint));
+        let s = analyze(b);
         let x = 2; // nets: a=0, b=1, x=2
         assert_eq!(s.cc0[x], 2); // cheapest single 0 + 1
         assert_eq!(s.cc1[x], 3); // both 1s + 1
@@ -381,15 +415,73 @@ mod tests {
         let z = b.const0();
         let x = b.and2(a, z);
         b.output(x, "o");
-        let lint = LintNetlist::from_netlist(&b.finish().unwrap());
-        let s = ScoapAnalysis::compute(&lint, &topo_of(&lint));
+        let s = analyze(b);
         let z = 1; // nets: a=0, z=1, x=2
-        assert_eq!(s.cc0[z], 1);
+        assert_eq!(s.cc0[z], 0);
         assert_eq!(s.cc1[z], SCOAP_INF);
         // The AND output can never be 1 either.
         assert_eq!(s.cc1[2], SCOAP_INF);
         // `a` is unobservable: the side pin can never be non-controlling.
         assert_eq!(s.co[0], SCOAP_INF);
+    }
+
+    #[test]
+    fn tied_nets_cost_zero_for_their_value_and_inf_for_the_other() {
+        // Both ways of tying a net follow one rule: a const gate's
+        // output and a constrained primary input cost 0 for the tied
+        // value (nothing to decide) and SCOAP_INF for the other.
+        let mut b = NetlistBuilder::new();
+        b.enter_component("lc");
+        let a = b.input("a");
+        let en = b.input("en");
+        let one = b.const1();
+        let x = b.and(&[a, en, one]);
+        b.output(x, "o");
+        let n = b.finish().unwrap();
+        let lev = Levelized::new(&n);
+        let (en, one, x) = (en.index(), one.index(), x.index());
+
+        let (cc0, cc1) = controllability(&lev, &[None, Some(false)]);
+        assert_eq!((cc0[one], cc1[one]), (SCOAP_INF, 0));
+        assert_eq!((cc0[en], cc1[en]), (0, SCOAP_INF));
+        // x = 0 through the tied pin costs 0 + 1; x = 1 needs en = 1.
+        assert_eq!((cc0[x], cc1[x]), (1, SCOAP_INF));
+
+        // Unconstrained, en is a free pin again; the const stays tied,
+        // and its 0 cost adds nothing to x = 1 = a + en + one + 1.
+        let (cc0, cc1) = controllability(&lev, &[]);
+        assert_eq!((cc0[en], cc1[en]), (1, 1));
+        assert_eq!((cc0[one], cc1[one]), (SCOAP_INF, 0));
+        assert_eq!(cc1[x], 3);
+
+        // The full analysis reads the same forward pass.
+        let s = ScoapAnalysis::compute(&n, &lev, &[None, Some(false)]);
+        assert_eq!((s.cc0[en], s.cc1[en]), (0, SCOAP_INF));
+        assert_eq!((s.cc0[x], s.cc1[x]), (1, SCOAP_INF));
+        // `a` cannot be observed: en is stuck at the AND's controlling
+        // value.
+        assert_eq!(s.co[0], SCOAP_INF);
+    }
+
+    #[test]
+    fn values_are_indexed_by_original_net_id() {
+        // The flip-flop's Q is created after the AND output but comes
+        // before it in level order (inputs, then Qs, then gate outputs):
+        // the analysis must still hand out builder ids.
+        let mut b = NetlistBuilder::new();
+        b.enter_component("lc");
+        let a = b.input("a");
+        let c = b.input("b");
+        let x = b.and2(a, c);
+        let q = b.dff(x, "r0");
+        let y = b.not(q);
+        b.output(y, "o");
+        let s = analyze(b);
+        assert!(q.index() > x.index());
+        assert_eq!((s.cc0[x.index()], s.cc1[x.index()]), (2, 3));
+        assert_eq!((s.cc0[q.index()], s.cc1[q.index()]), (1, 1));
+        assert_eq!((s.cc0[y.index()], s.cc1[y.index()]), (2, 2));
+        assert_eq!((s.co[x.index()], s.co[q.index()]), (0, 1));
     }
 
     #[test]
@@ -400,8 +492,7 @@ mod tests {
         let q = b.dff(a, "r0");
         let x = b.not(q);
         b.output(x, "o");
-        let lint = LintNetlist::from_netlist(&b.finish().unwrap());
-        let s = ScoapAnalysis::compute(&lint, &topo_of(&lint));
+        let s = analyze(b);
         // Q (net 1) is a pseudo-input, D (= a, net 0) a pseudo-output.
         assert_eq!((s.cc0[1], s.cc1[1]), (1, 1));
         assert_eq!(s.co[0], 0);
@@ -418,8 +509,7 @@ mod tests {
         let z = b.const0();
         let x = b.and2(a, z);
         b.output(x, "o");
-        let lint = LintNetlist::from_netlist(&b.finish().unwrap());
-        let s = ScoapAnalysis::compute(&lint, &topo_of(&lint));
+        let s = analyze(b);
         let v = rescue_obs::json::parse(&s.to_json()).unwrap();
         assert!(v.get("saturated").unwrap().as_bool().unwrap());
         // co saturates on `a` only (z and x reach the PO).
@@ -438,8 +528,7 @@ mod tests {
         let a = b.input("a");
         let x = b.not(a);
         b.output(x, "o");
-        let lint = LintNetlist::from_netlist(&b.finish().unwrap());
-        let s = ScoapAnalysis::compute(&lint, &topo_of(&lint));
+        let s = analyze(b);
         let v = rescue_obs::json::parse(&s.to_json()).unwrap();
         assert!(!v.get("saturated").unwrap().as_bool().unwrap());
         assert_eq!(v.get("unobservable_nets").unwrap().as_int().unwrap(), 0);
@@ -453,8 +542,7 @@ mod tests {
         let a = b.input("a");
         let x = b.not(a);
         b.output(x, "o");
-        let lint = LintNetlist::from_netlist(&b.finish().unwrap());
-        let s = ScoapAnalysis::compute(&lint, &topo_of(&lint));
+        let s = analyze(b);
         let v = rescue_obs::json::parse(&s.to_json()).unwrap();
         let comps = v.get("components").unwrap().as_arr().unwrap();
         assert_eq!(comps.len(), 1);

@@ -20,7 +20,9 @@
 //! * circuits serialize to and parse from a **line-based text format**
 //!   ([`text`]) — the wire format of the `rescue-serve` job server —
 //!   and carry a structural **content hash** ([`hash`]) used as the
-//!   server's design/result cache key.
+//!   server's design/result cache key,
+//! * one **three-valued evaluator** ([`threeval`]) serves PODEM, the
+//!   lint stuck-net rule and the static implication engine.
 //!
 //! # Example
 //!
@@ -52,6 +54,7 @@ mod netlist;
 pub mod scan;
 pub mod sim;
 pub mod text;
+pub mod threeval;
 pub mod verilog;
 
 pub use builder::{DffHandle, NetlistBuilder};
@@ -62,4 +65,5 @@ pub use levelized::Levelized;
 pub use netlist::{ComponentId, Dff, DffId, Driver, Gate, GateId, GateKind, NetId, Netlist};
 pub use scan::{MultiScanNetlist, ScanChain, ScanNetlist};
 pub use sim::{PatternBlock, SimOutput, WideBlock};
+pub use threeval::V3;
 pub use verilog::{to_verilog, VerilogOptions};

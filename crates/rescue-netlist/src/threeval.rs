@@ -1,10 +1,17 @@
-//! Three-valued logic (0, 1, X) used by PODEM.
+//! Three-valued logic (0, 1, X): the one gate evaluator shared by PODEM,
+//! the lint stuck-net rule and the static implication engine.
 //!
-//! The classical five-valued D-algebra (0, 1, X, D, D̄) is represented as a
-//! *pair* of three-valued values — one for the good machine, one for the
-//! faulty machine. `D` is `(1, 0)`, `D̄` is `(0, 1)`.
+//! PODEM represents the classical five-valued D-algebra (0, 1, X, D, D̄)
+//! as a *pair* of three-valued values — one for the good machine, one
+//! for the faulty machine. `D` is `(1, 0)`, `D̄` is `(0, 1)`.
+//!
+//! [`eval_gate_v3`] sees values only. Constant propagation over a
+//! netlist also knows the wiring, which can fix an output no value
+//! assignment reaches: [`wired_constant`] covers that case. PODEM keeps
+//! the value-only call, because a pin fault breaks the wiring identity
+//! in the faulty machine.
 
-use rescue_netlist::GateKind;
+use crate::GateKind;
 
 /// A three-valued logic value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -63,6 +70,12 @@ impl V3 {
     }
 }
 
+impl From<Option<bool>> for V3 {
+    fn from(v: Option<bool>) -> V3 {
+        v.map_or(V3::X, V3::from_bool)
+    }
+}
+
 impl std::ops::Not for V3 {
     type Output = V3;
 
@@ -113,13 +126,17 @@ pub fn controlling_value(kind: GateKind) -> Option<bool> {
     }
 }
 
-/// Whether the gate inverts its (non-controlling) inputs.
-#[allow(dead_code)]
-pub fn inverts(kind: GateKind) -> bool {
-    matches!(
-        kind,
-        GateKind::Not | GateKind::Nand | GateKind::Nor | GateKind::Xnor
-    )
+/// The output a gate's wiring alone fixes, whatever its pin values: an
+/// XOR/XNOR whose pins are an even number of copies of one net is
+/// constant 0/1. `pins` are the gate's input net ids in pin order.
+pub fn wired_constant(kind: GateKind, pins: &[u32]) -> Option<bool> {
+    let even_copies =
+        pins.len() >= 2 && pins.len().is_multiple_of(2) && pins.windows(2).all(|w| w[0] == w[1]);
+    match kind {
+        GateKind::Xor if even_copies => Some(false),
+        GateKind::Xnor if even_copies => Some(true),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -155,7 +172,7 @@ mod tests {
     /// boolean gate. Returns the common result if all completions
     /// agree, otherwise `V3::X`.
     fn completion_semantics(kind: GateKind, inputs: &[V3]) -> V3 {
-        use rescue_netlist::sim::eval_bool;
+        use crate::sim::eval_bool;
         let x_positions: Vec<usize> = inputs
             .iter()
             .enumerate()
@@ -252,8 +269,19 @@ mod tests {
     }
 
     #[test]
+    fn wiring_fixes_even_parity_over_one_net_only() {
+        assert_eq!(wired_constant(GateKind::Xor, &[3, 3]), Some(false));
+        assert_eq!(wired_constant(GateKind::Xnor, &[3, 3, 3, 3]), Some(true));
+        // Odd copies pass the net through; mixed nets are free.
+        assert_eq!(wired_constant(GateKind::Xor, &[3, 3, 3]), None);
+        assert_eq!(wired_constant(GateKind::Xor, &[3, 4, 3, 4]), None);
+        assert_eq!(wired_constant(GateKind::And, &[3, 3]), None);
+        assert_eq!(wired_constant(GateKind::Mux, &[1, 3, 3]), None);
+    }
+
+    #[test]
     fn v3_gate_eval_matches_bool_on_known_values() {
-        use rescue_netlist::sim::eval_bool;
+        use crate::sim::eval_bool;
         let kinds = [
             GateKind::And,
             GateKind::Or,
