@@ -251,9 +251,9 @@ impl<'a, const W: usize> FaultSim<'a, W> {
     pub fn load_wide(&mut self, wide: &WideBlock<W>) {
         // Phase attribution: the full-block good sweep plus the
         // faulty-copy reset. Per-fault propagation is left to the
-        // caller's scope (`fsim_worker` self time): a scope per fault
+        // caller's span (`fsim.worker` self time): a span per fault
         // would cost more than the work it measures.
-        let _prof = rescue_obs::profile::scope("ppsfp_good_sweep");
+        let _span = rescue_obs::span("ppsfp_good_sweep");
         self.lev.get().eval_wide_into(wide, &mut self.good);
         self.loaded_words = wide.real_words;
         // The inner loop reads `faulty` unconditionally, so it must

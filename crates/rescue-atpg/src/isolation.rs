@@ -156,7 +156,7 @@ impl<'a> Isolator<'a> {
         let threads = crate::parallel::resolve_threads(threads);
         let workers = threads.min(faults.len()).max(1);
         if workers == 1 {
-            let _span = rescue_obs::span("isolation.worker");
+            let _span = rescue_obs::span_root("isolation.worker");
             let mut sim = FaultSim::with_levelized(&self.lev);
             return faults
                 .iter()
@@ -170,7 +170,7 @@ impl<'a> Isolator<'a> {
                 .chunks(chunk)
                 .map(|shard| {
                     s.spawn(move || {
-                        let _span = rescue_obs::span("isolation.worker");
+                        let _span = rescue_obs::span_root("isolation.worker");
                         let mut sim = FaultSim::with_levelized(&self.lev);
                         shard
                             .iter()

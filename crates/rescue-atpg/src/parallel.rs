@@ -21,13 +21,12 @@
 //!
 //! Workers are plain `std::thread::scope` threads (no external deps);
 //! each opens a `fsim.worker` span so the Perfetto export shows one
-//! track per worker, and per-worker busy time is accumulated for the
-//! utilization report.
+//! track per worker, and the span's elapsed time is the worker's busy
+//! time in the utilization report.
 
 use crate::fsim::FaultSim;
 use rescue_netlist::{Fault, Levelized, PatternBlock, WideBlock};
 use rescue_obs::live::LiveCounter;
-use std::time::Instant;
 
 /// Live counters published per worker pass, paired with the
 /// [`crate::fsim::FsimStats`] field each one mirrors.
@@ -204,27 +203,24 @@ impl<'a, const W: usize> FaultShards<'a, W> {
         faults: &[Fault],
         op: impl Fn(&mut FaultSim<'a, W>, Fault) -> R + Sync,
     ) -> Vec<R> {
-        let t_wall = Instant::now();
+        let wall = rescue_obs::span("fsim.shards");
         let workers = self
             .sims
             .len()
             .min(faults.len().div_ceil(MIN_FAULTS_TO_SPAWN));
         let out = if workers <= 1 {
-            // Open the worker span on the serial path too, so the span
-            // *set* in a trace is identical across thread counts (only
-            // the count varies, which the diff gate treats as
-            // informational for `.worker` spans).
-            let _span = rescue_obs::span("fsim.worker");
-            // Pinned to the profile root for the same reason: the
-            // profile path set must not depend on the thread count.
-            let _prof = rescue_obs::profile::scope_root("fsim_worker");
-            let t = Instant::now();
+            // Open the worker span on the serial path too, pinned to the
+            // profile root, so the span and profile path sets are
+            // identical across thread counts (only the worker count
+            // varies, which the diff gate treats as informational for
+            // `.worker` spans).
+            let busy = rescue_obs::span_root("fsim.worker");
             let sim = &mut self.sims[0];
             let before = live_stats(sim);
             sim.load_wide(wide);
             let results: Vec<R> = faults.iter().map(|&f| op(sim, f)).collect();
             publish_live(0, sim, before);
-            self.busy_ns[0] += t.elapsed().as_nanos() as u64;
+            self.busy_ns[0] += busy.finish();
             results
         } else {
             let chunk = faults.len().div_ceil(workers);
@@ -238,14 +234,12 @@ impl<'a, const W: usize> FaultShards<'a, W> {
                     .enumerate()
                     .map(|(worker, (sim, shard))| {
                         s.spawn(move || {
-                            let _span = rescue_obs::span("fsim.worker");
-                            let _prof = rescue_obs::profile::scope_root("fsim_worker");
-                            let t = Instant::now();
+                            let busy = rescue_obs::span_root("fsim.worker");
                             let before = live_stats(sim);
                             sim.load_wide(wide);
                             let shard_out: Vec<R> = shard.iter().map(|&f| op(sim, f)).collect();
                             publish_live(worker, sim, before);
-                            (shard_out, t.elapsed().as_nanos() as u64)
+                            (shard_out, busy.finish())
                         })
                     })
                     .collect();
@@ -259,7 +253,7 @@ impl<'a, const W: usize> FaultShards<'a, W> {
             });
             results
         };
-        self.wall_ns += t_wall.elapsed().as_nanos() as u64;
+        self.wall_ns += wall.finish();
         debug_assert_eq!(out.len(), faults.len());
         out
     }

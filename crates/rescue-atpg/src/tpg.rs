@@ -7,9 +7,9 @@ use rescue_netlist::V3;
 use rescue_netlist::{Driver, Fault, FaultSite, Levelized, PatternBlock, ScanNetlist};
 use rescue_obs::coverage::{CoverageRecorder, LabelId};
 use rescue_obs::metrics::HistogramSnapshot;
+use rescue_obs::SpanGuard;
 use rescue_obs::{CoverageCurve, SplitMix64};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Attribution label for faults on primary inputs (tester-side, no ICI
 /// component).
@@ -390,14 +390,13 @@ impl<'a> Atpg<'a> {
     /// not match the fault list it was given (a broken invariant that
     /// would otherwise misclassify faults silently).
     pub fn run(&self) -> Result<AtpgRun, AtpgError> {
-        // Open the span and profile scope before levelizing so the
-        // prep phases attribute under `atpg/` as they always have.
-        let _span = rescue_obs::span("atpg.run");
-        let _prof = rescue_obs::profile::scope("atpg");
+        // Open the span before levelizing so the prep phases
+        // attribute under `atpg.run/`.
+        let span = rescue_obs::span("atpg.run");
         let n = &self.scanned.netlist;
         let lev = Levelized::new(n);
         let faults = n.collapse_faults();
-        self.run_inner(&lev, &faults)
+        finish_run(span, self.run_inner(&lev, &faults))
     }
 
     /// Run the full flow against a pre-built levelized view and
@@ -414,15 +413,13 @@ impl<'a> Atpg<'a> {
     ///
     /// Same contract as [`Atpg::run`].
     pub fn run_prepared(&self, lev: &Levelized, faults: &[Fault]) -> Result<AtpgRun, AtpgError> {
-        let _span = rescue_obs::span("atpg.run");
-        let _prof = rescue_obs::profile::scope("atpg");
-        self.run_inner(lev, faults)
+        let span = rescue_obs::span("atpg.run");
+        finish_run(span, self.run_inner(lev, faults))
     }
 
     /// Shared body of [`Atpg::run`] / [`Atpg::run_prepared`]; callers
-    /// hold the `atpg.run` span and `atpg` profile scope open.
+    /// hold the `atpg.run` span open and fill `timing.total_ns` from it.
     fn run_inner(&self, lev: &Levelized, faults: &[Fault]) -> Result<AtpgRun, AtpgError> {
-        let t_run = Instant::now();
         let mut counts = AtpgCounts::default();
         let mut timing = AtpgTiming::default();
         let n = &self.scanned.netlist;
@@ -447,15 +444,16 @@ impl<'a> Atpg<'a> {
         // would reorder `swap_remove` and change the vector stream.
         let mut prepass_proven: std::collections::HashSet<Fault> = Default::default();
         if self.config.static_prepass {
-            let t = Instant::now();
-            let _prof = rescue_obs::profile::scope("prepass");
+            // Not `prepass`: that name is the `prepass_report` span around
+            // whole prepass-on/off ATPG runs.
+            let phase = rescue_obs::span("static_prepass");
             let mut engine = rescue_lint::ImplicationEngine::from_levelized(lev, &constraints);
             for &f in &remaining {
                 if engine.prove_fault_levelized(lev, f) {
                     prepass_proven.insert(f);
                 }
             }
-            timing.prepass_ns = t.elapsed().as_nanos() as u64;
+            timing.prepass_ns = phase.finish();
             counts.prepass_proven = prepass_proven.len() as u64;
         }
 
@@ -505,16 +503,13 @@ impl<'a> Atpg<'a> {
             for (slot, label) in pending_events.drain(..) {
                 recorder.detect(base + slot as u64, label);
             }
-            let t = Instant::now();
-            let mut filled: Vec<PatternVector> = {
-                let _prof = rescue_obs::profile::scope("fill");
-                pending.drain(..).map(|c| self.fill(&c, rng)).collect()
-            };
-            timing.fill_ns += t.elapsed().as_nanos() as u64;
+            let phase = rescue_obs::span("fill");
+            let mut filled: Vec<PatternVector> =
+                pending.drain(..).map(|c| self.fill(&c, rng)).collect();
+            timing.fill_ns += phase.finish();
             counts.patterns_simulated += filled.len() as u64;
             let blocks = vectors_to_blocks(&filled, self.scanned);
-            let t = Instant::now();
-            let prof_fsim = rescue_obs::profile::scope("fsim");
+            let phase = rescue_obs::span("fsim");
             for (group_idx, group) in blocks.chunks(lane_words).enumerate() {
                 // Lanes are numbered word * 64 + bit within a group, so
                 // a detection's global vector index is width-invariant.
@@ -572,8 +567,7 @@ impl<'a> Atpg<'a> {
                     },
                 );
             }
-            drop(prof_fsim);
-            timing.fsim_ns += t.elapsed().as_nanos() as u64;
+            timing.fsim_ns += phase.finish();
             rescue_obs::live::global()
                 .record(rescue_obs::LiveCounter::AtpgVectors, filled.len() as u64);
             vectors.append(&mut filled);
@@ -598,12 +592,9 @@ impl<'a> Atpg<'a> {
                 counts.prepass_podem_calls_saved += 1;
                 PodemResult::Untestable
             } else {
-                let t = Instant::now();
-                let g = {
-                    let _prof = rescue_obs::profile::scope("podem");
-                    podem.generate(fault)
-                };
-                timing.generate_ns += t.elapsed().as_nanos() as u64;
+                let phase = rescue_obs::span("podem");
+                let g = podem.generate(fault);
+                timing.generate_ns += phase.finish();
                 g
             };
             match generated {
@@ -611,8 +602,7 @@ impl<'a> Atpg<'a> {
                     let mut placed_slot = None;
                     if self.config.merge_cubes {
                         counts.merges_attempted += 1;
-                        let t = Instant::now();
-                        let _prof = rescue_obs::profile::scope("compact");
+                        let phase = rescue_obs::span("compact");
                         let start = pending.len().saturating_sub(self.config.merge_window);
                         for (off, existing) in pending[start..].iter_mut().enumerate() {
                             if let Some(merged) = merge_cubes(existing, &cube) {
@@ -622,7 +612,7 @@ impl<'a> Atpg<'a> {
                                 break;
                             }
                         }
-                        timing.compact_ns += t.elapsed().as_nanos() as u64;
+                        timing.compact_ns += phase.finish();
                     }
                     let slot = placed_slot.unwrap_or_else(|| {
                         pending.push(cube);
@@ -707,7 +697,6 @@ impl<'a> Atpg<'a> {
         counts.podem_backtracks = ps.backtracks.get();
         counts.backtracks_per_fault = ps.backtracks_per_fault.snapshot();
         counts.fsim_gate_evals = shards.gate_evals();
-        timing.total_ns = t_run.elapsed().as_nanos() as u64;
 
         // Coverage denominator = the targetable population, exactly as
         // AtpgRun::coverage counts it (detected + aborted + undetected).
@@ -750,6 +739,14 @@ impl<'a> Atpg<'a> {
             .collect();
         PatternVector { inputs, state }
     }
+}
+
+/// Close the `atpg.run` span around a finished run and record its
+/// elapsed time as the run's `total_ns`.
+fn finish_run(span: SpanGuard<'_>, run: Result<AtpgRun, AtpgError>) -> Result<AtpgRun, AtpgError> {
+    let mut run = run?;
+    run.metrics.timing.total_ns = span.finish();
+    Ok(run)
 }
 
 /// Apply one block's per-fault detection lanes to the remaining-fault

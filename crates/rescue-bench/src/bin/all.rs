@@ -24,9 +24,6 @@ use rescue_core::yield_model::Scenario;
 
 fn main() {
     let obs = rescue_bench::obs_init();
-    // The JSON artifact always carries span timings, so collect them
-    // even without --metrics.
-    rescue_obs::global().set_enabled(true);
     let quick = rescue_bench::quick_mode();
     let threads = rescue_bench::threads_arg();
     let params = if quick {

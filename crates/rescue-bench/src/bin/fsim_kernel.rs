@@ -14,7 +14,6 @@ use rescue_core::model::ModelParams;
 
 fn main() {
     let obs = rescue_bench::obs_init();
-    rescue_obs::global().set_enabled(true);
     let params = if rescue_bench::quick_mode() {
         ModelParams::tiny()
     } else {

@@ -23,7 +23,6 @@ use rescue_obs::Report;
 
 fn main() {
     let obs = rescue_bench::obs_init();
-    rescue_obs::global().set_enabled(true);
     let quick = rescue_bench::quick_mode();
     let json_path = rescue_bench::arg_str("--json");
     if let Some(path) = &json_path {

@@ -78,7 +78,6 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
 
 fn main() {
     let obs = rescue_bench::obs_init();
-    rescue_obs::global().set_enabled(true);
 
     let netlist = text::to_text(&build_pipeline(&ModelParams::tiny(), Variant::Rescue).netlist);
     if let Some(path) = rescue_bench::arg_str("--emit-netlist") {

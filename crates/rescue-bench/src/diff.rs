@@ -157,8 +157,10 @@ impl Default for DiffConfig {
 /// are wall-clock). The observability self-benchmark (`obs.overhead.*`) is
 /// wall-clock by nature, and the `live.*` ring totals only exist on
 /// runs started with `--serve-metrics` / `--progress-every`. The
-/// `profile.*` phase attribution is wall-clock (and its scope counts
-/// vary with thread scheduling); `bench.*` records harness knobs
+/// `profile.*` sections are the span tree: per-path wall-clock
+/// attribution of the same spans whose per-name counts gate under
+/// `spans.*`, so their own counts are not gated again (and under the
+/// `.worker` roots they vary with thread scheduling); `bench.*` records harness knobs
 /// (`--repeat`, `--warmup`) that legitimately differ between runs.
 /// Job-server rows (`serve.*` from the `serve-load` generator) are
 /// latency/throughput measurements — informational — **except** the
@@ -184,11 +186,16 @@ fn is_informational_path(path: &str) -> bool {
 }
 
 /// Per-worker spans (`fsim.worker`, `isolation.worker`) fire once per
-/// spawned worker, so their *count* legitimately varies with
+/// spawned worker, and so does every span opened inside one (the
+/// `profile.*` section paths show which: `ppsfp_good_sweep` under
+/// `fsim.worker`), so their *count* legitimately varies with
 /// `--threads` / the machine's parallelism — unlike every other span,
 /// whose count is a deterministic phase counter.
-fn is_worker_span(name: &str) -> bool {
+fn is_worker_span(name: &str, profile_paths: &[&str]) -> bool {
     name.ends_with(".worker")
+        || profile_paths
+            .iter()
+            .any(|p| p.contains(".worker.") && p.ends_with(&format!(".{name}")))
 }
 
 fn render_value(v: &JsonValue) -> String {
@@ -283,7 +290,13 @@ pub fn diff(
         }
     }
 
-    compare_spans(baseline, current, cfg, &mut out);
+    let profile_paths: Vec<&str> = secs_b
+        .keys()
+        .chain(secs_c.keys())
+        .map(String::as_str)
+        .filter(|name| name.starts_with("profile."))
+        .collect();
+    compare_spans(baseline, current, &profile_paths, cfg, &mut out);
     Ok(out)
 }
 
@@ -293,6 +306,7 @@ type SpanFields = (Option<i128>, Option<f64>, Option<f64>);
 fn compare_spans(
     baseline: &JsonValue,
     current: &JsonValue,
+    profile_paths: &[&str],
     cfg: &DiffConfig,
     out: &mut DiffResult,
 ) {
@@ -318,9 +332,10 @@ fn compare_spans(
     let c = spans(current);
     for (name, (count_b, total_b, max_b)) in &b {
         let path = format!("spans.{name}");
+        let per_worker = is_worker_span(name, profile_paths);
         let Some((count_c, total_c, max_c)) = c.get(name) else {
             out.deltas.push(Delta {
-                severity: if is_worker_span(name) {
+                severity: if per_worker {
                     Severity::Info
                 } else {
                     Severity::Fail
@@ -333,11 +348,12 @@ fn compare_spans(
             continue;
         };
         // Span *counts* are deterministic (how many times the phase
-        // ran); the timings are wall-clock. Worker spans are the
-        // exception: one per spawned worker, thread-count-dependent.
+        // ran); the timings are wall-clock. Worker spans and the spans
+        // inside them are the exception: one per spawned worker,
+        // thread-count-dependent.
         if count_b != count_c {
             out.deltas.push(Delta {
-                severity: if is_worker_span(name) {
+                severity: if per_worker {
                     Severity::Info
                 } else {
                     Severity::Fail
@@ -345,7 +361,7 @@ fn compare_spans(
                 path: format!("{path}.count"),
                 baseline: count_b.map_or("-".into(), |v| v.to_string()),
                 current: count_c.map_or("-".into(), |v| v.to_string()),
-                note: if is_worker_span(name) {
+                note: if per_worker {
                     "worker span count (thread-count-dependent)".into()
                 } else {
                     "span count changed".into()
@@ -1050,6 +1066,18 @@ mod tests {
             .deltas
             .iter()
             .any(|d| d.severity == Severity::Info && d.path == "spans.isolation.worker"));
+        // A span that runs inside a worker (per the profile paths) is
+        // thread-count-dependent too.
+        let nested = |count: u64| {
+            parse(&format!(
+                r#"{{"title":"all","sections":[
+                    {{"name":"profile.fsim.worker.ppsfp_good_sweep","metrics":{{"count":{count}}}}}],
+                   "spans":[{{"name":"ppsfp_good_sweep","count":{count},"total_ns":10,"max_ns":5}}]}}"#
+            ))
+            .unwrap()
+        };
+        let r = diff(&nested(4), &nested(1), &DiffConfig::default()).unwrap();
+        assert!(!r.regressed(), "{}", r.render(true));
         // A non-worker span count change still fails.
         let b2 = parse(
             r#"{"title":"all","sections":[],

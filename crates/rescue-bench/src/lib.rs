@@ -207,10 +207,11 @@ pub fn obs_init() -> ObsFlags {
         metrics_json: arg_str("--metrics-json"),
         history: arg_str("--history"),
     };
-    // The phase-attribution profiler is on by default: its scopes are
-    // coarse (phase-level, block-level) and its cost is bounded by the
-    // obs.overhead A/B harness, while the profile.* sections it feeds
-    // are part of the standard BENCH_metrics.json artifact.
+    // The span aggregate is on by default: spans are coarse
+    // (phase-level, block-level) and their cost is bounded by the
+    // obs.overhead A/B harness, while the profile.* sections and span
+    // summary it feeds are part of the standard BENCH_metrics.json
+    // artifact.
     rescue_obs::profile::global().set_enabled(true);
     if let Some(path) = &flags.metrics_json {
         probe_output_file(path);
@@ -236,11 +237,8 @@ pub fn obs_init() -> ObsFlags {
     }
     if flags.trace_perfetto.is_some() {
         // Keep records in memory so the trace-event document can be
-        // rendered at exit (set_record also enables the tracer).
+        // rendered at exit.
         rescue_obs::global().set_record(true);
-    }
-    if flags.metrics {
-        rescue_obs::global().set_enabled(true);
     }
     if flags.progress_every > 0 {
         let hub = rescue_obs::live::global();
@@ -266,22 +264,14 @@ pub fn obs_init() -> ObsFlags {
 }
 
 /// Finish a run: fold live-telemetry totals into the report, attach
-/// span summaries and the `profile.*` self-time tree (unless
+/// the span summary and the `profile.*` self-time tree (unless
 /// [`run_repeated`] already did), print the report and the flame
 /// summary to stderr when `--metrics` was given, flush the trace sink,
-/// write the Perfetto document (real timelines plus the aggregate
-/// profile track) when `--trace-perfetto` was given, and shut the
-/// telemetry server down.
+/// write the Perfetto document when `--trace-perfetto` was given, and
+/// shut the telemetry server down.
 pub fn obs_finish(flags: &ObsFlags, report: &mut Report) {
     live_report(report);
     if report.spans.is_empty() {
-        report.add_spans(rescue_obs::global().summary());
-    }
-    if !report
-        .sections
-        .iter()
-        .any(|s| s.name.starts_with("profile."))
-    {
         collect_profile(report, 1);
     }
     if flags.metrics {
@@ -296,11 +286,7 @@ pub fn obs_finish(flags: &ObsFlags, report: &mut Report) {
     }
     rescue_obs::global().flush();
     if let Some(path) = &flags.trace_perfetto {
-        let mut records = rescue_obs::global().take_records();
-        let rows = profile_rows();
-        records.extend(rescue_obs::profile::to_trace_records(
-            &rescue_obs::profile::resolve_tree(&rows),
-        ));
+        let records = rescue_obs::global().take_records();
         let doc = rescue_obs::perfetto::render(&report.title, &records);
         if let Err(e) = std::fs::write(path, &doc) {
             eprintln!("error: cannot write perfetto trace {path}: {e}");
@@ -314,9 +300,9 @@ pub fn obs_finish(flags: &ObsFlags, report: &mut Report) {
     }
 }
 
-/// Profile rows drained at report time, kept so the flame summary and
-/// the Perfetto aggregate track render from the same tree the
-/// `profile.*` sections were built from.
+/// Profile rows drained at report time, kept so the flame summary
+/// renders from the same tree the `profile.*` sections were built
+/// from.
 static PROFILE_ROWS: std::sync::Mutex<Vec<(String, rescue_obs::profile::PathStat)>> =
     std::sync::Mutex::new(Vec::new());
 
@@ -324,20 +310,27 @@ fn profile_rows() -> Vec<(String, rescue_obs::profile::PathStat)> {
     PROFILE_ROWS.lock().expect("profile rows poisoned").clone()
 }
 
-/// Drain the profiler into `profile.*` report sections: one section per
-/// tree path (slashes become dots) carrying per-run total/self
-/// milliseconds and entry count (`divisor` = measured run count). The
-/// whole family is informational in `bench-diff` — it is wall-clock
-/// attribution, not a determinism invariant.
+/// Drain the span aggregate into the report: the per-name span
+/// summary and one `profile.*` section per tree path (slashes become
+/// dots) carrying total/self milliseconds and entry count, both per
+/// measured run (`divisor` = measured run count). The `profile.*`
+/// family is informational in `bench-diff` — it is wall-clock
+/// attribution, not a determinism invariant; span counts gate.
 fn collect_profile(report: &mut Report, divisor: u64) {
     rescue_obs::profile::flush_thread();
     let rows = rescue_obs::profile::global().take();
-    if rows.is_empty() {
-        return;
-    }
     let divisor = divisor.max(1);
-    let tree = rescue_obs::profile::resolve_tree(&rows);
-    for node in &tree {
+    report.add_spans(
+        rescue_obs::profile::summarize(&rows)
+            .into_iter()
+            .map(|s| rescue_obs::SpanStat {
+                count: s.count / divisor,
+                total_ns: s.total_ns / divisor,
+                ..s
+            })
+            .collect(),
+    );
+    for node in &rescue_obs::profile::resolve_tree(&rows) {
         report
             .section(&format!("profile.{}", node.path.replace('/', ".")))
             .f64("total_ms", node.total_ns as f64 / divisor as f64 / 1e6)
@@ -347,22 +340,14 @@ fn collect_profile(report: &mut Report, divisor: u64) {
     *PROFILE_ROWS.lock().expect("profile rows poisoned") = rows;
 }
 
-/// Per-name `(count, total_ns)` map of a span summary.
-fn span_totals(spans: &[rescue_obs::SpanStat]) -> std::collections::HashMap<String, (u64, u64)> {
-    spans
-        .iter()
-        .map(|s| (s.name.clone(), (s.count, s.total_ns)))
-        .collect()
-}
-
 /// Run `body` `--warmup` times unmeasured, then `--repeat` times
 /// measured, and merge the measured reports: deterministic values stay
 /// scalars (exact gating preserved), varying values become
-/// median/MAD/min/IQR statistics, span timings are per-run averages
-/// over the measured window, and the `profile.*` tree is attributed to
-/// the measured runs only. `body` receives the report to fill and
-/// whether this is the first *measured* run (print tables then, so
-/// stdout artifacts appear exactly once).
+/// median/MAD/min/IQR statistics, and the span summary and `profile.*`
+/// tree are per-run averages over the measured runs only. `body`
+/// receives the report to fill and whether this is the first
+/// *measured* run (print tables then, so stdout artifacts appear
+/// exactly once).
 pub fn run_repeated(
     title: &str,
     flags: &ObsFlags,
@@ -373,10 +358,9 @@ pub fn run_repeated(
         let mut scratch = Report::new(title);
         body(&mut scratch, false);
     }
-    // Reset measurement state so warmup work is not attributed.
+    // Reset the span aggregate so warmup work is not attributed.
     rescue_obs::profile::flush_thread();
     rescue_obs::profile::global().reset();
-    let before = span_totals(&rescue_obs::global().summary());
     let mut runs: Vec<Report> = Vec::with_capacity(repeat);
     for i in 0..repeat {
         let mut r = Report::new(title);
@@ -388,21 +372,6 @@ pub fn run_repeated(
         .section("bench")
         .u64("repeat", repeat as u64)
         .u64("warmup", flags.warmup as u64);
-    let spans: Vec<rescue_obs::SpanStat> = rescue_obs::global()
-        .summary()
-        .into_iter()
-        .map(|s| {
-            let (bc, bt) = before.get(&s.name).copied().unwrap_or((0, 0));
-            rescue_obs::SpanStat {
-                name: s.name.clone(),
-                count: s.count.saturating_sub(bc) / repeat as u64,
-                total_ns: s.total_ns.saturating_sub(bt) / repeat as u64,
-                max_ns: s.max_ns,
-            }
-        })
-        .filter(|s| s.count > 0 || s.total_ns > 0)
-        .collect();
-    merged.spans = spans;
     collect_profile(&mut merged, repeat as u64);
     merged
 }
@@ -697,14 +666,16 @@ pub fn fsim_kernel_report(
         );
 }
 
-/// The `obs.overhead` self-benchmark: the cost of live telemetry,
-/// itself measured. Sweeps every collapsed fault of the Rescue design
-/// against one deterministic pattern block on the fault simulator — once
-/// with the live hub disabled, once with it enabled *and* a per-fault
-/// ring record (strictly more record traffic than the per-shard records
-/// production code emits) — and reports both throughputs plus their
-/// ratio. Best-of-3 per arm, arms interleaved. Wall-clock data: the
-/// whole `obs.overhead` section is informational in `bench-diff`.
+/// The `obs.overhead` self-benchmark: the cost of live telemetry and
+/// spans, itself measured. Sweeps every collapsed fault of the Rescue
+/// design against one deterministic pattern block on the fault
+/// simulator in three arms — everything off; the live hub with a ring
+/// record per 64-fault chunk (strictly more record traffic than the
+/// per-shard records production code emits); and the hub plus the span
+/// aggregate with one `obs_sweep` span per chunk — and reports the
+/// throughputs plus their ratios. Best-of-3 per arm, arms interleaved.
+/// Wall-clock data: the whole `obs.overhead` section is informational
+/// in `bench-diff`.
 pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::ModelParams) {
     use rescue_core::atpg::FaultSim;
     use rescue_core::model::{build_pipeline, Variant};
@@ -726,17 +697,21 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
     let was_enabled = hub.enabled();
     let prof_was_enabled = prof.enabled();
     // Three arms, A/B/C: everything off, the live hub alone, and hub
-    // plus the phase profiler. The hub arm publishes at PPSFP-block
+    // plus the span aggregate. The hub arm publishes at PPSFP-block
     // granularity (one `hub.record` per 64 faults) — still far more
     // often than the production path, which publishes once per shard
-    // per batch — and the profiler arm additionally opens one profile
-    // scope per 64-fault chunk, denser than the phase-level scopes
+    // per batch — and the span arm additionally opens one root-pinned
+    // span per 64-fault chunk, denser than the phase-level spans
     // production code uses, so both measured ratios are conservative
-    // upper bounds. Each arm repeats the full-fault sweep until it has
-    // run for at least `MIN_ARM_SECS`, so tiny --quick circuits still
-    // give a stable per-eval rate.
+    // upper bounds. The span arm's cost includes the timeline when a
+    // trace sink or recording is on. Each arm repeats the full-fault
+    // sweep until it has done at least `ARM_GATE_EVALS` gate
+    // evaluations (about 0.1 s of kernel time), so tiny --quick
+    // circuits still give a stable per-eval rate. A sweep's eval count
+    // is deterministic, so every arm does the same work and the
+    // `obs_sweep` span count is an exact counter like any other.
     const RECORD_EVERY_FAULTS: usize = 64;
-    const MIN_ARM_SECS: f64 = 0.1;
+    const ARM_GATE_EVALS: u64 = 2_000_000;
     let sweep = |hub_on: bool, prof_on: bool| -> (u64, f64) {
         hub.set_enabled(hub_on);
         prof.set_enabled(prof_on);
@@ -746,7 +721,7 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
         let t = Instant::now();
         loop {
             let mut pending_delta = 0u64;
-            let mut chunk_scope = None;
+            let mut chunk_span = None;
             for (i, &f) in faults.iter().enumerate() {
                 let before = sim.stats().gate_evals.get();
                 std::hint::black_box(sim.detect_mask(f));
@@ -760,17 +735,17 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
                 }
                 if prof_on && i.is_multiple_of(RECORD_EVERY_FAULTS) {
                     // Close the previous chunk before opening the next:
-                    // scopes are a LIFO stack, so the old guard must
+                    // spans are a LIFO stack, so the old guard must
                     // drop first.
-                    drop(chunk_scope.take());
-                    chunk_scope = Some(rescue_obs::profile::scope_root("obs_sweep"));
+                    drop(chunk_span.take());
+                    chunk_span = Some(rescue_obs::span_root("obs_sweep"));
                 }
             }
-            drop(chunk_scope);
+            drop(chunk_span);
             if hub_on && pending_delta > 0 {
                 hub.record(rescue_obs::LiveCounter::FsimGateEvals, pending_delta);
             }
-            if t.elapsed().as_secs_f64() >= MIN_ARM_SECS {
+            if evals >= ARM_GATE_EVALS {
                 break;
             }
         }
@@ -791,7 +766,7 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
     }
     hub.set_enabled(was_enabled);
     prof.set_enabled(prof_was_enabled);
-    // The sweep's chunk scopes stay in the profile under the root-level
+    // The sweep's chunk spans stay in the profile under the root-level
     // `obs_sweep` path — honest attribution of the self-benchmark's own
     // cost, kept apart from the engine phases.
     // Normalize per-eval (arms may run different sweep counts).

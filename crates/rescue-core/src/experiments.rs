@@ -126,7 +126,7 @@ pub fn table3(params: &ModelParams) -> Table3 {
 /// bit-identical for any value.
 pub fn table3_with_threads(params: &ModelParams, threads: usize) -> Table3 {
     let _s = rescue_obs::span("table3");
-    let run = |variant, span: &str| {
+    let run = |variant, span: &'static str| {
         let _s = rescue_obs::span(span);
         let m = build_pipeline(params, variant);
         let s = insert_scan(&m.netlist).expect("model has state");
@@ -481,7 +481,7 @@ pub fn fig8(p: &Fig8Params) -> Vec<Fig8Row> {
     let _s = rescue_obs::span("fig8");
     let profiles = selected_profiles(&p.benchmarks);
     let row = |prof: &BenchmarkProfile| {
-        let _s = rescue_obs::span("fig8.benchmark");
+        let _s = rescue_obs::span_root("fig8.benchmark");
         let base = simulate(
             &SimConfig::paper(Policy::Baseline),
             &CoreConfig::healthy(),

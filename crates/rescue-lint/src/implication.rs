@@ -140,7 +140,7 @@ impl ImplicationEngine {
     /// lint uses). Observation points are primary outputs and flip-flop
     /// D inputs.
     pub fn from_levelized(lev: &Levelized, constraints: &[Option<bool>]) -> ImplicationEngine {
-        let _prof = rescue_obs::profile::scope("implication.build");
+        let _span = rescue_obs::span("implication.build");
         let num_nets = lev.num_nets();
         let n_gates = lev.num_gates();
         let mut kinds = Vec::with_capacity(n_gates);
@@ -526,7 +526,6 @@ impl ImplicationEngine {
     /// redundant (untestable). `true` is a proof; `false` means "not
     /// proven" — never "testable".
     pub fn prove_redundant(&mut self, site: ProofSite, stuck_at_one: bool) -> bool {
-        let _prof = rescue_obs::profile::scope("implication.prove");
         let n = match site {
             ProofSite::Net(n) => n,
             ProofSite::Pin { gate, pin } => {

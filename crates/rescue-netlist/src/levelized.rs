@@ -87,7 +87,7 @@ impl Levelized {
     /// Build the packed representation. Called once per netlist; the
     /// result borrows nothing and is `Sync`.
     pub fn new(n: &Netlist) -> Self {
-        let _prof = rescue_obs::profile::scope("levelize");
+        let _span = rescue_obs::span("levelize");
         let num_gates = n.num_gates();
         let mut gate_at: Vec<u32> = (0..num_gates as u32).collect();
         gate_at.sort_by_key(|&g| (n.gate_level(GateId::from_index(g as usize)), g));
@@ -333,65 +333,14 @@ impl Levelized {
             nets[ni as usize] = wide.state[i];
         }
         let mut in_buf: Vec<[u64; W]> = Vec::with_capacity(self.max_fanin);
-        let n = self.num_gates() as u32;
-        if rescue_obs::profile::global().enabled() {
-            // Profiled sweep: attribute eval time to level buckets so
-            // the flame shows where in the logic depth the time goes.
-            // Gates are level-sorted, so each bucket is one contiguous
-            // run and the scope is opened once per run, not per gate.
-            let _prof = rescue_obs::profile::scope("good_eval");
-            let mut pos = 0u32;
-            while pos < n {
-                let bucket = level_bucket(self.level(pos));
-                let _b = rescue_obs::profile::scope(LEVEL_BUCKET_NAMES[bucket]);
-                while pos < n && level_bucket(self.level(pos)) == bucket {
-                    self.eval_gate_wide(pos, &mut in_buf, nets);
-                    pos += 1;
-                }
-            }
-        } else {
-            for pos in 0..n {
-                self.eval_gate_wide(pos, &mut in_buf, nets);
-            }
+        let _span = rescue_obs::span("good_eval");
+        for pos in 0..self.num_gates() as u32 {
+            in_buf.clear();
+            in_buf.extend(self.inputs(pos).iter().map(|&ni| nets[ni as usize]));
+            nets[self.out_net(pos) as usize] = self.kind(pos).eval_wide(&in_buf);
         }
     }
-
-    /// Evaluate the gate at `pos` into `nets` (one step of the sweep).
-    #[inline]
-    fn eval_gate_wide<const W: usize>(
-        &self,
-        pos: u32,
-        in_buf: &mut Vec<[u64; W]>,
-        nets: &mut [[u64; W]],
-    ) {
-        in_buf.clear();
-        in_buf.extend(self.inputs(pos).iter().map(|&ni| nets[ni as usize]));
-        nets[self.out_net(pos) as usize] = self.kind(pos).eval_wide(in_buf);
-    }
 }
-
-/// Profile bucket for a logic level (`levels_0_3` … `levels_64_plus`).
-#[inline]
-fn level_bucket(level: u32) -> usize {
-    match level {
-        0..=3 => 0,
-        4..=7 => 1,
-        8..=15 => 2,
-        16..=31 => 3,
-        32..=63 => 4,
-        _ => 5,
-    }
-}
-
-/// Profile scope names for [`level_bucket`], index-aligned.
-const LEVEL_BUCKET_NAMES: [&str; 6] = [
-    "levels_0_3",
-    "levels_4_7",
-    "levels_8_15",
-    "levels_16_31",
-    "levels_32_63",
-    "levels_64_plus",
-];
 
 #[cfg(test)]
 mod tests {

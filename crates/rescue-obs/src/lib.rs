@@ -8,8 +8,10 @@
 //! * [`metrics`] — typed counters, gauges, and log₂-bucket histograms
 //!   cheap enough (one relaxed atomic op) to live in the PODEM inner
 //!   loop, plus a name-keyed [`metrics::Registry`] for ad-hoc use;
-//! * [`trace`] — a span/event tracer with monotonic timestamps, an
-//!   optional JSONL sink, and an aggregated per-span summary. A process
+//! * [`trace`] — [`span`], the one timing primitive: a guard that
+//!   reads the clock once at open and once at close and hands that
+//!   elapsed value to the profile tree, the timeline (an optional JSONL
+//!   sink and in-memory records for Perfetto) and the caller. A process
 //!   global ([`trace::global`]) lets deep engine code open spans without
 //!   threading a handle through every API;
 //! * [`report`] — a [`report::Report`] builder that renders a
@@ -30,10 +32,10 @@
 //!   aggregator: the pull-able live-progress surface for long engine
 //!   loops, and the [`live::ProgressMeter`] that mirrors progress as
 //!   JSONL frames and Perfetto counter tracks;
-//! * [`profile`] — hierarchical phase-attribution profiler: nestable
-//!   scoped timers aggregated into a per-thread self-time/total-time
-//!   tree, merged across worker threads, rendered as `profile.*` report
-//!   sections, a text flame summary, and Perfetto aggregate tracks;
+//! * [`profile`] — the span aggregate: closed spans fold into a
+//!   per-thread path tree, merged across worker threads, rendered as
+//!   `profile.*` report sections, a text flame summary, and the
+//!   per-name span summary;
 //! * [`prometheus`] — pure renderer for the Prometheus text exposition
 //!   served at `/metrics`;
 //! * [`http`] — reusable hand-rolled HTTP/1.1 machinery on `std::net`:
@@ -84,4 +86,4 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use report::{Report, RobustStats};
 pub use rng::SplitMix64;
 pub use server::TelemetryServer;
-pub use trace::{counter, global, span, SpanGuard, SpanStat, TraceRecord, Tracer};
+pub use trace::{counter, global, span, span_root, SpanGuard, SpanStat, TraceRecord, Tracer};

@@ -49,12 +49,7 @@ pub fn render(title: &str, records: &[TraceRecord]) -> String {
         .collect();
     for tid in tids {
         let mut args = JsonObj::new();
-        let label = if tid == crate::profile::PROFILE_TID {
-            "profile (aggregate)".to_owned()
-        } else {
-            format!("thread {tid}")
-        };
-        args.str("name", &label);
+        args.str("name", &format!("thread {tid}"));
         let mut o = JsonObj::new();
         o.str("name", "thread_name")
             .str("ph", "M")
@@ -447,19 +442,6 @@ mod tests {
             })
             .collect();
         assert_eq!(names, vec!["thread 1", "thread 2"]);
-    }
-
-    #[test]
-    fn profile_tid_gets_aggregate_thread_name() {
-        let records = vec![TraceRecord::Span {
-            name: "profile/atpg".into(),
-            ts_ns: 0,
-            dur_ns: 10,
-            depth: 0,
-            tid: crate::profile::PROFILE_TID,
-        }];
-        let doc = render("p", &records);
-        assert!(doc.contains("profile (aggregate)"), "{doc}");
     }
 
     /// A tracer wired for recording produces records that render into a

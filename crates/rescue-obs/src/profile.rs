@@ -1,61 +1,67 @@
-//! Hierarchical phase-attribution profiler: nestable scoped timers that
-//! aggregate into a per-thread total-time tree, merged process-wide into
-//! path-keyed rows (`atpg/podem`, `atpg/fsim`, …).
+//! The span aggregate: every [`crate::span`] that closes while the
+//! aggregate is on folds its elapsed time into a per-thread path tree,
+//! merged process-wide into path-keyed rows (`atpg.run/podem`,
+//! `atpg.run/fsim`, …). The path of a span is the chain of span names
+//! open on its thread, so paths are span names joined by `/`.
 //!
 //! Design goals, in order:
 //!
-//! 1. **Near-zero cost when disabled.** [`scope`] loads one relaxed
-//!    atomic and returns an inert guard; no clock read, no TLS touch.
-//! 2. **No locks on the hot path.** Each thread accumulates into a
+//! 1. **No locks on the hot path.** Each thread accumulates into a
 //!    thread-local arena tree; the global mutex is only taken when a
-//!    thread's tree is drained (thread exit or explicit
-//!    [`flush_thread`]).
-//! 3. **Thread-count-invariant paths.** Worker loops open their scopes
-//!    with [`scope_root`], which pins the scope under the virtual root
+//!    thread's tree is drained: when its outermost span closes (so a
+//!    worker's spans are merged before its closure returns, joined or
+//!    detached), at thread exit, or on an explicit [`flush_thread`].
+//! 2. **Thread-count-invariant paths.** Worker bodies open their span
+//!    with [`crate::span_root`], which pins it under the virtual root
 //!    regardless of what the spawning code had open — so the set of
 //!    `profile.*` report sections does not depend on `--threads`, which
 //!    the `bench-diff` baseline gate requires.
 //!
 //! The merged rows are resolved into a tree ([`resolve_tree`]) where
-//! each node carries *total* time (wall time with the scope open) and
+//! each node carries *total* time (wall time with the span open) and
 //! *self* time (total minus the sum of direct children) — the invariant
 //! `Σ children.total ≤ parent.total` holds per thread because child
-//! scopes are strictly nested inside their parent, and is preserved by
+//! spans are strictly nested inside their parent, and is preserved by
 //! the merge because every thread contributes the same path shapes.
 //! [`render_flame`] prints an indented text flame summary and
-//! [`to_trace_records`] lays the aggregate tree out as synthetic spans
-//! on a reserved tid so the Perfetto export shows a "profile
-//! (aggregate)" track next to the real timelines.
+//! [`summarize`] folds the rows into the per-span-name
+//! [`SpanStat`] summary. The same tree stack also gives every timeline
+//! record its nesting depth ([`depth`]).
 
-use crate::trace::TraceRecord;
+use crate::trace::SpanStat;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
-
-/// Synthetic thread id used for aggregate profile tracks in the
-/// Perfetto export, chosen to stay clear of real `ThreadId` values.
-pub const PROFILE_TID: u64 = 9_999;
 
 /// Accumulated wall time and entry count for one tree path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PathStat {
-    /// Total nanoseconds with this scope open (summed over entries and
+    /// Total nanoseconds with this span open (summed over entries and
     /// threads).
     pub total_ns: u64,
-    /// Number of times the scope was entered.
+    /// Number of times the span was entered.
     pub count: u64,
+    /// Longest single entry in nanoseconds.
+    pub max_ns: u64,
+}
+
+impl PathStat {
+    fn add(&mut self, other: &PathStat) {
+        self.total_ns += other.total_ns;
+        self.count += other.count;
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
 }
 
 /// One resolved node of the profile tree (see [`resolve_tree`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProfileNode {
-    /// Slash-joined path from the root, e.g. `"atpg/fsim"`.
+    /// Slash-joined path from the root, e.g. `"atpg.run/fsim"`.
     pub path: String,
-    /// Nesting depth (`"atpg"` is 0, `"atpg/fsim"` is 1).
+    /// Nesting depth (`"atpg.run"` is 0, `"atpg.run/fsim"` is 1).
     pub depth: usize,
-    /// Total nanoseconds with the scope open.
+    /// Total nanoseconds with the span open.
     pub total_ns: u64,
     /// Total minus the sum of direct children's totals (saturating).
     pub self_ns: u64,
@@ -68,11 +74,20 @@ pub struct ProfileNode {
 struct LocalNode {
     name: &'static str,
     children: Vec<usize>,
-    total_ns: u64,
-    count: u64,
+    stat: PathStat,
 }
 
-/// Per-thread profile state: an arena tree plus the open-scope stack.
+impl LocalNode {
+    fn new(name: &'static str) -> Self {
+        LocalNode {
+            name,
+            children: Vec::new(),
+            stat: PathStat::default(),
+        }
+    }
+}
+
+/// Per-thread state: an arena tree plus the open-span stack.
 /// `nodes[0]` is a virtual root that never accumulates time.
 #[derive(Debug)]
 struct LocalTree {
@@ -83,12 +98,7 @@ struct LocalTree {
 impl LocalTree {
     fn new() -> Self {
         LocalTree {
-            nodes: vec![LocalNode {
-                name: "",
-                children: Vec::new(),
-                total_ns: 0,
-                count: 0,
-            }],
+            nodes: vec![LocalNode::new("")],
             stack: Vec::new(),
         }
     }
@@ -103,17 +113,15 @@ impl LocalTree {
             return c;
         }
         let idx = self.nodes.len();
-        self.nodes.push(LocalNode {
-            name,
-            children: Vec::new(),
-            total_ns: 0,
-            count: 0,
-        });
+        self.nodes.push(LocalNode::new(name));
         self.nodes[parent].children.push(idx);
         idx
     }
 
-    fn enter(&mut self, name: &'static str, pin_to_root: bool) {
+    /// Push `name` onto the stack; returns the stack height before the
+    /// push (the span's nesting depth).
+    fn enter(&mut self, name: &'static str, pin_to_root: bool) -> u64 {
+        let depth = self.stack.len() as u64;
         let parent = if pin_to_root {
             0
         } else {
@@ -121,17 +129,23 @@ impl LocalTree {
         };
         let idx = self.child(parent, name);
         self.stack.push(idx);
+        depth
     }
 
-    fn exit(&mut self, elapsed_ns: u64) {
+    fn exit(&mut self, elapsed_ns: u64, aggregate: bool) {
         if let Some(idx) = self.stack.pop() {
-            self.nodes[idx].total_ns += elapsed_ns;
-            self.nodes[idx].count += 1;
+            if aggregate {
+                self.nodes[idx].stat.add(&PathStat {
+                    total_ns: elapsed_ns,
+                    count: 1,
+                    max_ns: elapsed_ns,
+                });
+            }
         }
     }
 
-    /// Move every accumulated total into `merged` (keyed by slash path)
-    /// and zero the local totals. The arena and stack are kept intact so
+    /// Move every accumulated stat into `merged` (keyed by slash path)
+    /// and zero the local stats. The arena and stack are kept intact so
     /// guards that are still open remain valid.
     fn drain_into(&mut self, merged: &mut BTreeMap<String, PathStat>) {
         // DFS from the root, building paths as we go.
@@ -142,34 +156,24 @@ impl LocalTree {
             .collect();
         while let Some((idx, path)) = work.pop() {
             let node = &mut self.nodes[idx];
-            if node.count > 0 || node.total_ns > 0 {
-                let s = merged.entry(path.clone()).or_default();
-                s.total_ns += node.total_ns;
-                s.count += node.count;
-                node.total_ns = 0;
-                node.count = 0;
+            if node.stat != PathStat::default() {
+                merged.entry(path.clone()).or_default().add(&node.stat);
+                node.stat = PathStat::default();
             }
-            let children: Vec<usize> = self.nodes[idx].children.clone();
-            for c in children {
-                let name = self.nodes[c].name;
-                work.push((c, format!("{path}/{name}")));
+            for &c in &self.nodes[idx].children {
+                work.push((c, format!("{path}/{}", self.nodes[c].name)));
             }
         }
     }
 }
 
-/// TLS wrapper whose `Drop` merges any remaining thread-local totals
-/// into the global profiler — this is how FaultShards workers (which
-/// exit inside `thread::scope` before report time) contribute.
+/// TLS wrapper whose `Drop` merges any remaining thread-local stats
+/// into the global profiler (a thread that dies with spans open).
 struct LocalSlot(RefCell<LocalTree>);
 
 impl Drop for LocalSlot {
     fn drop(&mut self) {
-        let mut merged = match global().merged.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        self.0.borrow_mut().drain_into(&mut merged);
+        self.0.borrow_mut().drain_into(&mut global().lock());
     }
 }
 
@@ -177,7 +181,7 @@ thread_local! {
     static LOCAL: LocalSlot = LocalSlot(RefCell::new(LocalTree::new()));
 }
 
-/// Process-wide profiler: an enable gate plus the merged path table.
+/// Process-wide aggregate: an enable gate plus the merged path table.
 #[derive(Debug)]
 pub struct Profiler {
     enabled: AtomicBool,
@@ -192,13 +196,13 @@ impl Profiler {
         }
     }
 
-    /// Turn scope recording on or off. Scopes already open keep their
+    /// Turn the aggregate on or off. Spans already open keep their
     /// recording decision (made at entry).
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether scopes currently record.
+    /// Whether closing spans fold into the aggregate.
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -221,73 +225,80 @@ impl Profiler {
         std::mem::take(&mut *self.lock()).into_iter().collect()
     }
 
-    /// Clear all merged rows.
+    /// Clear all merged rows — the path tree and the span summary
+    /// derived from it.
     pub fn reset(&self) {
         self.lock().clear();
     }
 }
 
-/// The process-wide profiler used by [`scope`] / [`scope_root`].
+/// The process-wide aggregate every span folds into.
 pub fn global() -> &'static Profiler {
     static GLOBAL: OnceLock<Profiler> = OnceLock::new();
     GLOBAL.get_or_init(Profiler::new)
 }
 
-/// RAII guard for one profile scope. Created by [`scope`] /
-/// [`scope_root`]; records elapsed wall time into the thread-local tree
-/// on drop. Inert (no clock read) when the profiler was disabled at
-/// entry.
-#[derive(Debug)]
-#[must_use = "the scope is timed until the guard drops"]
-pub struct ProfileScope {
-    start: Option<Instant>,
-}
-
-impl Drop for ProfileScope {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            // try_with: the TLS slot may already be gone during thread
-            // teardown; losing the final exit is acceptable there.
-            let _ = LOCAL.try_with(|slot| slot.0.borrow_mut().exit(elapsed));
-        }
-    }
-}
-
-fn enter(name: &'static str, pin_to_root: bool) -> ProfileScope {
-    if !global().enabled() {
-        return ProfileScope { start: None };
-    }
-    let ok = LOCAL
+/// Push a span onto this thread's stack; `None` when the TLS slot is
+/// already gone (thread teardown), in which case the span records
+/// nothing.
+pub(crate) fn enter(name: &'static str, pin_to_root: bool) -> Option<u64> {
+    LOCAL
         .try_with(|slot| slot.0.borrow_mut().enter(name, pin_to_root))
-        .is_ok();
-    ProfileScope {
-        start: ok.then(Instant::now),
-    }
+        .ok()
 }
 
-/// Open a profile scope nested under the innermost open scope on this
-/// thread (or under the root if none is open).
-pub fn scope(name: &'static str) -> ProfileScope {
-    enter(name, false)
+/// Pop the span opened by the matching [`enter`], folding `elapsed_ns`
+/// into its node when `aggregate` was on at entry. Closing the
+/// thread's outermost span merges its tree into the global table.
+pub(crate) fn exit(elapsed_ns: u64, aggregate: bool) {
+    let _ = LOCAL.try_with(|slot| {
+        let mut tree = slot.0.borrow_mut();
+        tree.exit(elapsed_ns, aggregate);
+        if aggregate && tree.stack.is_empty() {
+            tree.drain_into(&mut global().lock());
+        }
+    });
 }
 
-/// Open a profile scope pinned directly under the virtual root,
-/// ignoring any scopes the caller has open. Worker loops use this so
-/// their paths are identical whether the work ran inline (serial
-/// fallback, under `atpg/fsim`) or on a spawned thread.
-pub fn scope_root(name: &'static str) -> ProfileScope {
-    enter(name, true)
+/// Spans open on this thread (0 outside all spans).
+pub fn depth() -> u64 {
+    LOCAL
+        .try_with(|slot| slot.0.borrow().stack.len() as u64)
+        .unwrap_or(0)
 }
 
-/// Merge this thread's accumulated totals into the global table now
+/// Merge this thread's accumulated stats into the global table now
 /// (threads merge automatically at exit; the main thread calls this
 /// before reading [`Profiler::snapshot`]).
 pub fn flush_thread() {
-    let _ = LOCAL.try_with(|slot| {
-        let mut merged = global().lock();
-        slot.0.borrow_mut().drain_into(&mut merged);
-    });
+    let _ = LOCAL.try_with(|slot| slot.0.borrow_mut().drain_into(&mut global().lock()));
+}
+
+/// Per-span-name summary of merged rows, sorted by name: a row's name
+/// is its path's last component; counts and totals add across paths,
+/// the max is the largest.
+pub fn summarize(rows: &[(String, PathStat)]) -> Vec<SpanStat> {
+    let mut by_name: BTreeMap<&str, PathStat> = BTreeMap::new();
+    for (path, st) in rows {
+        let name = path.rsplit('/').next().unwrap_or(path);
+        by_name.entry(name).or_default().add(st);
+    }
+    by_name
+        .into_iter()
+        .map(|(name, st)| SpanStat {
+            name: name.to_owned(),
+            count: st.count,
+            total_ns: st.total_ns,
+            max_ns: st.max_ns,
+        })
+        .collect()
+}
+
+/// [`summarize`] over the current merged rows, after flushing this
+/// thread.
+pub fn summary() -> Vec<SpanStat> {
+    flush_thread();
+    summarize(&global().snapshot())
 }
 
 /// Resolve sorted `(path, stat)` rows into tree nodes with self time.
@@ -313,8 +324,7 @@ pub fn resolve_tree(rows: &[(String, PathStat)]) -> Vec<ProfileNode> {
         .collect();
     for i in 0..nodes.len() {
         if let Some(cut) = nodes[i].path.rfind('/') {
-            let parent_path = nodes[i].path[..cut].to_owned();
-            if let Some(&p) = index.get(&parent_path) {
+            if let Some(&p) = index.get(&nodes[i].path[..cut]) {
                 let child_total = nodes[i].total_ns;
                 nodes[p].self_ns = nodes[p].self_ns.saturating_sub(child_total);
             }
@@ -330,7 +340,7 @@ pub fn render_flame(nodes: &[ProfileNode]) -> String {
     use std::fmt::Write as _;
     let mut s = String::from("== profile (self-time tree) ==\n");
     if nodes.is_empty() {
-        s.push_str("  (no profile scopes recorded)\n");
+        s.push_str("  (no spans recorded)\n");
         return s;
     }
     let _ = writeln!(
@@ -364,46 +374,13 @@ pub fn render_flame(nodes: &[ProfileNode]) -> String {
     s
 }
 
-/// Lay a resolved tree out as synthetic span records on [`PROFILE_TID`]
-/// for the Perfetto export: siblings are placed end-to-end starting at
-/// their parent's start, so nesting is visually exact (children fit
-/// inside parents because `Σ children.total ≤ parent.total`).
-pub fn to_trace_records(nodes: &[ProfileNode]) -> Vec<TraceRecord> {
-    let mut start_ns: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut cursor: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut out = Vec::with_capacity(nodes.len());
-    let mut root_cursor = 0u64;
-    // nodes is parent-before-child sorted (resolve_tree guarantees it).
-    for n in nodes {
-        let start = if let Some(cut) = n.path.rfind('/') {
-            let parent = &n.path[..cut];
-            let parent_start = start_ns.get(parent).copied().unwrap_or(0);
-            let c = cursor.entry(parent).or_insert(parent_start);
-            let s = *c;
-            *c += n.total_ns;
-            s
-        } else {
-            let s = root_cursor;
-            root_cursor += n.total_ns;
-            s
-        };
-        start_ns.insert(n.path.as_str(), start);
-        out.push(TraceRecord::Span {
-            name: format!("profile/{}", n.path),
-            ts_ns: start,
-            dur_ns: n.total_ns,
-            depth: n.depth as u64,
-            tid: PROFILE_TID,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{span, span_root};
+    use std::time::Duration;
 
-    /// Profiler state is process-global; serialize tests touching it.
+    /// Aggregate state is process-global; serialize tests touching it.
     static LOCK: Mutex<()> = Mutex::new(());
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
@@ -414,6 +391,7 @@ mod tests {
     }
 
     fn rows_with_prefix(prefix: &str) -> Vec<(String, PathStat)> {
+        flush_thread();
         global()
             .snapshot()
             .into_iter()
@@ -425,42 +403,45 @@ mod tests {
     fn disabled_scopes_record_nothing() {
         let _g = locked();
         global().set_enabled(false);
-        {
-            let _a = scope("t_disabled");
-            let _b = scope("inner");
-        }
-        flush_thread();
+        let outer = span("t_disabled");
+        let inner = span("inner");
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(
+            inner.finish() > 0,
+            "finish() times even with every sink off"
+        );
+        drop(outer);
         assert!(rows_with_prefix("t_disabled").is_empty());
+        assert_eq!(depth(), 0);
     }
 
     #[test]
     fn nested_scopes_build_paths_and_hold_invariant() {
         let _g = locked();
         global().set_enabled(true);
+        let mut child_ns = 0;
         {
-            let _a = scope("t_nest");
+            let _a = span("t_nest");
+            assert_eq!(depth(), 1);
             for _ in 0..3 {
-                let _b = scope("child");
-                std::thread::sleep(std::time::Duration::from_millis(1));
+                let b = span("child");
+                assert_eq!(depth(), 2);
+                std::thread::sleep(Duration::from_millis(1));
+                child_ns += b.finish();
             }
-            let _c = scope("other");
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            let _c = span("other");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        flush_thread();
+        assert_eq!(depth(), 0);
         global().set_enabled(false);
         let rows = rows_with_prefix("t_nest");
         let tree = resolve_tree(&rows);
-        let parent = tree.iter().find(|n| n.path == "t_nest").expect("parent");
-        let child = tree
-            .iter()
-            .find(|n| n.path == "t_nest/child")
-            .expect("child");
-        let other = tree
-            .iter()
-            .find(|n| n.path == "t_nest/other")
-            .expect("other");
+        let find = |p: &str| tree.iter().find(|n| n.path == p).expect(p);
+        let (parent, child, other) = (find("t_nest"), find("t_nest/child"), find("t_nest/other"));
         assert_eq!(child.count, 3);
         assert_eq!(other.count, 1);
+        // The caller's elapsed values and the tree's are one measurement.
+        assert_eq!(child.total_ns, child_ns);
         // Invariant: Σ direct children total ≤ parent total, and
         // self = total − Σ children.
         assert!(child.total_ns + other.total_ns <= parent.total_ns);
@@ -468,24 +449,61 @@ mod tests {
             parent.self_ns,
             parent.total_ns - child.total_ns - other.total_ns
         );
+        assert!(render_flame(&tree).contains("  child"));
+        let stats = summarize(&rows);
+        let child_stat = stats.iter().find(|s| s.name == "child").expect("child");
+        assert_eq!(child_stat.count, 3);
+        assert!(child_stat.max_ns <= child_stat.total_ns && child_stat.max_ns > 0);
     }
 
     #[test]
-    fn scope_root_ignores_open_parents() {
+    fn span_root_ignores_open_parents() {
         let _g = locked();
         global().set_enabled(true);
         {
-            let _a = scope("t_outer");
-            let _w = scope_root("t_pinned");
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            let _a = span("t_outer");
+            let _w = span_root("t_pinned");
+            assert_eq!(depth(), 2, "a pinned span still nests on the timeline");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        flush_thread();
         global().set_enabled(false);
         let pinned = rows_with_prefix("t_pinned");
-        assert_eq!(pinned.len(), 1, "pinned scope must be a root: {pinned:?}");
+        assert_eq!(pinned.len(), 1, "pinned span must be a root: {pinned:?}");
         assert!(rows_with_prefix("t_outer")
             .iter()
             .all(|(p, _)| !p.contains("t_pinned")));
+    }
+
+    #[test]
+    fn summary_sums_a_name_across_paths() {
+        let rows = vec![
+            (
+                "a/x".to_owned(),
+                PathStat {
+                    total_ns: 40,
+                    count: 2,
+                    max_ns: 30,
+                },
+            ),
+            (
+                "b/c/x".to_owned(),
+                PathStat {
+                    total_ns: 50,
+                    count: 1,
+                    max_ns: 50,
+                },
+            ),
+        ];
+        let stats = summarize(&rows);
+        assert_eq!(
+            stats,
+            vec![SpanStat {
+                name: "x".into(),
+                count: 3,
+                total_ns: 90,
+                max_ns: 50
+            }]
+        );
     }
 
     #[test]
@@ -495,93 +513,22 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
-                    let _w = scope_root("t_worker");
-                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    let _w = span_root("t_worker");
+                    std::thread::sleep(Duration::from_millis(1));
                 });
             }
         });
         global().set_enabled(false);
-        // `thread::scope` waits for the worker closures, but the TLS
-        // destructor doing the merge runs during OS thread teardown,
-        // which is not ordered before `scope` returns — poll briefly
-        // instead of asserting the very first read.
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        let mut rows = rows_with_prefix("t_worker");
-        while (rows.len() != 1 || rows[0].1.count != 2) && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            rows = rows_with_prefix("t_worker");
-        }
+        // Each worker's outermost span merged its tree as it closed,
+        // before `thread::scope` returned.
+        let rows = rows_with_prefix("t_worker");
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1.count, 2, "both workers merged: {rows:?}");
     }
 
     #[test]
-    fn trace_records_nest_children_inside_parents() {
-        let rows = vec![
-            (
-                "a".to_owned(),
-                PathStat {
-                    total_ns: 100,
-                    count: 1,
-                },
-            ),
-            (
-                "a/x".to_owned(),
-                PathStat {
-                    total_ns: 40,
-                    count: 2,
-                },
-            ),
-            (
-                "a/y".to_owned(),
-                PathStat {
-                    total_ns: 50,
-                    count: 1,
-                },
-            ),
-            (
-                "b".to_owned(),
-                PathStat {
-                    total_ns: 7,
-                    count: 1,
-                },
-            ),
-        ];
-        let tree = resolve_tree(&rows);
-        let a = tree.iter().find(|n| n.path == "a").expect("a");
-        assert_eq!(a.self_ns, 10);
-        let recs = to_trace_records(&tree);
-        assert_eq!(recs.len(), 4);
-        let span = |name: &str| {
-            recs.iter()
-                .find_map(|r| match r {
-                    TraceRecord::Span {
-                        name: n,
-                        ts_ns,
-                        dur_ns,
-                        tid,
-                        ..
-                    } if n == &format!("profile/{name}") => Some((*ts_ns, *dur_ns, *tid)),
-                    _ => None,
-                })
-                .expect("span present")
-        };
-        let (as_, ad, atid) = span("a");
-        let (xs, xd, _) = span("a/x");
-        let (ys, yd, _) = span("a/y");
-        let (bs, _, _) = span("b");
-        assert_eq!(atid, PROFILE_TID);
-        assert!(xs >= as_ && xs + xd <= as_ + ad, "x inside a");
-        assert!(ys >= as_ && ys + yd <= as_ + ad, "y inside a");
-        assert_eq!(ys, xs + xd, "siblings laid end-to-end");
-        assert_eq!(bs, as_ + ad, "roots laid end-to-end");
-        let flame = render_flame(&tree);
-        assert!(flame.contains("a/x") || flame.contains("  x"), "{flame}");
-    }
-
-    #[test]
     fn flame_renders_empty_tree() {
         let flame = render_flame(&[]);
-        assert!(flame.contains("no profile scopes"));
+        assert!(flame.contains("no spans"));
     }
 }

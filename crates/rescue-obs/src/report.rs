@@ -153,7 +153,7 @@ impl Report {
         self.sections.last_mut().expect("just pushed")
     }
 
-    /// Attach span summaries (typically [`crate::trace::Tracer::summary`]).
+    /// Attach span summaries (typically [`crate::profile::summarize`]).
     pub fn add_spans(&mut self, spans: Vec<SpanStat>) {
         self.spans.extend(spans);
     }

@@ -1,29 +1,40 @@
-//! Span/event/counter tracing with monotonic timestamps, a JSONL sink,
-//! and an in-memory record buffer for timeline export.
+//! The one timing primitive, [`span`], and the timeline it feeds: a
+//! JSONL sink and an in-memory record buffer for Perfetto export.
 //!
-//! A [`Tracer`] hands out RAII [`SpanGuard`]s; dropping the guard closes
-//! the span, folds its duration into the per-span-name summary, and —
-//! when a sink is attached — appends one JSON object per line to the
-//! trace file. Timestamps are nanoseconds since the tracer's creation
-//! (monotonic, from [`Instant`]), so a trace is self-consistent even
-//! though it carries no wall-clock times. Every record also carries a
-//! small per-thread id so the Figure 9 thread fan-out renders as
-//! separate tracks.
+//! A span guard reads the clock once when it opens and once when it
+//! closes, and hands that single elapsed value to every consumer:
+//!
+//! * the per-thread path tree of [`crate::profile`] (the `profile.*`
+//!   report sections, the flame summary and the per-name [`SpanStat`]
+//!   summary), when the aggregate is on;
+//! * the timeline — one JSON object per line in the sink, and a
+//!   [`TraceRecord`] when recording — when a sink is attached or
+//!   recording is on;
+//! * the caller, through [`SpanGuard::finish`], so engine phase
+//!   timers (`AtpgTiming`, fault-sim busy time) are the same
+//!   measurement the profile and the trace show.
+//!
+//! Whether a span records is decided when it opens. Timestamps are
+//! nanoseconds since the tracer's creation (monotonic, from
+//! [`Instant`]), so a trace is self-consistent even though it carries
+//! no wall-clock times. Every record also carries a small per-thread
+//! id so the Figure 9 thread fan-out renders as separate tracks, and a
+//! nesting depth: the height of the thread's span stack.
 //!
 //! Besides spans there are point [`Tracer::event`]s and numeric
 //! [`Tracer::counter`] samples; counters become counter tracks in the
 //! Perfetto export ([`crate::perfetto`]).
 //!
-//! Deep engine code opens spans through the process-global tracer
+//! Deep engine code opens spans on the process-global tracer
 //! ([`global`] / [`span`]) so experiment drivers don't have to thread a
-//! handle through every API. The global starts disabled; until a bench
-//! binary enables it, a span open/close is one atomic load.
+//! handle through every API. With the aggregate off and no sink or
+//! recording, a span costs two clock reads and two atomic loads.
 
 use crate::json::JsonObj;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
@@ -47,7 +58,6 @@ struct Sink {
 }
 
 thread_local! {
-    static DEPTH: Cell<u64> = const { Cell::new(0) };
     static TID: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -68,7 +78,8 @@ fn thread_id() -> u64 {
     })
 }
 
-/// Aggregated statistics for one span name.
+/// Aggregated statistics for one span name (see
+/// [`crate::profile::summarize`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanStat {
     /// Span name.
@@ -123,14 +134,15 @@ pub enum TraceRecord {
     },
 }
 
-/// A span/event/counter tracer. See the module docs.
+/// The timeline: a JSONL sink and/or an in-memory record buffer. See
+/// the module docs.
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: AtomicBool,
+    /// Sink attached or recording on.
+    timeline: AtomicBool,
     recording: AtomicBool,
     epoch: Instant,
     sink: Mutex<Option<Sink>>,
-    stats: Mutex<BTreeMap<String, SpanStat>>,
     records: Mutex<Vec<TraceRecord>>,
 }
 
@@ -150,38 +162,31 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A new, disabled tracer with no sink.
+    /// A new tracer with no sink and recording off.
     pub fn new() -> Self {
         Tracer {
-            enabled: AtomicBool::new(false),
+            timeline: AtomicBool::new(false),
             recording: AtomicBool::new(false),
             epoch: Instant::now(),
             sink: Mutex::new(None),
-            stats: Mutex::new(BTreeMap::new()),
             records: Mutex::new(Vec::new()),
         }
     }
 
-    /// Turn span collection on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether spans are being collected.
+    /// Whether the timeline is on: a sink is attached or recording is
+    /// on.
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.timeline.load(Ordering::Relaxed)
     }
 
     /// Keep every span/event/counter in memory (for [`take_records`] /
-    /// Perfetto export) in addition to any JSONL sink. Also enables the
-    /// tracer.
+    /// Perfetto export) in addition to any JSONL sink.
     ///
     /// [`take_records`]: Tracer::take_records
     pub fn set_record(&self, on: bool) {
         self.recording.store(on, Ordering::Relaxed);
-        if on {
-            self.set_enabled(true);
-        }
+        let sink = self.sink.lock().expect("tracer sink poisoned").is_some();
+        self.timeline.store(on || sink, Ordering::Relaxed);
     }
 
     /// Whether in-memory recording is on.
@@ -194,7 +199,7 @@ impl Tracer {
         std::mem::take(&mut *self.records.lock().expect("tracer records poisoned"))
     }
 
-    /// Attach a JSONL sink at `path` (truncates) and enable the tracer.
+    /// Attach a JSONL sink at `path` (truncates).
     ///
     /// Attaching a sink to the process-global tracer also installs (a
     /// chained) panic hook that flushes it, so a panicking run still
@@ -205,7 +210,7 @@ impl Tracer {
             w: BufWriter::with_capacity(SINK_BUF_BYTES, f),
             lines: 0,
         });
-        self.set_enabled(true);
+        self.timeline.store(true, Ordering::Relaxed);
         if std::ptr::eq(self, global()) {
             install_panic_flush();
         }
@@ -214,31 +219,44 @@ impl Tracer {
 
     /// Nanoseconds since the tracer was created.
     pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.ns_at(Instant::now())
     }
 
-    /// Open a span. Close it by dropping the returned guard.
-    pub fn span(&self, name: &str) -> SpanGuard<'_> {
-        if !self.enabled() {
-            return SpanGuard {
-                tracer: self,
-                name: String::new(),
-                start_ns: 0,
-                depth: 0,
-                active: false,
-            };
-        }
-        let depth = DEPTH.with(|d| {
-            let v = d.get();
-            d.set(v + 1);
-            v
-        });
+    fn ns_at(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
+    /// Open a span nested under this thread's innermost open span.
+    /// Close it by dropping the guard or with [`SpanGuard::finish`].
+    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+        self.open(name, false)
+    }
+
+    /// Open a span pinned to the root of the profile tree, ignoring the
+    /// spans the caller has open (the timeline still nests it). Bodies
+    /// that may run on a spawned worker use this, so their profile
+    /// paths are the same whether they ran inline or on a thread.
+    pub fn span_root(&self, name: &'static str) -> SpanGuard<'_> {
+        self.open(name, true)
+    }
+
+    fn open(&self, name: &'static str, pin_to_root: bool) -> SpanGuard<'_> {
+        let aggregate = crate::profile::global().enabled();
+        let timeline = self.enabled();
+        let depth = if aggregate || timeline {
+            crate::profile::enter(name, pin_to_root)
+        } else {
+            None
+        };
         SpanGuard {
             tracer: self,
-            name: name.to_owned(),
-            start_ns: self.now_ns(),
+            name,
+            start: Instant::now(),
             depth,
-            active: true,
+            aggregate,
+            timeline,
+            closed: false,
+            _not_send: PhantomData,
         }
     }
 
@@ -253,7 +271,7 @@ impl Tracer {
         o.str("type", "event")
             .str("name", name)
             .u64("ts_ns", ts_ns)
-            .u64("depth", DEPTH.with(|d| d.get()))
+            .u64("depth", crate::profile::depth())
             .u64("tid", tid);
         for (k, v) in fields {
             o.str(k, v);
@@ -273,7 +291,7 @@ impl Tracer {
     }
 
     /// Sample a counter track: one (name, value) point at the current
-    /// time. Cheap no-op (one atomic load) while the tracer is disabled,
+    /// time. Cheap no-op (one atomic load) while the timeline is off,
     /// so engines may call it from inner loops.
     pub fn counter(&self, name: &str, value: f64) {
         if !self.enabled() {
@@ -305,34 +323,21 @@ impl Tracer {
             .push(r);
     }
 
-    fn close_span(&self, name: &str, start_ns: u64, depth: u64) {
-        let end_ns = self.now_ns();
-        let dur = end_ns.saturating_sub(start_ns);
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        {
-            let mut stats = self.stats.lock().expect("tracer stats poisoned");
-            let st = stats.entry(name.to_owned()).or_insert_with(|| SpanStat {
-                name: name.to_owned(),
-                ..SpanStat::default()
-            });
-            st.count += 1;
-            st.total_ns += dur;
-            st.max_ns = st.max_ns.max(dur);
-        }
+    fn write_span(&self, name: &str, ts_ns: u64, dur_ns: u64, depth: u64) {
         let tid = thread_id();
         let mut o = JsonObj::new();
         o.str("type", "span")
             .str("name", name)
-            .u64("ts_ns", start_ns)
-            .u64("dur_ns", dur)
+            .u64("ts_ns", ts_ns)
+            .u64("dur_ns", dur_ns)
             .u64("depth", depth)
             .u64("tid", tid);
         self.write_line(&o.finish());
         if self.recording() {
             self.push_record(TraceRecord::Span {
                 name: name.to_owned(),
-                ts_ns: start_ns,
-                dur_ns: dur,
+                ts_ns,
+                dur_ns,
                 depth,
                 tid,
             });
@@ -363,43 +368,56 @@ impl Tracer {
             let _ = s.w.flush();
         }
     }
-
-    /// Per-name span summary, sorted by name.
-    pub fn summary(&self) -> Vec<SpanStat> {
-        self.stats
-            .lock()
-            .expect("tracer stats poisoned")
-            .values()
-            .cloned()
-            .collect()
-    }
-
-    /// Current span nesting depth on this thread (0 outside all spans).
-    pub fn current_depth(&self) -> u64 {
-        DEPTH.with(|d| d.get())
-    }
 }
 
-/// RAII guard for an open span; the span closes when this drops.
+/// RAII guard for an open span: closes when dropped, or through
+/// [`SpanGuard::finish`], which also returns the elapsed time. Bound to
+/// the thread that opened it (the profile stack is thread-local).
 #[derive(Debug)]
+#[must_use = "the span is timed until the guard drops"]
 pub struct SpanGuard<'t> {
     tracer: &'t Tracer,
-    name: String,
-    start_ns: u64,
-    depth: u64,
-    active: bool,
+    name: &'static str,
+    start: Instant,
+    /// Stack height at open; `None` when neither the aggregate nor the
+    /// timeline was on (the guard then only times).
+    depth: Option<u64>,
+    aggregate: bool,
+    timeline: bool,
+    closed: bool,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl SpanGuard<'_> {
+    /// Close the span and return its elapsed nanoseconds — the same
+    /// value the profile tree and the timeline received.
+    pub fn finish(mut self) -> u64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> u64 {
+        self.closed = true;
+        let dur_ns = self.start.elapsed().as_nanos() as u64;
+        if let Some(depth) = self.depth {
+            crate::profile::exit(dur_ns, self.aggregate);
+            if self.timeline {
+                let ts_ns = self.tracer.ns_at(self.start);
+                self.tracer.write_span(self.name, ts_ns, dur_ns, depth);
+            }
+        }
+        dur_ns
+    }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if self.active {
-            self.tracer
-                .close_span(&self.name, self.start_ns, self.depth);
+        if !self.closed {
+            self.close();
         }
     }
 }
 
-/// The process-global tracer (created disabled).
+/// The process-global tracer (no sink, recording off).
 pub fn global() -> &'static Tracer {
     static GLOBAL: OnceLock<Tracer> = OnceLock::new();
     GLOBAL.get_or_init(Tracer::new)
@@ -421,14 +439,23 @@ fn install_panic_flush() {
 /// Open a span on the global tracer.
 ///
 /// ```
-/// let _s = rescue_obs::span("table3.atpg");
+/// let s = rescue_obs::span("table3.atpg");
 /// // ... phase work ...
+/// let elapsed_ns = s.finish();
+/// # let _ = elapsed_ns;
 /// ```
-pub fn span(name: &str) -> SpanGuard<'static> {
+pub fn span(name: &'static str) -> SpanGuard<'static> {
     global().span(name)
 }
 
-/// Sample a counter on the global tracer (no-op while disabled).
+/// Open a span on the global tracer pinned to the profile root (see
+/// [`Tracer::span_root`]).
+pub fn span_root(name: &'static str) -> SpanGuard<'static> {
+    global().span_root(name)
+}
+
+/// Sample a counter on the global tracer (no-op while the timeline is
+/// off).
 pub fn counter(name: &str, value: f64) {
     global().counter(name, value);
 }

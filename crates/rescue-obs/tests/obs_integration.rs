@@ -4,40 +4,57 @@
 //! The sandbox has no serde, so validation uses a minimal recursive
 //! descent JSON parser defined at the bottom of this file.
 
+use rescue_obs::profile;
 use rescue_obs::trace::Tracer;
-use rescue_obs::{HistogramSnapshot, Report};
+use rescue_obs::{HistogramSnapshot, Report, SpanStat};
+use std::sync::Mutex;
+
+/// The span aggregate is process-global; serialize the tests that turn
+/// it on.
+static AGGREGATE: Mutex<()> = Mutex::new(());
+
+fn summary_of(names: &[&str]) -> Vec<SpanStat> {
+    profile::summary()
+        .into_iter()
+        .filter(|s| names.contains(&s.name.as_str()))
+        .collect()
+}
 
 #[test]
 fn disabled_tracer_records_nothing() {
+    let _g = AGGREGATE.lock().unwrap_or_else(|p| p.into_inner());
+    profile::global().set_enabled(false);
     let t = Tracer::new();
     {
-        let _a = t.span("outer");
-        let _b = t.span("inner");
+        let _a = t.span("off.outer");
+        let _b = t.span("off.inner");
+        assert_eq!(profile::depth(), 0);
     }
-    assert!(t.summary().is_empty());
-    assert_eq!(t.current_depth(), 0);
+    assert!(summary_of(&["off.outer", "off.inner"]).is_empty());
 }
 
 #[test]
 fn span_nesting_depths_and_summary() {
+    let _g = AGGREGATE.lock().unwrap_or_else(|p| p.into_inner());
+    profile::global().set_enabled(true);
     let t = Tracer::new();
-    t.set_enabled(true);
-    assert_eq!(t.current_depth(), 0);
+    assert_eq!(profile::depth(), 0);
     {
-        let _a = t.span("outer");
-        assert_eq!(t.current_depth(), 1);
+        let _a = t.span("nest.outer");
+        assert_eq!(profile::depth(), 1);
         for _ in 0..3 {
-            let _b = t.span("inner");
-            assert_eq!(t.current_depth(), 2);
+            let _b = t.span("nest.inner");
+            assert_eq!(profile::depth(), 2);
         }
-        assert_eq!(t.current_depth(), 1);
+        assert_eq!(profile::depth(), 1);
     }
-    assert_eq!(t.current_depth(), 0);
+    assert_eq!(profile::depth(), 0);
+    profile::global().set_enabled(false);
 
-    let summary = t.summary();
+    let summary = summary_of(&["nest.outer", "nest.inner"]);
     assert_eq!(summary.len(), 2);
-    let inner = summary.iter().find(|s| s.name == "inner").unwrap();
-    let outer = summary.iter().find(|s| s.name == "outer").unwrap();
+    let inner = summary.iter().find(|s| s.name == "nest.inner").unwrap();
+    let outer = summary.iter().find(|s| s.name == "nest.outer").unwrap();
     assert_eq!(inner.count, 3);
     assert_eq!(outer.count, 1);
     // The outer span was open for at least as long as its longest child.
@@ -109,12 +126,16 @@ fn report_json_is_parseable() {
         .f64("nan", f64::NAN)
         .str("s", "x\ny")
         .hist("h", h);
-    let t = Tracer::new();
-    t.set_enabled(true);
     {
-        let _s = t.span("p");
+        let _g = AGGREGATE.lock().unwrap_or_else(|p| p.into_inner());
+        profile::global().set_enabled(true);
+        {
+            let _s = rescue_obs::span("report.p");
+        }
+        profile::global().set_enabled(false);
+        r.add_spans(summary_of(&["report.p"]));
     }
-    r.add_spans(t.summary());
+    assert_eq!(r.spans.len(), 1);
 
     let doc = r.to_json();
     let v = json::parse(&doc).unwrap_or_else(|e| panic!("bad report json: {e}\n{doc}"));

@@ -34,6 +34,11 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
+/// Most gates a POSTed netlist may declare: 15x the paper-size Rescue
+/// model (about 6.7k gates), and small enough that a body at the
+/// server's size limit cannot hold a worker on a far larger design.
+const MAX_GATES: usize = 100_000;
+
 /// A prepared design: everything about a netlist that every job kind
 /// shares, built once per distinct netlist text and reused.
 #[derive(Debug)]
@@ -58,9 +63,26 @@ pub struct Design {
 }
 
 impl Design {
+    /// Reject a netlist text declaring more than `MAX_GATES` gates.
+    /// Counts `gate` lines without parsing, so the server can refuse
+    /// an oversized design with a 400 before it takes a worker.
+    pub fn check_gate_count(text: &str) -> Result<(), String> {
+        let gates = text
+            .lines()
+            .filter(|l| l.split_whitespace().next() == Some("gate"))
+            .count();
+        if gates > MAX_GATES {
+            return Err(format!(
+                "netlist declares {gates} gates; the limit is {MAX_GATES}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Parse and prepare `text`. Errors are human-readable strings —
     /// this path faces untrusted input and must never panic.
     pub fn build(text: &str) -> Result<Design, String> {
+        Self::check_gate_count(text)?;
         let base = rescue_netlist::text::parse(text)?;
         let content_hash = base.content_hash();
         let scanned = match insert_scan(&base) {
@@ -273,6 +295,22 @@ impl ServeCaches {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One input fanning out to `gates` inverters, one observed.
+    fn inverter_fan(gates: usize) -> String {
+        let mut t = String::from("component c\ninput a\n");
+        t.push_str(&"gate not 0\n".repeat(gates));
+        t.push_str("output o 1\n");
+        t
+    }
+
+    #[test]
+    fn gate_cap_accepts_the_cap_and_rejects_one_more() {
+        let at_cap = Design::build(&inverter_fan(MAX_GATES)).expect("a design at the cap builds");
+        assert_eq!(at_cap.base.num_gates(), MAX_GATES);
+        let err = Design::build(&inverter_fan(MAX_GATES + 1)).expect_err("one over the cap");
+        assert!(err.contains(&(MAX_GATES + 1).to_string()), "{err}");
+    }
 
     #[test]
     fn lru_evicts_least_recently_used() {

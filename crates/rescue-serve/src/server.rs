@@ -22,7 +22,7 @@
 //! running jobs, and `/metrics` stays served (separate connections,
 //! separate threads) while jobs run.
 
-use crate::cache::ServeCaches;
+use crate::cache::{Design, ServeCaches};
 use crate::job::{run_job, JobConfig};
 use rescue_obs::http::{
     write_response, write_stream_head, HttpOptions, HttpServer, Request, Response,
@@ -32,7 +32,6 @@ use rescue_obs::metrics::{Counter, Histogram};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// Server tuning. `Default` suits tests and local runs.
 #[derive(Clone, Debug)]
@@ -254,6 +253,9 @@ fn serve_job(state: &State, req: &Request, stream: &mut TcpStream) -> std::io::R
     if netlist_text.trim().is_empty() {
         return error_response(stream, "400 Bad Request", "request has no netlist text");
     }
+    if let Err(e) = Design::check_gate_count(netlist_text) {
+        return error_response(stream, "400 Bad Request", &e);
+    }
 
     // Admission before any expensive work: shed with 429 when the
     // queue is full. The permit covers the whole job, including the
@@ -266,7 +268,7 @@ fn serve_job(state: &State, req: &Request, stream: &mut TcpStream) -> std::io::R
         }
     };
     state.jobs_accepted.inc();
-    let t_job = Instant::now();
+    let job = rescue_obs::span("serve.job");
 
     // From here on the response is a 200 JSONL stream; job failures
     // become an error line inside the stream.
@@ -287,7 +289,7 @@ fn serve_job(state: &State, req: &Request, stream: &mut TcpStream) -> std::io::R
     match result {
         Ok(line) => {
             state.jobs_completed.inc();
-            state.job_ns.record(t_job.elapsed().as_nanos() as u64);
+            state.job_ns.record(job.finish());
             stream.write_all(line.as_bytes())?;
             stream.write_all(b"\n")?;
         }

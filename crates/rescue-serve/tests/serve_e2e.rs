@@ -201,6 +201,13 @@ fn malformed_jobs_get_4xx_and_the_server_survives() {
     let (status, _) = post_job(addr, r#"{"kind":"netlist"}"#, "");
     assert!(status.contains("400"), "{status}");
 
+    // Over the design gate cap: refused before any work, naming the
+    // count.
+    let huge = format!("component c\ninput a\n{}", "gate not 0\n".repeat(250_000));
+    let (status, body) = post_job(addr, r#"{"kind":"netlist"}"#, &huge);
+    assert!(status.contains("400"), "{status}");
+    assert!(body.contains("250000 gates"), "{body}");
+
     // Good config, garbage netlist: admitted, fails inside the stream.
     let (status, body) = post_job(addr, r#"{"kind":"netlist"}"#, "gate and 0 99\n");
     assert!(status.contains("200"), "{status}");
