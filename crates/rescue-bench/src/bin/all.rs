@@ -114,18 +114,29 @@ fn main() {
             threads,
             ..Default::default()
         };
-        let a = experiments::fig9(&Scenario::pwp_stagnates_at_90nm(), &p9);
-        if first {
-            print!("{}", render::fig9_text("a: PWP stagnates at 90nm", &a));
-            println!();
+        // Both panels come from one simulated IPC table.
+        let fig9_span = rescue_obs::span("fig9");
+        let ipcs = experiments::fig9_ipcs(&p9);
+        for (section, title, scenario) in [
+            (
+                "fig9.panel_a",
+                "a: PWP stagnates at 90nm",
+                Scenario::pwp_stagnates_at_90nm(),
+            ),
+            (
+                "fig9.panel_b",
+                "b: PWP stagnates at 65nm",
+                Scenario::pwp_stagnates_at_65nm(),
+            ),
+        ] {
+            let points = experiments::fig9_panel(&scenario, &ipcs, &p9);
+            if first {
+                print!("{}", render::fig9_text(title, &points));
+                println!();
+            }
+            rescue_bench::fig9_report(report, section, &points);
         }
-        report.section("fig9.panel_a").u64("points", a.len() as u64);
-        let b = experiments::fig9(&Scenario::pwp_stagnates_at_65nm(), &p9);
-        if first {
-            print!("{}", render::fig9_text("b: PWP stagnates at 65nm", &b));
-            println!();
-        }
-        report.section("fig9.panel_b").u64("points", b.len() as u64);
+        drop(fig9_span);
 
         // Static DFT lint over both variants (pre- and post-scan): the
         // diagnostic counts gate exactly in bench-diff, the SCOAP

@@ -2,7 +2,7 @@
 //! for no-redundancy, core sparing, and Rescue, across technology nodes
 //! and core-growth rates.
 
-use rescue_core::experiments::{fig9, Fig9Params};
+use rescue_core::experiments::{fig9_ipcs, fig9_panel, Fig9Params};
 use rescue_core::yield_model::Scenario;
 use rescue_obs::Report;
 
@@ -20,26 +20,35 @@ fn main() {
     };
     let csv = rescue_bench::arg_flag("--csv");
     let mut report = Report::new("fig9");
-    let a = fig9(&Scenario::pwp_stagnates_at_90nm(), &p);
-    if csv {
-        print!("{}", rescue_core::render::fig9_csv(&a));
-    } else {
-        print!(
-            "{}",
-            rescue_core::render::fig9_text("a: PWP stagnates at 90nm", &a)
-        );
-        println!();
+    // Both panels come from one simulated IPC table.
+    let fig9_span = rescue_obs::span("fig9");
+    let ipcs = fig9_ipcs(&p);
+    for (i, (section, title, scenario)) in [
+        (
+            "panel_a",
+            "a: PWP stagnates at 90nm",
+            Scenario::pwp_stagnates_at_90nm(),
+        ),
+        (
+            "panel_b",
+            "b: PWP stagnates at 65nm",
+            Scenario::pwp_stagnates_at_65nm(),
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let points = fig9_panel(&scenario, &ipcs, &p);
+        if csv {
+            print!("{}", rescue_core::render::fig9_csv(&points));
+        } else {
+            if i > 0 {
+                println!();
+            }
+            print!("{}", rescue_core::render::fig9_text(title, &points));
+        }
+        rescue_bench::fig9_report(&mut report, section, &points);
     }
-    report.section("panel_a").u64("points", a.len() as u64);
-    let b = fig9(&Scenario::pwp_stagnates_at_65nm(), &p);
-    if csv {
-        print!("{}", rescue_core::render::fig9_csv(&b));
-    } else {
-        print!(
-            "{}",
-            rescue_core::render::fig9_text("b: PWP stagnates at 65nm", &b)
-        );
-    }
-    report.section("panel_b").u64("points", b.len() as u64);
+    drop(fig9_span);
     rescue_bench::obs_finish(&obs, &mut report);
 }

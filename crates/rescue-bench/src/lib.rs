@@ -52,6 +52,7 @@ pub mod leaderboard;
 pub mod stats;
 
 use rescue_core::atpg::AtpgMetrics;
+use rescue_core::experiments::Fig9Point;
 use rescue_core::pipesim::{SimResult, IPC_WINDOW_CYCLES};
 use rescue_obs::{CoverageCurve, Report};
 
@@ -958,6 +959,25 @@ pub fn bench<F: FnMut()>(name: &str, samples: usize, iters_per_sample: usize, mu
     let med = per_call[per_call.len() / 2];
     let max = per_call.last().copied().unwrap_or(0);
     println!("{name:40} min {min:>12} ns  median {med:>12} ns  max {max:>12} ns");
+}
+
+/// Report one Figure 9 panel: its point count under `panel`, and each
+/// point's answers under `{panel}.{node}nm.g{growth in %}` (for example
+/// `fig9.panel_a.18nm.g130`), so bench-diff pins every value.
+pub fn fig9_report(report: &mut Report, panel: &str, points: &[Fig9Point]) {
+    report.section(panel).u64("points", points.len() as u64);
+    for p in points {
+        report
+            .section(&format!(
+                "{panel}.{:.0}nm.g{:.0}",
+                p.node_nm,
+                p.growth * 100.0
+            ))
+            .u64("cores", p.yat.cores as u64)
+            .f64("none", p.yat.none)
+            .f64("core_sparing", p.yat.core_sparing)
+            .f64("rescue", p.yat.rescue);
+    }
 }
 
 /// Fill one report section from a pipeline [`SimResult`]: IPC, stall

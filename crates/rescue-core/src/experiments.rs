@@ -6,12 +6,14 @@ use rescue_netlist::scan::{insert_scan, ScanNetlist};
 use rescue_netlist::Fault;
 use rescue_obs::SplitMix64;
 use rescue_pipesim::{simulate, CoreConfig, Policy, SimConfig, SimResult};
-use rescue_workloads::{spec2000_profiles, BenchmarkProfile, TraceGenerator};
+use rescue_workloads::{spec2000_profiles, BenchmarkProfile, TraceGenerator, TraceInstr};
 use rescue_yield::{
     relative_yat, relative_yat_self_healing, AreaModel, ClassCounts, RescueAreas, Scenario,
     TechNode, YatInputs, YatPoint,
 };
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 // ------------------------------------------------------------- Table 1
 
@@ -434,7 +436,7 @@ pub struct Fig8Params {
     pub seed: u64,
     /// Restrict to these benchmarks (`None` = all 23).
     pub benchmarks: Option<Vec<String>>,
-    /// Worker threads for the per-benchmark fan-out (`0` = resolve via
+    /// Worker threads for the per-benchmark pool (`0` = resolve via
     /// `RESCUE_THREADS`, then available parallelism). Results are
     /// bit-identical for any value.
     pub threads: usize,
@@ -474,9 +476,9 @@ impl Fig8Row {
 }
 
 /// Regenerate Figure 8: per-benchmark IPC for baseline vs Rescue.
-/// Benchmarks are sharded across worker threads; each row depends only
-/// on its own profile, so joining shards in order reproduces the
-/// sequential row list exactly.
+/// Benchmarks are pulled one at a time by the worker pool; each row
+/// depends only on its own profile and lands at its profile's index, so
+/// the row list is the sequential one for any thread count.
 pub fn fig8(p: &Fig8Params) -> Vec<Fig8Row> {
     let _s = rescue_obs::span("fig8");
     let profiles = selected_profiles(&p.benchmarks);
@@ -502,28 +504,52 @@ pub fn fig8(p: &Fig8Params) -> Vec<Fig8Row> {
             rescue_result: resc,
         }
     };
-    let workers = worker_count(p.threads, profiles.len());
-    if workers <= 1 {
-        return profiles.iter().map(row).collect();
-    }
-    let chunk = profiles.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(profiles.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = profiles
-            .chunks(chunk)
-            .map(|shard| scope.spawn(|| shard.iter().map(&row).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("fig8 worker panicked"));
-        }
-    });
-    out
+    pool(p.threads, profiles.len(), || (), |(), i| row(&profiles[i]))
 }
 
-/// Shard width for an experiment fan-out: the resolved thread count,
-/// capped by the number of independent work items.
-fn worker_count(threads: usize, items: usize) -> usize {
-    rescue_atpg::resolve_threads(threads).min(items).max(1)
+/// Run `work(state, i)` for every `i < n` on up to
+/// `resolve_threads(threads)` scoped workers and return the results in
+/// index order.
+///
+/// Each worker owns one `init()` state and claims the next unclaimed
+/// index until none is left, so a slow item never idles the other
+/// workers. Every result is written at its own index, so the output is
+/// the sequential one for any thread count as long as `work` depends
+/// only on `i` (the state is a cache, never an input).
+fn pool<S, R: Send + Sync>(
+    threads: usize,
+    n: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    let workers = rescue_atpg::resolve_threads(threads).min(n).max(1);
+    if workers == 1 {
+        let mut state = init();
+        return (0..n).map(|i| work(&mut state, i)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let mut state = init();
+                loop {
+                    // The counter publishes no data: results reach the
+                    // caller through the slots and the scope's join.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    // Each index is claimed exactly once.
+                    let _ = slots[i].set(work(&mut state, i));
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index is claimed"))
+        .collect()
 }
 
 fn selected_profiles(filter: &Option<Vec<String>>) -> Vec<BenchmarkProfile> {
@@ -554,7 +580,7 @@ pub struct Fig9Params {
     pub benchmarks: Option<Vec<String>>,
     /// Also compute the §7 self-healing-array extension series.
     pub include_self_healing: bool,
-    /// Worker threads for the per-benchmark fan-out (`0` = resolve via
+    /// Worker threads for the simulation pool (`0` = resolve via
     /// `RESCUE_THREADS`, then available parallelism). Results are
     /// bit-identical for any value.
     pub threads: usize,
@@ -588,71 +614,104 @@ pub struct Fig9Point {
     pub rescue_self_healing: Option<f64>,
 }
 
-/// Regenerate one panel of Figure 9 under `scenario`.
+/// The IPCs one Figure 9 panel is computed from, for any PWP scenario:
+/// per node (in [`Fig9Params::nodes`] order), per benchmark (in profile
+/// order), the baseline IPC and the Rescue IPC of every degraded
+/// configuration.
+#[derive(Clone, Debug)]
+pub struct Fig9Ipcs {
+    per_node: Vec<Vec<(f64, HashMap<ClassCounts, f64>)>>,
+}
+
+/// Simulate every (benchmark, node, configuration) point Figure 9 needs:
+/// the healthy baseline core and the 64 degraded Rescue cores.
 ///
-/// Per-benchmark, per-node IPCs for all 64 degraded Rescue configurations
-/// are simulated once and memoized; the YAT math then averages the
-/// relative YAT across benchmarks (the paper's reporting).
-pub fn fig9(scenario: &Scenario, p: &Fig9Params) -> Vec<Fig9Point> {
-    let _s = rescue_obs::span("fig9");
+/// The simulations are one pool of items, ordered benchmark-major. Each
+/// worker keeps one trace buffer and regenerates it only when the item
+/// it claims belongs to another benchmark, so a benchmark's trace is
+/// generated about once per worker instead of once per simulation. No
+/// trace or IPC is kept past the call.
+pub fn fig9_ipcs(p: &Fig9Params) -> Fig9Ipcs {
+    let _s = rescue_obs::span("fig9.simulate");
     let profiles = selected_profiles(&p.benchmarks);
-    let mut out = Vec::new();
-    for &node in &p.nodes {
-        let _s = rescue_obs::span("fig9.node");
-        let halvings = node.halvings().round() as u32;
-        let base_cfg = SimConfig::paper(Policy::Baseline).scaled_to_halvings(halvings);
-        let resc_cfg = SimConfig::paper(Policy::Rescue).scaled_to_halvings(halvings);
-
-        // Memoized per-benchmark IPCs; the 65 simulations per benchmark
-        // are independent, so shard the benchmarks across the configured
-        // worker count (previously one unconditional thread per
-        // benchmark). Joining shards in order keeps `per_bench` in
-        // profile order, so the averaging below is order-identical.
-        let bench_point = |prof: &BenchmarkProfile| {
-            let base = simulate(
-                &base_cfg,
-                &CoreConfig::healthy(),
-                TraceGenerator::new(prof, p.seed),
-                p.n_instr,
-            )
-            .ipc();
-            let mut map = HashMap::new();
-            for cfg in CoreConfig::all_degraded() {
-                let key = class_counts_of(&cfg);
-                let ipc = simulate(
-                    &resc_cfg,
-                    &cfg,
-                    TraceGenerator::new(prof, p.seed),
-                    p.n_instr,
-                )
-                .ipc();
-                map.insert(key, ipc);
+    let degraded = CoreConfig::all_degraded();
+    let configs: Vec<[SimConfig; 2]> = p
+        .nodes
+        .iter()
+        .map(|node| {
+            let halvings = node.halvings().round() as u32;
+            [Policy::Baseline, Policy::Rescue]
+                .map(|policy| SimConfig::paper(policy).scaled_to_halvings(halvings))
+        })
+        .collect();
+    // A simulation stops in the step that commits its n-th instruction.
+    // Before that step at most n-1 instructions have committed, the ROB
+    // holds at most `rob_entries` and the fetch queue at most 32; the
+    // step fetches at most one fetch group (4) more. So n + ROB + 64
+    // instructions always suffice, and a shorter trace panics below
+    // rather than ending the simulation early.
+    let rob = configs.iter().flatten().map(|c| c.rob_entries).max();
+    let trace_len = p.n_instr as usize + rob.unwrap_or(0) + 64;
+    let sims_per_node = 1 + degraded.len();
+    let sims_per_bench = p.nodes.len() * sims_per_node;
+    let ipcs = pool(
+        p.threads,
+        profiles.len() * sims_per_bench,
+        || (usize::MAX, Vec::with_capacity(trace_len)),
+        |(bench, trace), i| {
+            if *bench != i / sims_per_bench {
+                *bench = i / sims_per_bench;
+                trace.clear();
+                trace.extend(TraceGenerator::new(&profiles[*bench], p.seed).take(trace_len));
             }
-            (base, map)
-        };
-        let workers = worker_count(p.threads, profiles.len());
-        let per_bench: Vec<(f64, HashMap<ClassCounts, f64>)> = if workers <= 1 {
-            profiles.iter().map(bench_point).collect()
-        } else {
-            let chunk = profiles.len().div_ceil(workers);
-            let mut out = Vec::with_capacity(profiles.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = profiles
-                    .chunks(chunk)
-                    .map(|shard| scope.spawn(|| shard.iter().map(&bench_point).collect::<Vec<_>>()))
-                    .collect();
-                for h in handles {
-                    out.extend(h.join().expect("simulation thread panicked"));
-                }
-            });
-            out
-        };
+            let [base_cfg, resc_cfg] = &configs[i % sims_per_bench / sims_per_node];
+            let (cfg, core) = match i % sims_per_node {
+                0 => (base_cfg, CoreConfig::healthy()),
+                c => (resc_cfg, degraded[c - 1]),
+            };
+            let ran_out = || -> Option<TraceInstr> {
+                panic!("fig9 trace of {trace_len} instructions ran out")
+            };
+            let instrs = trace.iter().copied().chain(std::iter::from_fn(ran_out));
+            simulate(cfg, &core, instrs, p.n_instr).ipc()
+        },
+    );
+    let per_node = (0..p.nodes.len())
+        .map(|n| {
+            (0..profiles.len())
+                .map(|b| {
+                    let at = (b * p.nodes.len() + n) * sims_per_node;
+                    let map = degraded
+                        .iter()
+                        .zip(&ipcs[at + 1..at + sims_per_node])
+                        .map(|(core, &ipc)| (class_counts_of(core), ipc))
+                        .collect();
+                    (ipcs[at], map)
+                })
+                .collect()
+        })
+        .collect();
+    Fig9Ipcs { per_node }
+}
 
+/// Compute one panel of Figure 9 under `scenario` from the simulated
+/// IPCs: the relative YAT of every (node, growth) point, averaged across
+/// benchmarks (the paper's reporting). `ipcs` must come from
+/// [`fig9_ipcs`] with the same `p`.
+pub fn fig9_panel(scenario: &Scenario, ipcs: &Fig9Ipcs, p: &Fig9Params) -> Vec<Fig9Point> {
+    assert_eq!(
+        ipcs.per_node.len(),
+        p.nodes.len(),
+        "fig9_panel needs the IPCs of these parameters' nodes"
+    );
+    let mut out = Vec::new();
+    for (&node, per_bench) in p.nodes.iter().zip(&ipcs.per_node) {
+        let _s = rescue_obs::span("fig9.node");
         for &growth in &p.growths {
             // Average the relative YAT across benchmarks.
             let mut acc: Option<YatPoint> = None;
             let mut acc_heal = 0.0;
-            for (base_ipc, map) in &per_bench {
+            for (base_ipc, map) in per_bench {
                 let f = |c: ClassCounts| -> f64 { map[&c] };
                 let inputs = YatInputs {
                     ipc_baseline: *base_ipc,
@@ -660,10 +719,6 @@ pub fn fig9(scenario: &Scenario, p: &Fig9Params) -> Vec<Fig9Point> {
                 };
                 let pt = relative_yat(scenario, node, growth, &inputs);
                 if p.include_self_healing {
-                    let inputs = YatInputs {
-                        ipc_baseline: *base_ipc,
-                        ipc_rescue: &f,
-                    };
                     acc_heal += relative_yat_self_healing(scenario, node, growth, &inputs).rescue;
                 }
                 acc = Some(match acc {
@@ -692,6 +747,14 @@ pub fn fig9(scenario: &Scenario, p: &Fig9Params) -> Vec<Fig9Point> {
         }
     }
     out
+}
+
+/// Regenerate one panel of Figure 9 under `scenario`: [`fig9_ipcs`],
+/// then [`fig9_panel`]. To draw both panels, call those two directly and
+/// simulate once.
+pub fn fig9(scenario: &Scenario, p: &Fig9Params) -> Vec<Fig9Point> {
+    let _s = rescue_obs::span("fig9");
+    fig9_panel(scenario, &fig9_ipcs(p), p)
 }
 
 // ------------------------------------------------------------ Ablations

@@ -4,6 +4,11 @@
 //! at a time: the engine jumps to the next cycle at which a time-guarded
 //! condition can change and accounts for the skipped cycles exactly as
 //! stepping them would (`Engine::skip_idle_cycles`).
+//!
+//! Within a stepped cycle, the Done promotion and the replay-shadow
+//! release skip their walks until the cycle reaches a lower bound on the
+//! next entry they could change (`Engine::next_done`, `Engine::next_safe`),
+//! and selection stops scanning a queue once its issue width is used.
 
 use crate::config::{CoreConfig, Policy, Resources, SimConfig};
 use crate::result::{SimResult, IPC_WINDOW_CYCLES};
@@ -119,6 +124,21 @@ struct Engine<'c, T: Iterator<Item = TraceInstr>> {
     last_stall: Option<StallCause>,
     /// Whether fetch sat out the last stepped cycle on a redirect.
     fetch_stalled: bool,
+    /// Lower bound on every Issued entry's `done_cycle`: no entry can be
+    /// promoted to Done before this cycle.
+    next_done: u64,
+    /// Lower bound on the cycle at which an Issued or Done entry still
+    /// in a queue half or a compaction buffer leaves the replay shadow:
+    /// no queue slot can be released before this cycle.
+    next_safe: u64,
+    /// Selection's pick buffers for the old and new halves, reused every
+    /// cycle (the baseline's combined selection uses the first).
+    picks: [Vec<u64>; 2],
+    /// Walk and scan every entry every cycle, ignoring `next_done`,
+    /// `next_safe` and the issue-width early exit (the reference the
+    /// bounds are tested against).
+    #[cfg(test)]
+    eager: bool,
     /// Step every cycle, never jumping over idle ones (the reference the
     /// skip is tested against).
     #[cfg(test)]
@@ -173,6 +193,11 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             window_committed_base: 0,
             last_stall: None,
             fetch_stalled: false,
+            next_done: u64::MAX,
+            next_safe: u64::MAX,
+            picks: [Vec::new(), Vec::new()],
+            #[cfg(test)]
+            eager: false,
             #[cfg(test)]
             step_every_cycle: false,
             #[cfg(test)]
@@ -405,12 +430,15 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     // ---- Stage 3: wakeup, select, issue.
     fn select_and_issue(&mut self) -> bool {
         let issued_before = self.stats.issued_total;
+        let [mut picks_old, mut picks_new] = std::mem::take(&mut self.picks);
         match self.cfg.policy {
             Policy::Baseline => {
+                // One combined selection: int picks, then fp picks.
                 let mut used = Resources::zero();
-                let picks_int = self.pick_from(&[QueuePart::IntOld, QueuePart::IntNew], &mut used);
-                let picks_fp = self.pick_from(&[QueuePart::FpOld, QueuePart::FpNew], &mut used);
-                for id in picks_int.into_iter().chain(picks_fp) {
+                let picks = &mut picks_old;
+                self.pick_from(&[QueuePart::IntOld, QueuePart::IntNew], &mut used, picks);
+                self.pick_from(&[QueuePart::FpOld, QueuePart::FpNew], &mut used, picks);
+                for &id in picks.iter() {
                     self.issue(id);
                 }
             }
@@ -424,23 +452,25 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                             [QueuePart::IntOld, QueuePart::IntNew],
                         )
                     };
+                    picks_old.clear();
+                    picks_new.clear();
                     if halves_present == 1 {
                         // Single surviving half: no cross-half policy.
                         let mut used = Resources::zero();
-                        let picks = self.pick_from(&parts[..1], &mut used);
-                        for id in picks {
+                        self.pick_from(&parts[..1], &mut used, &mut picks_old);
+                        for &id in &picks_old {
                             self.issue(id);
                         }
                         continue;
                     }
                     // Each half selects as if the other selects nothing.
                     let mut used_old = Resources::zero();
-                    let picks_old = self.pick_from(&parts[..1], &mut used_old);
+                    self.pick_from(&parts[..1], &mut used_old, &mut picks_old);
                     let mut used_new = Resources::zero();
-                    let picks_new = self.pick_from(&parts[1..], &mut used_new);
+                    self.pick_from(&parts[1..], &mut used_new, &mut picks_new);
                     let total = used_old.plus(&used_new);
                     if self.budget.fits(&total) {
-                        for id in picks_old.into_iter().chain(picks_new) {
+                        for &id in picks_old.iter().chain(&picks_new) {
                             self.issue(id);
                         }
                     } else {
@@ -451,28 +481,31 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                         let (keep, drop) = match self.cfg.replay_policy {
                             ReplayPolicy::SmallerHalf => {
                                 if picks_old.len() < picks_new.len() {
-                                    (picks_new, picks_old)
+                                    (&picks_new, &picks_old)
                                 } else {
-                                    (picks_old, picks_new)
+                                    (&picks_old, &picks_new)
                                 }
                             }
-                            ReplayPolicy::NewHalf => (picks_old, picks_new),
+                            ReplayPolicy::NewHalf => (&picks_old, &picks_new),
                             ReplayPolicy::LargerHalf => {
                                 if picks_old.len() >= picks_new.len() {
-                                    (picks_new, picks_old)
+                                    (&picks_new, &picks_old)
                                 } else {
-                                    (picks_old, picks_new)
+                                    (&picks_old, &picks_new)
                                 }
                             }
                         };
                         self.stats.overcommit_replays += drop.len() as u64;
-                        for id in keep {
+                        for &id in keep {
                             self.issue(id);
                         }
                     }
                 }
             }
         }
+        picks_old.clear();
+        picks_new.clear();
+        self.picks = [picks_old, picks_new];
         self.stats.issued_total != issued_before
     }
 
@@ -521,6 +554,8 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 resume_at = Some(cycle + latency + self.cfg.mispredict_penalty);
             }
         }
+        self.next_done = self.next_done.min(self.slot(id).done_cycle);
+        self.next_safe = self.next_safe.min(cycle + l1 + self.hold_extra);
         if let Some(mc) = miss_check {
             // Keep detection queue sorted by time (l1 latency constant, so
             // pushes are already in order).
@@ -536,11 +571,21 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     }
 
     /// Oldest-first pick across the given queue parts under the shared
-    /// budget.
-    fn pick_from(&self, parts: &[QueuePart], used: &mut Resources) -> Vec<u64> {
-        let mut picks = Vec::new();
+    /// budget, appended to `picks`.
+    ///
+    /// Every kind an int-queue entry can hold consumes `int_width`, and
+    /// every fp-queue kind consumes `fp_width`, so once the queue's width
+    /// is used up no later entry fits and the scan stops.
+    fn pick_from(&self, parts: &[QueuePart], used: &mut Resources, picks: &mut Vec<u64>) {
+        let width_used = |used: &Resources| match parts[0] {
+            QueuePart::IntOld | QueuePart::IntNew => used.int_width >= self.budget.int_width,
+            QueuePart::FpOld | QueuePart::FpNew => used.fp_width >= self.budget.fp_width,
+        };
         for &part in parts {
             for &id in self.part(part) {
+                if width_used(used) && !self.eager() {
+                    return;
+                }
                 let s = self.slot(id);
                 if s.state != State::InQueue || !self.sources_ready(id) {
                     continue;
@@ -553,7 +598,6 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 picks.push(id);
             }
         }
-        picks
     }
 
     fn sources_ready(&self, id: u64) -> bool {
@@ -573,38 +617,79 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
 
     // ---- Stage 3b: release queue slots out of the replay shadow, and
     // promote finished instructions to Done.
+    //
+    // Each walk runs only once the cycle reaches its bound, and
+    // recomputes the bound from what it leaves behind; `issue` lowers
+    // both bounds for the entry it issues.
     fn remove_safe_entries(&mut self) -> bool {
-        let l1 = self.cfg.l1_latency;
-        let hold = self.hold_extra;
+        let shadow = self.cfg.l1_latency + self.hold_extra;
         let cycle = self.cycle;
         let mut changed = false;
-        // Promote Done.
-        for slot in self.rob.iter_mut() {
-            if slot.state == State::Issued && slot.done_cycle <= cycle {
-                slot.state = State::Done;
-                changed = true;
-            }
-        }
-        let rob = &mut self.rob;
-        let base = self.rob_base;
-        for dq in [
-            &mut self.intq.old,
-            &mut self.intq.new,
-            &mut self.fpq.old,
-            &mut self.fpq.new,
-        ] {
-            dq.retain(|&id| {
-                let s = &mut rob[(id - base) as usize];
-                let safe = matches!(s.state, State::Issued | State::Done)
-                    && cycle >= s.issue_cycle + l1 + hold;
-                if safe {
-                    s.in_queue = false;
-                    changed = true;
+        if cycle >= self.next_done || self.eager() {
+            let mut next_done = u64::MAX;
+            for slot in self.rob.iter_mut() {
+                if slot.state == State::Issued {
+                    if slot.done_cycle <= cycle {
+                        slot.state = State::Done;
+                        changed = true;
+                    } else {
+                        next_done = next_done.min(slot.done_cycle);
+                    }
                 }
-                !safe
-            });
+            }
+            self.next_done = next_done;
+        }
+        if cycle >= self.next_safe || self.eager() {
+            let rob = &mut self.rob;
+            let base = self.rob_base;
+            let mut next_safe = u64::MAX;
+            for dq in [
+                &mut self.intq.old,
+                &mut self.intq.new,
+                &mut self.fpq.old,
+                &mut self.fpq.new,
+            ] {
+                dq.retain(|&id| {
+                    let s = &mut rob[(id - base) as usize];
+                    if !matches!(s.state, State::Issued | State::Done) {
+                        return true;
+                    }
+                    let safe_at = s.issue_cycle + shadow;
+                    if cycle >= safe_at {
+                        s.in_queue = false;
+                        changed = true;
+                        false
+                    } else {
+                        next_safe = next_safe.min(safe_at);
+                        true
+                    }
+                });
+            }
+            // An entry issued in the new half can be forwarded into the
+            // compaction buffer before its shadow ends. It is released
+            // only after it reaches the old half, so its shadow end
+            // bounds the next release too, even once it has passed.
+            for &id in self.intq.buf.iter().chain(&self.fpq.buf) {
+                let s = &rob[(id - base) as usize];
+                if matches!(s.state, State::Issued | State::Done) {
+                    next_safe = next_safe.min(s.issue_cycle + shadow);
+                }
+            }
+            self.next_safe = next_safe;
         }
         changed
+    }
+
+    /// Whether to ignore the event bounds and scan everything every
+    /// cycle (tests only).
+    #[cfg(test)]
+    fn eager(&self) -> bool {
+        self.eager
+    }
+
+    #[cfg(not(test))]
+    fn eager(&self) -> bool {
+        false
     }
 
     // ---- Stage 4: compaction.
@@ -844,20 +929,32 @@ mod tests {
     use rescue_obs::SplitMix64;
     use rescue_workloads::{BenchmarkProfile, TraceGenerator};
 
-    /// [`simulate`], stepping every cycle or skipping idle ones; also
-    /// returns how many cycles were stepped.
+    /// [`simulate`] the fast way (skipping idle cycles, walking only at
+    /// the event bounds, stopping selection at the issue width) or the
+    /// reference way (stepping every cycle, scanning everything every
+    /// cycle); also returns how many cycles were stepped.
     fn run(
         cfg: &SimConfig,
         core: &CoreConfig,
         trace: impl Iterator<Item = TraceInstr>,
         n_instr: u64,
-        skip: bool,
+        fast: bool,
     ) -> (SimResult, u64) {
         core.validate();
         let mut eng = Engine::new(cfg, core, trace);
-        eng.step_every_cycle = !skip;
+        eng.step_every_cycle = !fast;
+        eng.eager = !fast;
         let result = eng.run(n_instr);
         (result, eng.stepped)
+    }
+
+    /// A core with a single surviving int or fp issue-queue half.
+    fn single_half(fp: bool) -> CoreConfig {
+        CoreConfig {
+            int_iq_halves: if fp { 2 } else { 1 },
+            fp_iq_halves: if fp { 1 } else { 2 },
+            ..CoreConfig::healthy()
+        }
     }
 
     #[test]
@@ -878,7 +975,10 @@ mod tests {
                         let mut cfg = SimConfig::paper(policy).scaled_to_halvings(halvings);
                         cfg.replay_policy = replays[case % 3];
                         cfg.compaction_buffer = [1, 4, 8][case / 3 % 3];
-                        let core = cores[rng.below(cores.len())];
+                        let core = match case % 4 {
+                            0 => single_half(case % 8 == 4),
+                            _ => cores[rng.below(cores.len())],
+                        };
                         case += 1;
                         let trace = || TraceGenerator::new(&prof, seed);
                         let (want, _) = run(&cfg, &core, trace(), 3_000, false);
@@ -899,6 +999,87 @@ mod tests {
         // not, the comparison above would not exercise the skip.
         assert!(stepped * 2 < cycles, "stepped {stepped} of {cycles} cycles");
     }
+
+    /// An entry issued from the new half and forwarded into the
+    /// compaction buffer before its replay shadow ends is released only
+    /// once it reaches the old half; the release bound must still cover
+    /// it while it sits in the buffer.
+    #[test]
+    fn issued_entry_forwarded_into_the_buffer_is_released_on_time() {
+        let cfg = SimConfig::paper(Policy::Rescue);
+        let core = CoreConfig::healthy();
+        let shadow = cfg.l1_latency + cfg.hold_extra;
+        // Loads that miss hold old-half slots, so ready ALU ops issue
+        // from the new half; the loop below checks that some of them are
+        // forwarded into the buffer inside their shadow.
+        let trace = || {
+            (0u64..).map(|i| {
+                let mut t = TraceInstr::simple_alu();
+                if i % 24 == 0 {
+                    t.kind = InstrKind::Load;
+                    t.l1_miss = true;
+                    t.l2_miss = i % 48 == 0;
+                } else if i % 3 == 0 {
+                    t.src_deps = [Some(1), None];
+                }
+                t
+            })
+        };
+        let mut eng = Engine::new(&cfg, &core, trace());
+        let mut forwarded = 0;
+        while eng.stats.committed < 2_000 {
+            eng.step();
+            let (rob, base) = (&eng.rob, eng.rob_base);
+            forwarded += eng
+                .intq
+                .buf
+                .iter()
+                .map(|&id| &rob[(id - base) as usize])
+                .filter(|s| {
+                    matches!(s.state, State::Issued | State::Done)
+                        && eng.cycle < s.issue_cycle + shadow
+                })
+                .count();
+        }
+        assert!(forwarded > 0, "no issued entry was forwarded in its shadow");
+        let (want, _) = run(&cfg, &core, trace(), 2_000, false);
+        let (got, _) = run(&cfg, &core, trace(), 2_000, true);
+        assert_eq!(got, want);
+    }
+
+    /// FNV-1a over the `Debug` rendering of every result of a small grid
+    /// (both policies, four benchmarks, two nodes, healthy, single-half
+    /// and degraded cores). Recorded before the event bounds and the
+    /// width early exit went in: it catches a change that the fast and
+    /// reference modes would share.
+    #[test]
+    fn results_match_the_recorded_digest() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let cores = [
+            CoreConfig::healthy(),
+            single_half(false),
+            single_half(true),
+            CoreConfig::all_degraded()[45],
+        ];
+        for policy in [Policy::Baseline, Policy::Rescue] {
+            for bench in ["gzip", "mcf", "swim", "art"] {
+                let prof = BenchmarkProfile::by_name(bench).unwrap();
+                for halvings in [0, 5] {
+                    let cfg = SimConfig::paper(policy).scaled_to_halvings(halvings);
+                    for core in &cores {
+                        let r = simulate(&cfg, core, TraceGenerator::new(&prof, 11), 1_500);
+                        for b in format!("{r:?}").bytes() {
+                            h ^= u64::from(b);
+                            h = h.wrapping_mul(0x1000_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, RECORDED_DIGEST, "got {h:#018x}");
+    }
+
+    const RECORDED_DIGEST: u64 = 0xc160_46fe_4476_84d3;
 
     #[test]
     fn skipping_drains_a_finite_trace_like_stepping() {

@@ -123,11 +123,18 @@ fn relative_yat_with_areas(
     // by the baseline IPC.
     let rescue_rel = gamma_mixture_integrate(alpha, |x| {
         let kill_ok = (-(lam_chipkill) * x).exp();
+        // Every config draws each class's survival probability from
+        // these twelve values: evaluate them once per point, not once
+        // per config. The products below multiply the same values in
+        // the same order, so the sum is unchanged to the bit.
+        let survive: [[f64; 2]; NUM_CLASSES] = std::array::from_fn(|i| {
+            [1, 2].map(|k| ConfigProb::groups_survive(lam_group[i] * x, k))
+        });
         let mut e = 0.0;
         for (cfg, &ipc) in configs.iter().zip(&ipcs) {
             let mut p = kill_ok;
-            for (i, &k) in cfg.iter().enumerate() {
-                p *= ConfigProb::groups_survive(lam_group[i] * x, k);
+            for (s, &k) in survive.iter().zip(cfg) {
+                p *= s[usize::from(k) - 1];
             }
             e += p * ipc;
         }
