@@ -52,7 +52,7 @@ pub use chain::{chain_flush_test, flush_pattern, ChainTestResult};
 pub use error::AtpgError;
 pub use fsim::{FaultSim, FsimStats, Observation};
 pub use isolation::{IsolationOutcome, Isolator};
-pub use parallel::{resolve_threads, FaultShards, FsimParallel, LaneShards};
+pub use parallel::{first_detections, resolve_threads, FaultShards, FsimParallel, LaneShards};
 pub use podem::{Podem, PodemConfig, PodemResult, PodemStats, TestCube};
 pub use rescue_netlist::V3;
 pub use tpg::{

@@ -17,13 +17,16 @@
 //! pass), and [`LaneShards`] wraps the three monomorphizations behind a
 //! runtime `lane_words` knob for the ATPG loop. Lanes are numbered
 //! `word * 64 + bit` in vector order, so detection provenance is
-//! width-independent.
+//! width-independent. [`first_detections`] runs a whole fault-dropping
+//! simulation of a pattern stream on these pools: one narrow block, then
+//! full-width groups.
 //!
 //! Workers are plain `std::thread::scope` threads (no external deps);
 //! each opens a `fsim.worker` span so the Perfetto export shows one
 //! track per worker, and the span's elapsed time is the worker's busy
 //! time in the utilization report.
 
+use crate::error::AtpgError;
 use crate::fsim::FaultSim;
 use rescue_netlist::{Fault, Levelized, PatternBlock, WideBlock};
 use rescue_obs::live::LiveCounter;
@@ -348,6 +351,95 @@ impl<'a> LaneShards<'a> {
             LaneShards::W8(s) => s.detect_counts_wide(&WideBlock::from_blocks(blocks), faults),
         }
     }
+}
+
+/// Apply one block's per-fault detection lanes to the remaining-fault
+/// list (faults, or their positions) in canonical order: detected
+/// entries are passed to `on_detect` and removed, the rest stay in
+/// `remaining` (original order).
+///
+/// The worker pool promises one lane per fault; a count mismatch is a
+/// corrupted reduction and is surfaced as
+/// [`AtpgError::LaneCountMismatch`] (with `remaining` untouched) rather
+/// than letting faults be silently misclassified.
+pub(crate) fn apply_detect_lanes<T>(
+    lanes: &[Option<u32>],
+    remaining: &mut Vec<T>,
+    mut on_detect: impl FnMut(T, u32),
+) -> Result<(), AtpgError> {
+    if lanes.len() != remaining.len() {
+        return Err(AtpgError::LaneCountMismatch {
+            faults: remaining.len(),
+            lanes: lanes.len(),
+        });
+    }
+    let old = std::mem::take(remaining);
+    for (f, &lane) in old.into_iter().zip(lanes) {
+        match lane {
+            Some(l) => on_detect(f, l),
+            None => remaining.push(f),
+        }
+    }
+    Ok(())
+}
+
+/// Global first-detect pattern of each fault under a fault-dropping
+/// simulation of `blocks`, in `faults` order (`None`: undetected).
+/// Pattern `p` is bit `p % 64` of block `p / 64`.
+///
+/// Block 0 runs alone on a 64-pattern pool: random patterns drop most
+/// faults in their first block, so the bulk of the fault list pays only
+/// the narrow width. The survivors then see groups of `lane_words`
+/// blocks on a second pool of that width, built only if a second group
+/// exists. A group starting at block `b` has lane base `b * 64`, so the
+/// answer is identical at every width and worker count.
+///
+/// Blocks are drawn from the iterator one group at a time, into one
+/// reused buffer, and not at all once every fault is detected — the
+/// patterns are generated as they are simulated.
+pub fn first_detections(
+    lev: &Levelized,
+    threads: usize,
+    lane_words: usize,
+    faults: &[Fault],
+    blocks: impl IntoIterator<Item = PatternBlock>,
+) -> Result<Vec<Option<u64>>, AtpgError> {
+    let unsupported = AtpgError::UnsupportedLaneWidth { lane_words };
+    if !matches!(lane_words, 1 | 4 | 8) {
+        return Err(unsupported);
+    }
+    let mut narrow = LaneShards::W1(FaultShards::new(lev, threads));
+    let mut blocks = blocks.into_iter();
+    let mut first: Vec<Option<u64>> = vec![None; faults.len()];
+    // Canonical positions of the faults still undetected.
+    let mut remaining: Vec<usize> = (0..faults.len()).collect();
+    let mut wide: Option<LaneShards<'_>> = None;
+    let mut group: Vec<PatternBlock> = Vec::with_capacity(lane_words);
+    let mut start_block = 0usize;
+    while !remaining.is_empty() {
+        let width = if start_block == 0 { 1 } else { lane_words };
+        group.clear();
+        group.extend(blocks.by_ref().take(width));
+        if group.is_empty() {
+            break;
+        }
+        let shards = if start_block == 0 || lane_words == 1 {
+            &mut narrow
+        } else {
+            if wide.is_none() {
+                wide = LaneShards::new(lev, threads, lane_words);
+            }
+            wide.as_mut().ok_or(unsupported.clone())?
+        };
+        let undetected: Vec<Fault> = remaining.iter().map(|&slot| faults[slot]).collect();
+        let lanes = shards.detect_lanes_group(&group, &undetected);
+        let base = start_block as u64 * 64;
+        apply_detect_lanes(&lanes, &mut remaining, |slot, lane| {
+            first[slot] = Some(base + u64::from(lane));
+        })?;
+        start_block += group.len();
+    }
+    Ok(first)
 }
 
 #[cfg(test)]

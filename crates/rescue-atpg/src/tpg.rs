@@ -1,7 +1,7 @@
 //! The top-level ATPG flow and the scan-test statistics of Table 3.
 
 use crate::error::AtpgError;
-use crate::parallel::{resolve_threads, FsimParallel, LaneShards};
+use crate::parallel::{apply_detect_lanes, resolve_threads, FsimParallel, LaneShards};
 use crate::podem::{Podem, PodemConfig, PodemResult, TestCube};
 use rescue_netlist::V3;
 use rescue_netlist::{Driver, Fault, FaultSite, Levelized, PatternBlock, ScanNetlist};
@@ -747,35 +747,6 @@ fn finish_run(span: SpanGuard<'_>, run: Result<AtpgRun, AtpgError>) -> Result<At
     let mut run = run?;
     run.metrics.timing.total_ns = span.finish();
     Ok(run)
-}
-
-/// Apply one block's per-fault detection lanes to the remaining-fault
-/// list in canonical order: detected faults are passed to `on_detect`
-/// and removed, the rest stay in `remaining` (original order).
-///
-/// The worker pool promises one lane per fault; a count mismatch is a
-/// corrupted reduction and is surfaced as
-/// [`AtpgError::LaneCountMismatch`] (with `remaining` untouched) rather
-/// than letting faults be silently misclassified.
-fn apply_detect_lanes(
-    lanes: &[Option<u32>],
-    remaining: &mut Vec<Fault>,
-    mut on_detect: impl FnMut(Fault, u32),
-) -> Result<(), AtpgError> {
-    if lanes.len() != remaining.len() {
-        return Err(AtpgError::LaneCountMismatch {
-            faults: remaining.len(),
-            lanes: lanes.len(),
-        });
-    }
-    let old = std::mem::take(remaining);
-    for (f, &lane) in old.into_iter().zip(lanes) {
-        match lane {
-            Some(l) => on_detect(f, l),
-            None => remaining.push(f),
-        }
-    }
-    Ok(())
 }
 
 /// Merge two test cubes when they agree on every specified bit; `X`

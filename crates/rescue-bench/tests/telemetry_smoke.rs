@@ -112,10 +112,13 @@ fn two_scrapes_during_live_run_are_valid_and_monotone() {
         first = http_get(addr, "/metrics");
     }
     // Second scrape: poll until the work counters have moved past the
-    // first scrape (bounded, so a wedged worker fails loudly).
+    // first scrape (bounded, so a wedged worker fails loudly). The fault
+    // simulator runs only when a batch of 64 vectors flushes, and in an
+    // unoptimized test build the second flush lands about 6 s after the
+    // first, so the bound is 30 s.
     let first_evals = sample_value(&first, "rescue_live_fsim_gate_evals_total").unwrap_or(0.0);
     let mut second = http_get(addr, "/metrics");
-    for _ in 0..200 {
+    for _ in 0..1000 {
         if sample_value(&second, "rescue_live_fsim_gate_evals_total").unwrap_or(0.0) > first_evals {
             break;
         }

@@ -15,8 +15,8 @@
 //! what the result cache stores.
 
 use crate::cache::Design;
-use rescue_atpg::{Atpg, AtpgConfig, LaneShards, PodemConfig};
-use rescue_netlist::{Fnv64, PatternBlock};
+use rescue_atpg::{first_detections, Atpg, AtpgConfig, PodemConfig};
+use rescue_netlist::{Fnv64, Netlist, PatternBlock};
 use rescue_obs::json::{self, JsonObj, JsonValue};
 use rescue_obs::SplitMix64;
 
@@ -69,8 +69,11 @@ pub struct JobConfig {
     /// are bit-identical for any value, so it is excluded from
     /// [`JobConfig::config_hash`].
     pub threads: usize,
-    /// Fault-sim lane width in words (`"lane_words"`, 1/4/8). Datapath
-    /// knob, excluded from the hash like `threads`.
+    /// Fault-sim lane width in words (`"lane_words"`, 1/4/8). For an
+    /// fsim job it is the width of the groups after the first block,
+    /// which always runs alone at width 1; the default is 8 for fsim
+    /// and 1 for every other kind (an ATPG flush is one block).
+    /// Datapath knob, excluded from the hash like `threads`.
     pub lane_words: usize,
     /// ATPG random-fill seed (`"fill_seed"`).
     pub fill_seed: u64,
@@ -108,7 +111,7 @@ impl JobConfig {
         JobConfig {
             kind,
             threads: 0,
-            lane_words: 1,
+            lane_words: if kind == JobKind::Fsim { 8 } else { 1 },
             fill_seed: atpg.fill_seed,
             merge_cubes: atpg.merge_cubes,
             merge_window: atpg.merge_window,
@@ -341,53 +344,20 @@ fn fsim_result(design: &Design, cfg: &JobConfig) -> Result<String, String> {
         .as_ref()
         .map(|s| &s.netlist)
         .unwrap_or(&design.base);
-    let threads = rescue_atpg::resolve_threads(cfg.threads);
-    let mut shards = LaneShards::new(&design.lev, threads, cfg.lane_words)
-        .ok_or_else(|| format!("unsupported lane_words {}", cfg.lane_words))?;
-
-    // Seeded random pattern blocks: deterministic for a given seed.
-    let mut rng = SplitMix64::new(cfg.seed);
-    let blocks: Vec<PatternBlock> = (0..cfg.patterns)
-        .map(|_| {
-            let mut b = PatternBlock::zero(sim_netlist);
-            for w in b.inputs.iter_mut().chain(b.state.iter_mut()) {
-                *w = rng.next_u64();
-            }
-            b
-        })
-        .collect();
-
-    // Simulate with fault dropping, exactly like the ATPG flush loop:
-    // detected faults leave `remaining` in canonical order. Each
-    // detection records the fault's *global* first-detect pattern index
-    // (group base + per-group lane, the same fold as the ATPG drop
-    // loop) keyed by the fault's canonical position. `lane_words` only
-    // changes how patterns are grouped, not which pattern detects a
-    // fault first, so both the key and the value are width-invariant —
-    // which the digest below must be, because `lane_words` is excluded
-    // from [`JobConfig::config_hash`] and jobs differing only in it
-    // share a result-cache entry.
-    let mut remaining = design.faults.clone();
-    let mut slots: Vec<usize> = (0..remaining.len()).collect();
-    let mut first_detect: Vec<Option<u64>> = vec![None; design.faults.len()];
-    for (group_idx, group) in blocks.chunks(cfg.lane_words).enumerate() {
-        let group_base = (group_idx * cfg.lane_words * 64) as u64;
-        let lanes = shards.detect_lanes_group(group, &remaining);
-        if lanes.len() != remaining.len() {
-            return Err("fault-sim lane count mismatch".to_owned());
-        }
-        let old = std::mem::take(&mut remaining);
-        let old_slots = std::mem::take(&mut slots);
-        for ((f, slot), lane) in old.into_iter().zip(old_slots).zip(&lanes) {
-            match lane {
-                Some(l) => first_detect[slot] = Some(group_base + u64::from(*l)),
-                None => {
-                    remaining.push(f);
-                    slots.push(slot);
-                }
-            }
-        }
-    }
+    // Each fault's global first-detect pattern, keyed by its canonical
+    // position. `lane_words` and `threads` only change how the patterns
+    // are grouped and sharded, not which pattern detects a fault first,
+    // so the digest below is invariant in both — as it must be, because
+    // both are excluded from [`JobConfig::config_hash`] and jobs
+    // differing only in them share a result-cache entry.
+    let first_detect = first_detections(
+        &design.lev,
+        rescue_atpg::resolve_threads(cfg.threads),
+        cfg.lane_words,
+        &design.faults,
+        pattern_blocks(sim_netlist, cfg.seed).take(cfg.patterns),
+    )
+    .map_err(|e| e.to_string())?;
 
     // Digest `(canonical fault position, global first-detect pattern)`
     // pairs in canonical fault order.
@@ -410,9 +380,116 @@ fn fsim_result(design: &Design, cfg: &JobConfig) -> Result<String, String> {
     Ok(o.finish())
 }
 
+/// The fsim job's seeded random pattern blocks, drawn lazily from one
+/// `SplitMix64` stream: every input word, then every state word, of
+/// each block in turn.
+fn pattern_blocks(netlist: &Netlist, seed: u64) -> impl Iterator<Item = PatternBlock> + '_ {
+    let mut rng = SplitMix64::new(seed);
+    std::iter::repeat_with(move || {
+        let mut b = PatternBlock::zero(netlist);
+        for w in b.inputs.iter_mut().chain(b.state.iter_mut()) {
+            *w = rng.next_u64();
+        }
+        b
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rescue_atpg::FaultSim;
+    use rescue_netlist::NetlistBuilder;
+
+    /// Two 8-input AND cones (each output 1 with probability 1/256) and
+    /// an XOR chain: random patterns detect the XOR faults in block 0
+    /// and the AND cones' faults spread over later blocks.
+    fn small_fixture() -> Design {
+        let mut b = NetlistBuilder::new();
+        b.enter_component("fixture");
+        let a = b.input_bus("a", 16);
+        let cone = |b: &mut NetlistBuilder, ins: &[rescue_netlist::NetId]| {
+            ins[1..].iter().fold(ins[0], |acc, &x| b.and2(acc, x))
+        };
+        let lo = cone(&mut b, &a[..8]);
+        let hi = cone(&mut b, &a[8..]);
+        let any = b.or2(lo, hi);
+        let parity = a[1..].iter().fold(a[0], |acc, &x| b.xor2(acc, x));
+        let q0 = b.dff(any, "q0");
+        let q1 = b.dff(parity, "q1");
+        let both = b.and2(q0, q1);
+        b.output(both, "o");
+        let n = b.finish().expect("fixture builds");
+        Design::build(&rescue_netlist::text::to_text(&n)).expect("fixture design builds")
+    }
+
+    fn quick_model() -> Design {
+        let model = rescue_model::build_pipeline(
+            &rescue_model::ModelParams::tiny(),
+            rescue_model::Variant::Rescue,
+        );
+        Design::build(&rescue_netlist::text::to_text(&model.netlist)).expect("model builds")
+    }
+
+    /// Each fault's first detecting pattern from one 64-pattern
+    /// `FaultSim`, one block at a time, with no grouping or sharding.
+    fn reference_first_detections(design: &Design, seed: u64, patterns: usize) -> Vec<Option<u64>> {
+        let netlist = design.scanned.as_ref().map_or(&design.base, |s| &s.netlist);
+        let mut sim = FaultSim::with_levelized(&design.lev);
+        let mut first = vec![None; design.faults.len()];
+        for (j, block) in pattern_blocks(netlist, seed).take(patterns).enumerate() {
+            sim.load_block(&block);
+            for (slot, &f) in design.faults.iter().enumerate() {
+                if first[slot].is_none() {
+                    first[slot] = sim
+                        .first_detecting_lane(f)
+                        .map(|lane| j as u64 * 64 + u64::from(lane));
+                }
+            }
+        }
+        first
+    }
+
+    #[test]
+    fn first_detections_match_a_one_block_reference() {
+        for design in [small_fixture(), quick_model()] {
+            let netlist = design.scanned.as_ref().map_or(&design.base, |s| &s.netlist);
+            for patterns in [1usize, 9, 17] {
+                let want = reference_first_detections(&design, 11, patterns);
+                if patterns > 1 {
+                    // Detections past block 0 exist, so a wrong group
+                    // base cannot go unnoticed.
+                    assert!(want.iter().flatten().any(|&p| p >= 64), "{patterns}");
+                }
+                for lane_words in [1usize, 4, 8] {
+                    for threads in [1usize, 2] {
+                        let got = first_detections(
+                            &design.lev,
+                            threads,
+                            lane_words,
+                            &design.faults,
+                            pattern_blocks(netlist, 11).take(patterns),
+                        )
+                        .expect("supported width");
+                        assert_eq!(
+                            got, want,
+                            "patterns={patterns} lane_words={lane_words} threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fsim_jobs_default_to_full_lane_width() {
+        assert_eq!(JobConfig::new(JobKind::Fsim).lane_words, 8);
+        for kind in [JobKind::Netlist, JobKind::Atpg, JobKind::Lint] {
+            assert_eq!(JobConfig::new(kind).lane_words, 1, "{kind:?}");
+        }
+        let design = small_fixture();
+        let cfg = JobConfig::parse(r#"{"kind":"fsim","lane_words":3}"#).expect("parses");
+        assert!(run_job(&design, &cfg).unwrap_err().contains("lane width 3"));
+    }
 
     #[test]
     fn config_parses_with_defaults_and_overrides() {

@@ -8,7 +8,9 @@
 //!   (advisory — a cached job emits fewer of them) terminated by one
 //!   canonical `{"type":"result",...}` line whose bytes are the
 //!   determinism contract (see [`crate::job`]). Errors come back as a
-//!   `{"type":"error",...}` line with an HTTP error status.
+//!   `{"type":"error",...}` line with an HTTP error status. A job that
+//!   panics ends its `200` stream with an error line instead, counted
+//!   on `serve.jobs.panicked`; its slot is released and nothing cached.
 //! * `GET /stats.json` — server-specific state: jobs running/queued,
 //!   cache sizes, totals.
 //! * `GET /metrics`, `/snapshot.json`, `/healthz` — the shared
@@ -149,28 +151,35 @@ impl Drop for GatePermit {
     }
 }
 
+/// Runs one job against a prepared design: [`run_job`] in production.
+type JobRunner = fn(&Design, &JobConfig) -> Result<String, String>;
+
 /// Shared server state: caches, gate, counters.
 struct State {
     caches: ServeCaches,
     gate: Arc<Gate>,
     title: String,
+    run: JobRunner,
     jobs_accepted: Arc<Counter>,
     jobs_completed: Arc<Counter>,
     jobs_failed: Arc<Counter>,
+    jobs_panicked: Arc<Counter>,
     jobs_shed: Arc<Counter>,
     job_ns: Arc<Histogram>,
 }
 
 impl State {
-    fn new(opts: &ServeOptions) -> State {
+    fn new(opts: &ServeOptions, run: JobRunner) -> State {
         let reg = rescue_obs::metrics::global();
         State {
             caches: ServeCaches::new(opts.design_cache, opts.result_cache),
             gate: Arc::new(Gate::new(opts.workers, opts.queue_depth)),
             title: opts.title.clone(),
+            run,
             jobs_accepted: reg.counter("serve.jobs.accepted"),
             jobs_completed: reg.counter("serve.jobs.completed"),
             jobs_failed: reg.counter("serve.jobs.failed"),
+            jobs_panicked: reg.counter("serve.jobs.panicked"),
             jobs_shed: reg.counter("serve.jobs.shed"),
             job_ns: reg.histogram("serve.job.ns"),
         }
@@ -185,8 +194,12 @@ pub struct JobServer {
 impl JobServer {
     /// Bind `addr` (port 0 for ephemeral) and serve jobs.
     pub fn start(addr: &str, opts: ServeOptions) -> std::io::Result<JobServer> {
+        Self::start_with(addr, opts, run_job)
+    }
+
+    fn start_with(addr: &str, opts: ServeOptions, run: JobRunner) -> std::io::Result<JobServer> {
         crate::obs_enabled();
-        let state = Arc::new(State::new(&opts));
+        let state = Arc::new(State::new(&opts, run));
         let http_opts = HttpOptions {
             max_body: opts.max_body,
             // Jobs hold their connection while running; admit enough
@@ -332,11 +345,31 @@ fn run_cached(
         })
         .as_bytes(),
     );
-    let line = Arc::new(run_job(&design, cfg)?);
+    let line = Arc::new(catch_job_panic(&state.jobs_panicked, || {
+        (state.run)(&design, cfg)
+    })?);
     state
         .caches
         .store_result(Arc::clone(&design.text), cfg, Arc::clone(&line));
     Ok(line)
+}
+
+/// Run `job`, turning a panic into an error so the caller still writes
+/// an error line on the open stream and releases its permit. Each panic
+/// counts on `panicked`.
+fn catch_job_panic(
+    panicked: &Counter,
+    job: impl FnOnce() -> Result<String, String>,
+) -> Result<String, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        panicked.inc();
+        let why = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown cause".to_owned());
+        Err(format!("job panicked: {why}"))
+    })
 }
 
 fn error_line(message: &str) -> String {
@@ -375,6 +408,7 @@ fn stats_json(state: &State) -> String {
         .u64("jobs_accepted", state.jobs_accepted.get())
         .u64("jobs_completed", state.jobs_completed.get())
         .u64("jobs_failed", state.jobs_failed.get())
+        .u64("jobs_panicked", state.jobs_panicked.get())
         .u64("jobs_shed", state.jobs_shed.get());
     o.finish()
 }
@@ -416,6 +450,120 @@ mod tests {
         );
         drop(newcomer);
         waiter.join().expect("waiter thread");
+    }
+
+    #[test]
+    fn a_panicking_job_becomes_an_error() {
+        let panicked = Counter::new();
+        let err = catch_job_panic(&panicked, || panic!("lane {} out of range", 7)).unwrap_err();
+        assert_eq!(err, "job panicked: lane 7 out of range");
+        assert_eq!(panicked.get(), 1);
+        let err = catch_job_panic(&panicked, || panic!("static message")).unwrap_err();
+        assert_eq!(err, "job panicked: static message");
+        assert_eq!(
+            catch_job_panic(&panicked, || Ok("line".to_owned())).unwrap(),
+            "line"
+        );
+        assert_eq!(
+            catch_job_panic(&panicked, || Err("bad".to_owned())).unwrap_err(),
+            "bad"
+        );
+        assert_eq!(panicked.get(), 2, "only panics count");
+    }
+
+    /// `(status line, body)` of one request.
+    fn request(addr: SocketAddr, head: &str, body: &str) -> (String, String) {
+        use std::io::Read as _;
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write!(
+            stream,
+            "{head} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("write");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        let (head, body) = response.split_once("\r\n\r\n").expect("terminator");
+        (
+            head.lines().next().unwrap_or_default().to_owned(),
+            body.to_owned(),
+        )
+    }
+
+    #[test]
+    fn a_panicking_job_keeps_its_connection_and_the_server() {
+        fn panics_on_fsim(design: &Design, cfg: &JobConfig) -> Result<String, String> {
+            if cfg.kind == crate::JobKind::Fsim {
+                panic!("injected fsim panic");
+            }
+            run_job(design, cfg)
+        }
+        let mut b = rescue_netlist::NetlistBuilder::new();
+        b.enter_component("c");
+        let a = b.input("a");
+        let c = b.input("b");
+        let x = b.xor2(a, c);
+        let q = b.dff(x, "q");
+        b.output(q, "o");
+        let netlist = rescue_netlist::text::to_text(&b.finish().expect("builds"));
+        // One worker and no queue: a leaked permit would shed the next
+        // job with 429.
+        let opts = ServeOptions {
+            workers: 1,
+            queue_depth: 0,
+            ..ServeOptions::default()
+        };
+        let mut server =
+            JobServer::start_with("127.0.0.1:0", opts, panics_on_fsim).expect("server starts");
+        let addr = server.addr();
+        let panicked0 = state_field(addr, "jobs_panicked");
+
+        let fsim = format!("{{\"kind\":\"fsim\"}}\n{netlist}");
+        for _ in 0..2 {
+            let (status, body) = request(addr, "POST /jobs", &fsim);
+            assert!(status.contains("200"), "{status}");
+            assert!(
+                body.lines().any(|l| l.starts_with("{\"type\":\"error\"")
+                    && l.contains("job panicked: injected fsim panic")),
+                "{body}"
+            );
+            assert!(!body.contains("\"type\":\"result\""), "{body}");
+            // Nothing was cached: the retry misses the result cache too.
+            assert!(
+                body.contains("\"name\":\"serve.result.cache\",\"hit\":false"),
+                "{body}"
+            );
+        }
+        assert!(state_field(addr, "jobs_panicked") >= panicked0 + 2);
+        let (_, metrics) = request(addr, "GET /metrics", "");
+        assert!(
+            metrics.contains("rescue_serve_jobs_panicked_total"),
+            "{metrics}"
+        );
+
+        let (status, body) = request(
+            addr,
+            "POST /jobs",
+            &format!("{{\"kind\":\"netlist\"}}\n{netlist}"),
+        );
+        assert!(status.contains("200"), "{status}");
+        assert!(
+            body.contains("{\"type\":\"result\",\"job\":\"netlist\""),
+            "{body}"
+        );
+        server.shutdown();
+    }
+
+    /// One integer field of `/stats.json`.
+    fn state_field(addr: SocketAddr, key: &str) -> u64 {
+        let (_, body) = request(addr, "GET /stats.json", "");
+        match rescue_obs::json::parse(&body)
+            .expect("stats parse")
+            .get(key)
+        {
+            Some(rescue_obs::json::JsonValue::Int(i)) => *i as u64,
+            other => panic!("{key}: {other:?}"),
+        }
     }
 
     #[test]

@@ -157,24 +157,84 @@ fn every_job_kind_serves_a_deterministic_result() {
     server.shutdown();
 }
 
+/// Fsim answers on [`model_text`] recorded before the job moved to
+/// narrow-then-wide groups with streamed patterns:
+/// `(patterns, seed, detected, detect_digest)`.
+const FSIM_GOLDEN: [(usize, u64, u64, &str); 16] = [
+    (1, 3, 8818, "88f5a1155dec72b1"),
+    (1, 7, 8771, "d6ef757d1388e4ef"),
+    (2, 3, 9393, "326f117c91c1aef0"),
+    (2, 7, 9449, "cc7e8e4260f923e9"),
+    (7, 3, 9948, "049368c0ba1d222b"),
+    (7, 7, 9951, "a7aa07ad49a03046"),
+    (8, 3, 9957, "b3af1d05cc0075f7"),
+    (8, 7, 9968, "0df15be9fabe5b01"),
+    (9, 3, 9974, "d6357281d2e18cb0"),
+    (9, 7, 9978, "f6f7e0c94d90aa1f"),
+    (64, 3, 10043, "4111635af75667e2"),
+    (64, 7, 10049, "559fe218aa457203"),
+    (65, 3, 10043, "4111635af75667e2"),
+    (65, 7, 10049, "559fe218aa457203"),
+    (513, 3, 10049, "adf1450ad146b276"),
+    (513, 7, 10049, "559fe218aa457203"),
+];
+
+/// The full result line the golden row stands for.
+fn golden_line(
+    design: &Design,
+    (patterns, _, detected, digest): (usize, u64, u64, &str),
+) -> String {
+    let faults = design.faults.len();
+    format!(
+        r#"{{"type":"result","job":"fsim","design":"{:016x}","blocks":{patterns},"faults":{faults},"detected":{detected},"undetected":{},"detect_digest":"{digest}"}}"#,
+        design.content_hash,
+        faults as u64 - detected
+    )
+}
+
 #[test]
-fn fsim_result_is_lane_width_invariant() {
-    // `lane_words` is excluded from the config hash (a pure datapath
-    // knob), so jobs differing only in it share a result-cache entry —
-    // which is only sound if the canonical result line, including the
-    // detect digest, is identical across lane widths.
+fn fsim_result_lines_match_the_pinned_answers() {
     let design = Design::build(&model_text()).expect("design builds");
-    let mut lines = Vec::new();
-    for lane_words in [1usize, 4, 8] {
+    assert_eq!(design.faults.len(), 10481);
+    assert_eq!(format!("{:016x}", design.content_hash), "5e825b990934f2a2");
+    for row in FSIM_GOLDEN {
+        let (patterns, seed, ..) = row;
         let cfg = JobConfig::parse(&format!(
-            r#"{{"kind":"fsim","patterns":8,"seed":7,"threads":1,"lane_words":{lane_words}}}"#
+            r#"{{"kind":"fsim","patterns":{patterns},"seed":{seed}}}"#
         ))
         .expect("config parses");
-        lines.push(run_job(&design, &cfg).expect("job runs"));
+        assert_eq!(
+            run_job(&design, &cfg).expect("job runs"),
+            golden_line(&design, row),
+            "patterns={patterns} seed={seed}"
+        );
     }
-    assert!(u64_field(&lines[0], "detected") > 0, "{}", lines[0]);
-    assert_eq!(lines[0], lines[1], "lane_words=4 changed the result line");
-    assert_eq!(lines[0], lines[2], "lane_words=8 changed the result line");
+}
+
+#[test]
+fn fsim_result_is_lane_width_invariant() {
+    // `lane_words` and `threads` are excluded from the config hash (pure
+    // datapath knobs), so jobs differing only in them share a
+    // result-cache entry — which is only sound if the canonical result
+    // line, including the detect digest, is identical across both.
+    let design = Design::build(&model_text()).expect("design builds");
+    for row in FSIM_GOLDEN.iter().filter(|r| r.1 == 7) {
+        let (patterns, seed, ..) = *row;
+        let want = golden_line(&design, *row);
+        for lane_words in [1usize, 4, 8] {
+            for threads in [1usize, 2] {
+                let cfg = JobConfig::parse(&format!(
+                    r#"{{"kind":"fsim","patterns":{patterns},"seed":{seed},"threads":{threads},"lane_words":{lane_words}}}"#
+                ))
+                .expect("config parses");
+                assert_eq!(
+                    run_job(&design, &cfg).expect("job runs"),
+                    want,
+                    "patterns={patterns} lane_words={lane_words} threads={threads}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
