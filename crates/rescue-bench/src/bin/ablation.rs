@@ -4,7 +4,7 @@
 use rescue_obs::Report;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick"]);
     let n = if rescue_bench::quick_mode() {
         10_000
     } else {

@@ -6,13 +6,12 @@
 //! phase-attribution flame summary — to stderr and `--trace-json
 //! <path>` streams the spans. `--threads N` picks the fault-simulation
 //! worker count (results are bit-identical for any value); the report
-//! ends with the `fsim_kernel` microbench section, its 1-vs-N thread
-//! scaling row, and the `obs.overhead` self-benchmark (instrumented vs
-//! uninstrumented kernel throughput). `--repeat N`/`--warmup K` run the
-//! whole suite K+N times and fold varying metrics into
-//! median/MAD/min/IQR statistics; `--history PATH` appends one
-//! throughput record per run to the append-only history feeding the
-//! `leaderboard` binary. `--serve-metrics ADDR` exposes live progress
+//! ends with the informational `fsim_kernel` lane-width sweep and the
+//! `obs.overhead` self-benchmark (instrumented vs uninstrumented kernel
+//! throughput). `--repeat N` runs the whole suite N times and folds
+//! varying metrics into median/MAD/min/IQR statistics; `bench-diff`
+//! fails any exactly gated value that varied, so a repeated run doubles
+//! as a run-to-run determinism check. `--serve-metrics ADDR` exposes live progress
 //! at `http://ADDR/metrics` while the run is in flight, and
 //! `--progress-every N` mirrors the same counters as JSONL progress
 //! frames into the trace sink.
@@ -23,7 +22,7 @@ use rescue_core::render;
 use rescue_core::yield_model::Scenario;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick", "--threads"]);
     let quick = rescue_bench::quick_mode();
     let threads = rescue_bench::threads_arg();
     let params = if quick {
@@ -159,8 +158,8 @@ fn main() {
         // byte-identity contract (pre-pass on vs off) in bench-diff.
         rescue_bench::prepass_report(report, &params);
 
-        // Event-kernel microbench + 1-vs-N thread scaling row, tracked
-        // in BENCH_metrics.json across snapshots.
+        // Fault-sim lane-width sweep and n-detect dropping rows: the
+        // counters gate exactly, the timings are informational.
         rescue_bench::fsim_kernel_report(report, &params, threads);
 
         // How much does live telemetry + the phase profiler cost? Sweep
@@ -171,5 +170,4 @@ fn main() {
 
     rescue_bench::obs_finish(&obs, &mut report);
     rescue_bench::write_metrics_json(&obs, &report, Some("BENCH_metrics.json"));
-    rescue_bench::history_append(&obs, &report, threads);
 }

@@ -2,60 +2,29 @@
 //! nonzero on regression — the CI gate against the committed
 //! `BENCH_baseline.json`.
 //!
-//! Usage: `bench-diff <baseline.json> <current.json> [--all]
-//! [--time-tolerance-pct P] [--stats-gate] [--noise-mads K]
-//! [--noise-floor-pct P]`
+//! Usage: `bench-diff <baseline.json> <current.json> [--all]`
 //!
-//! Deterministic counters (vector counts, fault classes, histogram
-//! buckets, coverage endpoints) must match exactly; derived floats get a
-//! 1e-9 relative band; wall-clock metrics are informational unless
-//! `--time-tolerance-pct` makes them gating. Robust-stats metrics from
-//! `--repeat N` runs are informational by default; `--stats-gate` fails
-//! the run when a current median exceeds the baseline median by more
-//! than `max(K·MAD, P%·median)` of the *baseline's* spread (one-sided —
-//! improvements always pass). Exit codes: 0 = no regression, 1 =
-//! regression, 2 = usage/IO/parse error.
+//! The gate checks answers, not speed. Deterministic counters (vector
+//! counts, fault classes, histogram buckets, coverage endpoints) must
+//! match exactly; derived floats get a 1e-9 relative band; wall-clock
+//! metrics are always informational. A value that varied across the
+//! runs of a `--repeat N` document fails unless its path is
+//! informational, so gating a repeated run is also a run-to-run
+//! determinism check. `--all` also prints the matching rows. Exit
+//! codes: 0 = no regression, 1 = regression, 2 = usage/IO/parse error.
 
-use rescue_bench::diff::{diff, DiffConfig};
+use rescue_bench::diff::diff;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<&str> = Vec::new();
-    let mut cfg = DiffConfig::default();
     let mut show_all = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for arg in &args {
+        match arg.as_str() {
             "--all" => show_all = true,
-            "--time-tolerance-pct" => {
-                i += 1;
-                let v = args.get(i).and_then(|v| v.parse::<f64>().ok());
-                match v {
-                    Some(pct) if pct >= 0.0 => cfg.time_tolerance = Some(pct / 100.0),
-                    _ => usage("--time-tolerance-pct expects a non-negative number"),
-                }
-            }
-            "--stats-gate" => cfg.stats_gate = true,
-            "--noise-mads" => {
-                i += 1;
-                let v = args.get(i).and_then(|v| v.parse::<f64>().ok());
-                match v {
-                    Some(k) if k >= 0.0 => cfg.noise_mads = k,
-                    _ => usage("--noise-mads expects a non-negative number"),
-                }
-            }
-            "--noise-floor-pct" => {
-                i += 1;
-                let v = args.get(i).and_then(|v| v.parse::<f64>().ok());
-                match v {
-                    Some(pct) if pct >= 0.0 => cfg.noise_floor_rel = pct / 100.0,
-                    _ => usage("--noise-floor-pct expects a non-negative number"),
-                }
-            }
             flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
             p => paths.push(p),
         }
-        i += 1;
     }
     if paths.len() != 2 {
         usage("expected exactly two metrics documents");
@@ -74,7 +43,7 @@ fn main() {
     let baseline = load(paths[0]);
     let current = load(paths[1]);
 
-    let result = diff(&baseline, &current, &cfg).unwrap_or_else(|e| {
+    let result = diff(&baseline, &current).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
@@ -87,9 +56,6 @@ fn main() {
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
-    eprintln!(
-        "usage: bench-diff <baseline.json> <current.json> [--all] [--time-tolerance-pct P] \
-         [--stats-gate] [--noise-mads K] [--noise-floor-pct P]"
-    );
+    eprintln!("usage: bench-diff <baseline.json> <current.json> [--all]");
     std::process::exit(2);
 }

@@ -8,7 +8,7 @@ use rescue_core::netlist::VerilogOptions;
 use rescue_obs::Report;
 
 fn main() -> std::io::Result<()> {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick"]);
     let dir = std::env::args()
         .nth(1)
         .filter(|a| !a.starts_with("--"))

@@ -5,7 +5,7 @@ use rescue_core::experiments::{fig8, Fig8Params};
 use rescue_obs::Report;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick", "--threads", "--csv"]);
     let p = Fig8Params {
         n_instr: if rescue_bench::quick_mode() {
             10_000

@@ -7,7 +7,7 @@ use rescue_core::yield_model::Scenario;
 use rescue_obs::Report;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick", "--threads", "--csv"]);
     let n_instr = if rescue_bench::quick_mode() {
         5_000
     } else {

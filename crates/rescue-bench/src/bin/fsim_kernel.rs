@@ -1,19 +1,18 @@
 //! Standalone fault-sim microbench: the `fsim_kernel` lane-width sweep,
-//! the 1-vs-N thread scaling row, and the
-//! `obs.overhead` telemetry self-benchmark — without regenerating the
-//! full table/figure suite.
+//! the n-detect dropping rows and the `obs.overhead` telemetry
+//! self-benchmark, without regenerating the full table/figure suite.
+//! The timings are informational: end-to-end speed is measured by the
+//! `perfbench` package, and the `profile.*` sections explain it.
 //!
-//! This is the fastest way to feed the gate-evals/sec leaderboard:
-//! `fsim-kernel --quick --repeat 5 --history BENCH_history.jsonl`.
 //! `--metrics-json PATH` writes the machine-readable report (no default
 //! path, unlike `all`); `--metrics` renders it plus the
-//! phase-attribution flame summary on stderr; `--repeat N`/`--warmup K`
-//! fold varying metrics into median/MAD/min/IQR statistics.
+//! phase-attribution flame summary on stderr; `--repeat N` folds varying
+//! metrics into median/MAD/min/IQR statistics.
 
 use rescue_core::model::ModelParams;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick", "--threads"]);
     let params = if rescue_bench::quick_mode() {
         ModelParams::tiny()
     } else {
@@ -28,5 +27,4 @@ fn main() {
 
     rescue_bench::obs_finish(&obs, &mut report);
     rescue_bench::write_metrics_json(&obs, &report, None);
-    rescue_bench::history_append(&obs, &report, threads);
 }

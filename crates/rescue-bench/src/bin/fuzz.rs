@@ -27,7 +27,14 @@ use rescue_fuzz::{run_fuzz, FuzzConfig, OracleKind, Repro};
 use rescue_obs::Report;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&[
+        "--replay",
+        "--oracle",
+        "--seed",
+        "--cases",
+        "--max-gates",
+        "--repro-dir",
+    ]);
 
     if let Some(path) = rescue_bench::arg_str("--replay") {
         replay(&path);

@@ -15,7 +15,7 @@ use rescue_core::model::{ModelParams, Variant};
 use rescue_obs::Report;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick", "--faults-per-stage", "--threads"]);
     let (params, per_stage) = if rescue_bench::quick_mode() {
         (
             ModelParams::tiny(),

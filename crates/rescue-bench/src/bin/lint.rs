@@ -22,7 +22,7 @@ use rescue_lint::Severity;
 use rescue_obs::Report;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick", "--json", "--fail-on"]);
     let quick = rescue_bench::quick_mode();
     let json_path = rescue_bench::arg_str("--json");
     if let Some(path) = &json_path {

@@ -77,7 +77,13 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&[
+        "--emit-netlist",
+        "--quick",
+        "--clients",
+        "--replays",
+        "--fsim-seeds",
+    ]);
 
     let netlist = text::to_text(&build_pipeline(&ModelParams::tiny(), Variant::Rescue).netlist);
     if let Some(path) = rescue_bench::arg_str("--emit-netlist") {

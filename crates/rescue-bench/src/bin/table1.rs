@@ -3,7 +3,7 @@
 use rescue_obs::Report;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick"]);
     let rows = rescue_core::experiments::table1();
     print!("{}", rescue_core::render::table1_text(&rows));
     let mut report = Report::new("table1");

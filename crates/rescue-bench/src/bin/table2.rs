@@ -3,7 +3,7 @@
 use rescue_obs::Report;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick"]);
     let (base_total, rescue) = rescue_core::experiments::table2();
     print!("{}", rescue_core::render::table2_text(base_total, &rescue));
     let mut report = Report::new("table2");

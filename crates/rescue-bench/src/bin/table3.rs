@@ -7,17 +7,17 @@
 //! --coverage-csv / --coverage-json write the per-vector coverage
 //! curves; --threads N picks the fault-simulation worker count
 //! (0/absent = RESCUE_THREADS, then available parallelism) without
-//! changing a single statistic. --repeat N/--warmup K run the table K+N
-//! times and fold varying metrics into median/MAD/min/IQR statistics;
-//! --metrics-json PATH writes the machine-readable report; --history
-//! PATH appends a run-history record. --serve-metrics ADDR exposes live
+//! changing a single statistic. --repeat N runs the table N times and
+//! folds varying metrics into median/MAD/min/IQR statistics;
+//! --metrics-json PATH writes the machine-readable report. An unknown
+//! flag (say --quik) exits 2. --serve-metrics ADDR exposes live
 //! ATPG/fault-sim progress at http://ADDR/metrics during the run;
 //! --progress-every N mirrors it as JSONL frames in the trace sink.
 
 use rescue_core::model::ModelParams;
 
 fn main() {
-    let obs = rescue_bench::obs_init();
+    let obs = rescue_bench::obs_init(&["--quick", "--threads"]);
     let params = if rescue_bench::quick_mode() {
         ModelParams::tiny()
     } else {
@@ -54,5 +54,4 @@ fn main() {
 
     rescue_bench::obs_finish(&obs, &mut report);
     rescue_bench::write_metrics_json(&obs, &report, None);
-    rescue_bench::history_append(&obs, &report, threads);
 }

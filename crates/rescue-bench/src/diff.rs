@@ -12,8 +12,14 @@
 //! Wall-clock metrics are the exception: keys ending in `_ns`/`_ms`,
 //! the `*.timing` sections, and span `total_ns`/`max_ns` vary run to
 //! run and machine to machine, so they are reported as informational
-//! deltas and never fail the gate unless an explicit
-//! [`DiffConfig::time_tolerance`] is set.
+//! deltas and never fail the gate. Speed is measured elsewhere (the
+//! `perfbench` package); this gate checks answers only.
+//!
+//! A `--repeat N` run folds every value that differed across its runs
+//! into a median/MAD stats object ([`crate::stats`]). On an
+//! informational path that is expected and the row shows the median
+//! delta; on any other path it fails: a deterministic answer that
+//! varied between two runs of the same binary is a nondeterminism bug.
 //!
 //! A metric or section present in the baseline but missing from the
 //! current document is a failure (a silently dropped counter is exactly
@@ -30,7 +36,8 @@ use std::fmt::Write as _;
 pub enum Severity {
     /// Values agree under the applicable rule.
     Match,
-    /// Wall-clock delta, reported but never failing.
+    /// Wall-clock or other informational delta, reported but never
+    /// failing.
     Info,
     /// Structural novelty (extra metric/section in the current run).
     Warn,
@@ -112,38 +119,9 @@ impl DiffResult {
     }
 }
 
-/// Tolerance rules for [`diff`].
-#[derive(Clone, Debug)]
-pub struct DiffConfig {
-    /// Relative tolerance for wall-clock metrics. `None` (the default)
-    /// reports them as informational and never fails on them.
-    pub time_tolerance: Option<f64>,
-    /// Relative tolerance for non-time floats (derived quotients of
-    /// exact integers; defaults to 1e-9).
-    pub float_tolerance: f64,
-    /// Gate robust-stats metrics (`--repeat N` medians) against the
-    /// baseline's own spread. Off by default: medians are always
-    /// reported, but only fail the gate when this is set.
-    pub stats_gate: bool,
-    /// Width of the noise band in baseline MADs (default 8.0).
-    pub noise_mads: f64,
-    /// Relative floor of the noise band as a fraction of the baseline
-    /// median (default 0.10), so a near-zero MAD from a lucky baseline
-    /// cannot make the gate hair-triggered.
-    pub noise_floor_rel: f64,
-}
-
-impl Default for DiffConfig {
-    fn default() -> Self {
-        DiffConfig {
-            time_tolerance: None,
-            float_tolerance: 1e-9,
-            stats_gate: false,
-            noise_mads: 8.0,
-            noise_floor_rel: 0.10,
-        }
-    }
-}
+/// Relative tolerance for non-time floats: they are quotients of exact
+/// integers, so only the last bits may differ across compilers.
+const FLOAT_REL_TOL: f64 = 1e-9;
 
 /// Paths compared informationally rather than gated: wall-clock and
 /// throughput keys, and the `fuzz.*` counters — fuzzing scale (cases,
@@ -161,7 +139,7 @@ impl Default for DiffConfig {
 /// attribution of the same spans whose per-name counts gate under
 /// `spans.*`, so their own counts are not gated again (and under the
 /// `.worker` roots they vary with thread scheduling); `bench.*` records harness knobs
-/// (`--repeat`, `--warmup`) that legitimately differ between runs.
+/// (`--repeat`) that legitimately differ between runs.
 /// Job-server rows (`serve.*` from the `serve-load` generator) are
 /// latency/throughput measurements — informational — **except** the
 /// cache rows (`serve.cache.*`), whose hit/miss counts are exact by
@@ -220,16 +198,12 @@ fn rel_delta(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(b.abs()).max(1e-300)
 }
 
-/// Compare two parsed `BENCH_metrics.json` documents under `cfg`.
+/// Compare two parsed `BENCH_metrics.json` documents.
 ///
 /// Returns `Err` only when a document does not have the report schema
 /// at all (no `sections` array) — shape errors inside sections are
 /// reported as failing deltas instead.
-pub fn diff(
-    baseline: &JsonValue,
-    current: &JsonValue,
-    cfg: &DiffConfig,
-) -> Result<DiffResult, String> {
+pub fn diff(baseline: &JsonValue, current: &JsonValue) -> Result<DiffResult, String> {
     let mut out = DiffResult::default();
 
     let title_b = baseline.get("title").and_then(JsonValue::as_str);
@@ -275,7 +249,7 @@ pub fn diff(
                 current: "-".into(),
                 note: "section missing from current run".into(),
             }),
-            Some(metrics_c) => compare_value(name, metrics_b, metrics_c, cfg, &mut out),
+            Some(metrics_c) => compare_value(name, metrics_b, metrics_c, &mut out),
         }
     }
     for (name, metrics_c) in &secs_c {
@@ -296,7 +270,7 @@ pub fn diff(
         .map(String::as_str)
         .filter(|name| name.starts_with("profile."))
         .collect();
-    compare_spans(baseline, current, &profile_paths, cfg, &mut out);
+    compare_spans(baseline, current, &profile_paths, &mut out);
     Ok(out)
 }
 
@@ -307,7 +281,6 @@ fn compare_spans(
     baseline: &JsonValue,
     current: &JsonValue,
     profile_paths: &[&str],
-    cfg: &DiffConfig,
     out: &mut DiffResult,
 ) {
     let spans = |doc: &JsonValue| -> BTreeMap<String, SpanFields> {
@@ -378,7 +351,7 @@ fn compare_spans(
         }
         for (field, vb, vc) in [("total", total_b, total_c), ("max", max_b, max_c)] {
             if let (Some(vb), Some(vc)) = (vb, vc) {
-                compare_floats(&format!("{path}.{field}"), *vb, *vc, true, cfg, out);
+                compare_floats(&format!("{path}.{field}"), *vb, *vc, true, out);
             }
         }
     }
@@ -395,38 +368,21 @@ fn compare_spans(
     }
 }
 
-fn compare_floats(
-    path: &str,
-    b: f64,
-    c: f64,
-    is_time: bool,
-    cfg: &DiffConfig,
-    out: &mut DiffResult,
-) {
+fn compare_floats(path: &str, b: f64, c: f64, is_time: bool, out: &mut DiffResult) {
     let rel = rel_delta(b, c);
     let (severity, note) = if is_time {
-        match cfg.time_tolerance {
-            None => (
-                if rel == 0.0 {
-                    Severity::Match
-                } else {
-                    Severity::Info
-                },
-                format!("wall-clock, {:+.1}%", 100.0 * (c - b) / b.abs().max(1e-300)),
-            ),
-            Some(tol) if rel > tol => (
-                Severity::Fail,
-                format!("wall-clock delta {rel:.3e} exceeds tolerance {tol:.3e}"),
-            ),
-            Some(_) => (Severity::Match, String::new()),
-        }
-    } else if rel > cfg.float_tolerance {
+        (
+            if rel == 0.0 {
+                Severity::Match
+            } else {
+                Severity::Info
+            },
+            format!("wall-clock, {:+.1}%", 100.0 * (c - b) / b.abs().max(1e-300)),
+        )
+    } else if rel > FLOAT_REL_TOL {
         (
             Severity::Fail,
-            format!(
-                "delta {rel:.3e} exceeds tolerance {:.3e}",
-                cfg.float_tolerance
-            ),
+            format!("delta {rel:.3e} exceeds tolerance {FLOAT_REL_TOL:.3e}"),
         )
     } else {
         (Severity::Match, String::new())
@@ -440,124 +396,61 @@ fn compare_floats(
     });
 }
 
-/// `(median, mad, n)` of a robust-stats object, as emitted for
-/// `--repeat N` metrics: `{"n":..,"median":..,"mad":..,...}`.
-fn as_stats(v: &JsonValue) -> Option<(f64, f64, i128)> {
+/// `(median, mad)` of a robust-stats object, as emitted for values
+/// that varied across `--repeat N` runs:
+/// `{"n":..,"median":..,"mad":..,...}`.
+fn as_stats(v: &JsonValue) -> Option<(f64, f64)> {
     let o = match v {
         JsonValue::Obj(_) => v,
         _ => return None,
     };
+    o.get("n").and_then(JsonValue::as_int)?;
     Some((
         o.get("median").and_then(JsonValue::as_f64)?,
         o.get("mad").and_then(JsonValue::as_f64)?,
-        o.get("n").and_then(JsonValue::as_int)?,
     ))
 }
 
-/// Paths whose robust-stats medians never gate even under
-/// `--stats-gate`: self-attribution (`profile.*`, `bench.*`), the
-/// telemetry self-benchmark (`obs.overhead.*` — percentages near zero,
-/// where a median-relative band is meaningless), run-scale-dependent
-/// families (`fuzz.*`, `live.*`), and machine-shape-dependent ones
-/// (`*.parallel.*`, `*.scoap.*`). Plain wall-clock medians (`*_ms`,
-/// `*.timing.*`, throughput) DO gate — banding those against the
-/// baseline's own spread is the point of the stats gate.
-fn is_stats_gate_exempt(path: &str) -> bool {
-    path.starts_with("profile.")
-        || path.starts_with("bench.")
-        || path.starts_with("obs.overhead.")
-        || path.starts_with("fuzz.")
-        || path.starts_with("live.")
-        || path.contains(".parallel.")
-        || path.contains(".scoap.")
-}
-
-/// Paths where larger is better (throughput and speedup ratios): the
-/// one-sided stats gate flips for these, failing on a *decrease* beyond
-/// the noise band instead of an increase.
-fn is_higher_better(path: &str) -> bool {
-    path.ends_with("_per_sec") || path.ends_with("speedup")
-}
-
-/// Compare two robust-stats metrics. The gate is **one-sided**: with
-/// [`DiffConfig::stats_gate`] set, it fails only when the current
-/// median regresses past the baseline median by more than the noise
-/// band `max(noise_mads·MAD, noise_floor_rel·|median|)` derived from
-/// the baseline's own spread — an increase for time-like metrics, a
-/// decrease for [`is_higher_better`] throughput metrics. Improvements
-/// and within-band drift report as informational, as does everything
-/// [`is_stats_gate_exempt`].
-fn compare_stats(
-    path: &str,
-    (med_b, mad_b, n_b): (f64, f64, i128),
-    (med_c, _mad_c, n_c): (f64, f64, i128),
-    cfg: &DiffConfig,
-    out: &mut DiffResult,
-) {
-    let band = (cfg.noise_mads * mad_b)
-        .max(cfg.noise_floor_rel * med_b.abs())
-        .max(1e-9);
-    let delta_pct = 100.0 * (med_c - med_b) / med_b.abs().max(1e-300);
-    let gateable = cfg.stats_gate && !is_stats_gate_exempt(path);
-    let regressed = if is_higher_better(path) {
-        med_c < med_b - band
-    } else {
-        med_c > med_b + band
-    };
-    let (severity, note) = if gateable && regressed {
-        (
-            Severity::Fail,
-            format!(
-                "median {delta_pct:+.1}% exceeds noise band (±{:.1}%, n={n_b}/{n_c})",
-                100.0 * band / med_b.abs().max(1e-300)
-            ),
-        )
-    } else {
-        (
+/// Compare a pair where at least one side is a robust-stats object. On
+/// a path [`is_informational_path`] does not exempt, the stats object
+/// itself is the failure: that value varied across `--repeat` runs of
+/// one binary, and an exact answer must reproduce bit for bit. On an
+/// informational path the row shows the median delta and the baseline
+/// MAD (a scalar side counts as its own median).
+fn compare_stats(path: &str, b: &JsonValue, c: &JsonValue, out: &mut DiffResult) {
+    let (sb, sc) = (as_stats(b), as_stats(c));
+    let median_b = sb.map(|s| s.0).or_else(|| b.as_f64());
+    let median_c = sc.map(|s| s.0).or_else(|| c.as_f64());
+    let (severity, note) = match (median_b, median_c) {
+        _ if !is_informational_path(path) => {
+            (Severity::Fail, "varied across --repeat runs".to_owned())
+        }
+        (Some(mb), Some(mc)) => (
             Severity::Info,
-            format!("median {delta_pct:+.1}% (band ±{band:.3}, n={n_b}/{n_c})"),
-        )
+            format!(
+                "median {:+.1}% (baseline MAD {:.3})",
+                100.0 * (mc - mb) / mb.abs().max(1e-300),
+                sb.map_or(0.0, |s| s.1)
+            ),
+        ),
+        _ => (Severity::Fail, "value type changed".to_owned()),
+    };
+    let show = |s: Option<(f64, f64)>, v: &JsonValue| {
+        s.map_or_else(|| render_value(v), |(m, _)| format!("{m:.6}"))
     };
     out.deltas.push(Delta {
         severity,
         path: path.to_owned(),
-        baseline: format!("{med_b:.6}"),
-        current: format!("{med_c:.6}"),
+        baseline: show(sb, b),
+        current: show(sc, c),
         note,
     });
 }
 
-fn compare_value(path: &str, b: &JsonValue, c: &JsonValue, cfg: &DiffConfig, out: &mut DiffResult) {
-    // Robust-stats objects compare by median + noise band, and a
-    // stats-vs-scalar mismatch (a `--repeat N` run gated against a
-    // single-run baseline, or vice versa) compares the median against
-    // the scalar informationally instead of failing as a type change.
-    match (as_stats(b), as_stats(c)) {
-        (Some(sb), Some(sc)) => {
-            compare_stats(path, sb, sc, cfg, out);
-            return;
-        }
-        (Some((med_b, _, n_b)), None) if c.as_f64().is_some() => {
-            out.deltas.push(Delta {
-                severity: Severity::Info,
-                path: path.to_owned(),
-                baseline: format!("{med_b:.6}"),
-                current: format!("{:.6}", c.as_f64().unwrap_or(0.0)),
-                note: format!("stats (n={n_b}) vs single sample"),
-            });
-            return;
-        }
-        (None, Some((med_c, _, n_c))) if b.as_f64().is_some() => {
-            out.deltas.push(Delta {
-                severity: Severity::Info,
-                path: path.to_owned(),
-                baseline: format!("{:.6}", b.as_f64().unwrap_or(0.0)),
-                current: format!("{med_c:.6}"),
-                note: format!("single sample vs stats (n={n_c})"),
-            });
-            return;
-        }
-        _ => {}
+fn compare_value(path: &str, b: &JsonValue, c: &JsonValue, out: &mut DiffResult) {
+    if as_stats(b).is_some() || as_stats(c).is_some() {
+        compare_stats(path, b, c, out);
+        return;
     }
     match (b, c) {
         (JsonValue::Obj(kb), JsonValue::Obj(_)) => {
@@ -571,7 +464,7 @@ fn compare_value(path: &str, b: &JsonValue, c: &JsonValue, cfg: &DiffConfig, out
                         current: "-".into(),
                         note: "metric missing from current run".into(),
                     }),
-                    Some(vc) => compare_value(&child, vb, vc, cfg, out),
+                    Some(vc) => compare_value(&child, vb, vc, out),
                 }
             }
             if let JsonValue::Obj(kc) = c {
@@ -600,7 +493,7 @@ fn compare_value(path: &str, b: &JsonValue, c: &JsonValue, cfg: &DiffConfig, out
                 return;
             }
             for (i, (vb, vc)) in ab.iter().zip(ac).enumerate() {
-                compare_value(&format!("{path}[{i}]"), vb, vc, cfg, out);
+                compare_value(&format!("{path}[{i}]"), vb, vc, out);
             }
         }
         (JsonValue::Int(ib), JsonValue::Int(ic)) if !is_informational_path(path) => {
@@ -664,7 +557,7 @@ fn compare_value(path: &str, b: &JsonValue, c: &JsonValue, cfg: &DiffConfig, out
             // mismatch is a failure.
             match (b.as_f64(), c.as_f64()) {
                 (Some(fb), Some(fc)) => {
-                    compare_floats(path, fb, fc, is_informational_path(path), cfg, out)
+                    compare_floats(path, fb, fc, is_informational_path(path), out)
                 }
                 _ => out.deltas.push(Delta {
                     severity: Severity::Fail,
@@ -697,7 +590,7 @@ mod tests {
     #[test]
     fn identical_documents_pass() {
         let b = doc("0.5", 10, "1.5");
-        let r = diff(&b, &b, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &b).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         // Summary always renders.
         assert!(r.render(false).contains("0 failed"));
@@ -707,7 +600,7 @@ mod tests {
     fn perturbed_counter_fails() {
         let b = doc("0.5", 10, "1.5");
         let c = doc("0.5", 11, "1.5");
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(r.regressed());
         let fail = r
             .deltas
@@ -722,18 +615,12 @@ mod tests {
     fn wall_clock_changes_are_informational_by_default() {
         let b = doc("0.5", 10, "1.5");
         let c = doc("0.5", 10, "99.0");
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         assert!(r
             .deltas
             .iter()
             .any(|d| d.severity == Severity::Info && d.path == "t.timing.fsim_ms"));
-        // ...but an explicit tolerance turns them into failures.
-        let cfg = DiffConfig {
-            time_tolerance: Some(0.10),
-            ..DiffConfig::default()
-        };
-        assert!(diff(&b, &c, &cfg).unwrap().regressed());
     }
 
     #[test]
@@ -756,7 +643,7 @@ mod tests {
                "spans":[]}"#,
         )
         .unwrap();
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         assert!(r
             .deltas
@@ -764,7 +651,7 @@ mod tests {
             .any(|d| d.severity == Severity::Info && d.path == "serve.load.warm_p99_ns"));
         // …but a cache-hit count change is a hard failure.
         let c = serve_doc(1_000, 24);
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(r.regressed());
         assert!(r
             .deltas
@@ -776,11 +663,9 @@ mod tests {
     fn float_drift_beyond_tolerance_fails() {
         let b = doc("0.5", 10, "1.5");
         let c = doc("0.5000001", 10, "1.5");
-        assert!(diff(&b, &c, &DiffConfig::default()).unwrap().regressed());
+        assert!(diff(&b, &c).unwrap().regressed());
         let close = doc("0.50000000000000004", 10, "1.5");
-        assert!(!diff(&b, &close, &DiffConfig::default())
-            .unwrap()
-            .regressed());
+        assert!(!diff(&b, &close).unwrap().regressed());
     }
 
     #[test]
@@ -791,7 +676,7 @@ mod tests {
         let c =
             parse(r#"{"title":"t","sections":[{"name":"s","metrics":{"a":1,"c":3}}],"spans":[]}"#)
                 .unwrap();
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(r.regressed());
         assert!(r
             .deltas
@@ -807,7 +692,7 @@ mod tests {
     fn missing_section_and_histogram_bucket_changes_fail() {
         let b = doc("0.5", 10, "1.5");
         let missing = parse(r#"{"title":"all","sections":[],"spans":[]}"#).unwrap();
-        let r = diff(&b, &missing, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &missing).unwrap();
         assert!(r.regressed());
 
         // Perturb a histogram bucket.
@@ -817,7 +702,7 @@ mod tests {
             {"name":"t.timing","metrics":{"fsim_ms":1.5}}],
            "spans":[{"name":"atpg","count":2,"total_ns":100,"max_ns":60}]}"#;
         let c = parse(text).unwrap();
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(r.regressed());
         assert!(r.deltas.iter().any(|d| d.path.contains("buckets[1]")));
     }
@@ -831,7 +716,7 @@ mod tests {
             {"name":"t.timing","metrics":{"fsim_ms":1.5}}],
            "spans":[{"name":"atpg","count":3,"total_ns":999,"max_ns":60}]}"#;
         let c = parse(text).unwrap();
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         let fails: Vec<&Delta> = r
             .deltas
             .iter()
@@ -855,7 +740,7 @@ mod tests {
         };
         let b = mk(1, "1e6", "1.0");
         let c = mk(4, "9e6", "2.5");
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         // Thread count and throughput differ → informational, not failing.
         assert!(r
@@ -871,9 +756,7 @@ mod tests {
                "spans":[]}"#,
         )
         .unwrap();
-        assert!(diff(&b, &c_bad, &DiffConfig::default())
-            .unwrap()
-            .regressed());
+        assert!(diff(&b, &c_bad).unwrap().regressed());
     }
 
     #[test]
@@ -891,7 +774,7 @@ mod tests {
         // the smoke job picks its own budget per seed.
         let b = mk(1000, 0);
         let c = mk(50, 0);
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         assert!(r
             .deltas
@@ -917,7 +800,7 @@ mod tests {
         // the integer values move.
         let b = mk("1.01", 5000, 400);
         let c = mk("1.04", 5300, 800);
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         for path in [
             "obs.overhead.overhead_ratio",
@@ -951,7 +834,7 @@ mod tests {
         // must not gate on their own...
         let b = mk(0, "9.08", 59);
         let c = mk(0, "11.5", 64);
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         assert!(r
             .deltas
@@ -959,7 +842,7 @@ mod tests {
             .any(|d| d.severity == Severity::Info && d.path == "lint.baseline.scan.scoap.co_mean"));
         // ...but a diagnostic count changing is a regression.
         let c_bad = mk(1, "9.08", 59);
-        let r = diff(&b, &c_bad, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c_bad).unwrap();
         assert!(r.regressed());
         assert!(r
             .deltas
@@ -984,13 +867,13 @@ mod tests {
         // Implication learning is deterministic: every `lint.*.impl.*`
         // count must match exactly, unlike the SCOAP aggregates.
         let b = mk(3, 210);
-        let r = diff(&b, &mk(3, 210), &DiffConfig::default()).unwrap();
+        let r = diff(&b, &mk(3, 210)).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
-        let r = diff(&b, &mk(2, 210), &DiffConfig::default()).unwrap();
+        let r = diff(&b, &mk(2, 210)).unwrap();
         assert!(r.regressed());
         assert!(r.deltas.iter().any(|d| d.severity == Severity::Fail
             && d.path == "lint.baseline.scan.impl.redundant_faults"));
-        let r = diff(&b, &mk(3, 209), &DiffConfig::default()).unwrap();
+        let r = diff(&b, &mk(3, 209)).unwrap();
         assert!(r.regressed(), "{}", r.render(true));
     }
 
@@ -1010,7 +893,7 @@ mod tests {
         };
         // Throughput may drift freely...
         let b = mk(9, 1, 0, "6000.0");
-        let r = diff(&b, &mk(9, 1, 0, "9500.0"), &DiffConfig::default()).unwrap();
+        let r = diff(&b, &mk(9, 1, 0, "9500.0")).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         assert!(r.deltas.iter().any(
             |d| d.severity == Severity::Info && d.path == "atpg.prepass.rescue.proofs_per_sec"
@@ -1018,20 +901,20 @@ mod tests {
         // ...but losing proofs, moving a vector (`vectors_identical`
         // 1 → 0), or any non-upgrade class change (`unsound_diffs`
         // 0 → 1) is a regression.
-        let r = diff(&b, &mk(7, 1, 0, "6000.0"), &DiffConfig::default()).unwrap();
+        let r = diff(&b, &mk(7, 1, 0, "6000.0")).unwrap();
         assert!(r.regressed());
         assert!(r
             .deltas
             .iter()
             .any(|d| d.severity == Severity::Fail && d.path == "atpg.prepass.rescue.proven"));
-        let r = diff(&b, &mk(9, 0, 0, "6000.0"), &DiffConfig::default()).unwrap();
+        let r = diff(&b, &mk(9, 0, 0, "6000.0")).unwrap();
         assert!(r.regressed());
         assert!(r
             .deltas
             .iter()
             .any(|d| d.severity == Severity::Fail
                 && d.path == "atpg.prepass.rescue.vectors_identical"));
-        let r = diff(&b, &mk(9, 1, 1, "6000.0"), &DiffConfig::default()).unwrap();
+        let r = diff(&b, &mk(9, 1, 1, "6000.0")).unwrap();
         assert!(r.regressed());
         assert!(
             r.deltas
@@ -1055,7 +938,7 @@ mod tests {
             r#",{"name":"isolation.worker","count":4,"total_ns":9,"max_ns":3}"#,
         );
         let c = mk(1, "");
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         // Count 4→1 and a vanished worker span: informational only.
         assert!(!r.regressed(), "{}", r.render(true));
         assert!(r
@@ -1076,7 +959,7 @@ mod tests {
             ))
             .unwrap()
         };
-        let r = diff(&nested(4), &nested(1), &DiffConfig::default()).unwrap();
+        let r = diff(&nested(4), &nested(1)).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         // A non-worker span count change still fails.
         let b2 = parse(
@@ -1089,7 +972,7 @@ mod tests {
                "spans":[{"name":"atpg","count":3,"total_ns":10,"max_ns":5}]}"#,
         )
         .unwrap();
-        assert!(diff(&b2, &c2, &DiffConfig::default()).unwrap().regressed());
+        assert!(diff(&b2, &c2).unwrap().regressed());
     }
 
     fn stats_doc(median: &str, mad: &str) -> JsonValue {
@@ -1107,7 +990,7 @@ mod tests {
     fn stats_metrics_are_informational_without_the_gate() {
         let b = stats_doc("100.0", "2.0");
         let c = stats_doc("300.0", "2.0");
-        let r = diff(&b, &c, &DiffConfig::default()).unwrap();
+        let r = diff(&b, &c).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
         assert!(r
             .deltas
@@ -1116,73 +999,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_gate_fails_only_beyond_the_noise_band() {
-        let cfg = DiffConfig {
-            stats_gate: true,
-            ..DiffConfig::default()
-        };
-        let b = stats_doc("100.0", "2.0");
-        // Band = max(8·2, 0.10·100) = 16. Median 108 is within it.
-        let within = stats_doc("108.0", "2.5");
-        assert!(!diff(&b, &within, &cfg).unwrap().regressed());
-        // Median 300 is a 3× slowdown: fail.
-        let slow = stats_doc("300.0", "2.0");
-        let r = diff(&b, &slow, &cfg).unwrap();
-        assert!(r.regressed(), "{}", r.render(true));
-        assert!(r
-            .deltas
-            .iter()
-            .any(|d| d.severity == Severity::Fail && d.path == "kern.fsim_ms"));
-        // The gate is one-sided: a 3× speedup passes.
-        let fast = stats_doc("33.0", "1.0");
-        assert!(!diff(&b, &fast, &cfg).unwrap().regressed());
-    }
-
-    #[test]
-    fn stats_gate_flips_direction_for_throughput_metrics() {
-        let cfg = DiffConfig {
-            stats_gate: true,
-            ..DiffConfig::default()
-        };
-        let doc = |median: &str| {
-            parse(&format!(
-                r#"{{"title":"all","sections":[
-                    {{"name":"kern","metrics":{{
-                       "evals_per_sec":{{"n":3,"median":{median},"mad":10.0,
-                                         "min":900.0,"max":1200.0,"iqr":20.0}}}}}}],
-                   "spans":[]}}"#
-            ))
-            .unwrap()
-        };
-        let b = doc("1000.0");
-        // Throughput collapsing to a third is a regression…
-        let slow = doc("333.0");
-        let r = diff(&b, &slow, &cfg).unwrap();
-        assert!(r.regressed(), "{}", r.render(true));
-        assert!(r
-            .deltas
-            .iter()
-            .any(|d| d.severity == Severity::Fail && d.path == "kern.evals_per_sec"));
-        // …while tripling it passes, and within-band drift passes.
-        assert!(!diff(&b, &doc("3000.0"), &cfg).unwrap().regressed());
-        assert!(!diff(&b, &doc("950.0"), &cfg).unwrap().regressed());
-    }
-
-    #[test]
-    fn stats_noise_floor_absorbs_tiny_baseline_mad() {
-        let cfg = DiffConfig {
-            stats_gate: true,
-            ..DiffConfig::default()
-        };
-        // MAD 0 (3 identical timings) would make any drift fail without
-        // the relative floor; +8% stays inside the 10% floor band.
-        let b = stats_doc("100.0", "0.0");
-        let c = stats_doc("108.0", "0.0");
-        assert!(!diff(&b, &c, &cfg).unwrap().regressed());
-    }
-
-    #[test]
     fn stats_vs_scalar_is_informational_not_a_type_change() {
+        // On an informational path (`_ms`), a `--repeat` stats object
+        // against a single-run scalar compares medians, either way round.
         let b = stats_doc("100.0", "2.0");
         let c = parse(
             r#"{"title":"all","sections":[
@@ -1190,18 +1009,77 @@ mod tests {
                "spans":[]}"#,
         )
         .unwrap();
-        let cfg = DiffConfig {
-            stats_gate: true,
-            ..DiffConfig::default()
-        };
-        let r = diff(&b, &c, &cfg).unwrap();
-        assert!(!r.regressed(), "{}", r.render(true));
-        let r = diff(&c, &b, &cfg).unwrap();
-        assert!(!r.regressed(), "{}", r.render(true));
+        for (x, y) in [(&b, &c), (&c, &b)] {
+            let r = diff(x, y).unwrap();
+            assert!(!r.regressed(), "{}", r.render(true));
+            assert!(r
+                .deltas
+                .iter()
+                .any(|d| d.severity == Severity::Info && d.path == "kern.fsim_ms"));
+        }
     }
 
     #[test]
-    fn exempt_sections_never_gate_even_with_stats_gate() {
+    fn stats_on_a_gated_path_fail_as_nondeterminism() {
+        let scalar = parse(
+            r#"{"title":"all","sections":[
+                {"name":"table3.rescue.podem","metrics":{"detected":1234}}],
+               "spans":[]}"#,
+        )
+        .unwrap();
+        let varied = parse(
+            r#"{"title":"all","sections":[
+                {"name":"table3.rescue.podem","metrics":{"detected":
+                   {"n":3,"median":1200.0,"mad":0.0,"min":1200.0,"max":1234.0,"iqr":17.0}}}],
+               "spans":[]}"#,
+        )
+        .unwrap();
+        // Stats against a scalar, either way round, and stats against
+        // stats: a counter that varied across repeats is the failure.
+        for (b, c) in [(&scalar, &varied), (&varied, &scalar), (&varied, &varied)] {
+            let r = diff(b, c).unwrap();
+            assert!(r.regressed(), "{}", r.render(true));
+            let fail = r
+                .deltas
+                .iter()
+                .find(|d| d.severity == Severity::Fail)
+                .unwrap();
+            assert_eq!(fail.path, "table3.rescue.podem.detected");
+            assert_eq!(fail.note, "varied across --repeat runs");
+        }
+    }
+
+    #[test]
+    fn merged_repeats_fail_only_where_a_gated_value_varied() {
+        use crate::stats::merge_reports;
+        use rescue_obs::Report;
+        let run = |detected: u64, fsim_ms: f64| {
+            let mut r = Report::new("all");
+            r.section("table3.rescue.podem").u64("detected", detected);
+            r.section("table3.rescue.timing").f64("fsim_ms", fsim_ms);
+            r
+        };
+        let baseline = parse(&run(1234, 5.0).to_json()).unwrap();
+        // Timings vary across the three runs, answers do not: clean.
+        let steady = merge_reports(&[run(1234, 4.0), run(1234, 5.0), run(1234, 9.0)]);
+        let r = diff(&baseline, &parse(&steady.to_json()).unwrap()).unwrap();
+        assert!(!r.regressed(), "{}", r.render(true));
+        assert!(r
+            .deltas
+            .iter()
+            .any(|d| d.severity == Severity::Info && d.path == "table3.rescue.timing.fsim_ms"));
+        // One run detects a different count: the merged stats object
+        // fails the gate even though its median equals the baseline.
+        let flaky = merge_reports(&[run(1234, 4.0), run(1234, 5.0), run(1200, 9.0)]);
+        let r = diff(&baseline, &parse(&flaky.to_json()).unwrap()).unwrap();
+        assert!(r.regressed(), "{}", r.render(true));
+        assert!(r.deltas.iter().any(|d| d.severity == Severity::Fail
+            && d.path == "table3.rescue.podem.detected"
+            && d.note == "varied across --repeat runs"));
+    }
+
+    #[test]
+    fn profile_and_overhead_stats_never_gate() {
         let mk = |total: &str, count: u64, pct: &str| {
             parse(&format!(
                 r#"{{"title":"all","sections":[
@@ -1216,19 +1094,15 @@ mod tests {
             ))
             .unwrap()
         };
-        let cfg = DiffConfig {
-            stats_gate: true,
-            ..DiffConfig::default()
-        };
         // A 9× profile-time shift and a 0.9→5.3 overhead-pct swing:
-        // neither is a workload regression, neither may gate.
-        let r = diff(&mk("10.0", 4, "0.9"), &mk("90.0", 7, "5.3"), &cfg).unwrap();
+        // neither is a wrong answer, neither may gate.
+        let r = diff(&mk("10.0", 4, "0.9"), &mk("90.0", 7, "5.3")).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
     }
 
     #[test]
     fn non_report_document_is_an_error() {
         let junk = parse(r#"{"hello":1}"#).unwrap();
-        assert!(diff(&junk, &junk, &DiffConfig::default()).is_err());
+        assert!(diff(&junk, &junk).is_err());
     }
 }

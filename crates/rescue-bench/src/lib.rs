@@ -39,16 +39,15 @@
 //!
 //! Every output path is probed at argument-parse time: an unwritable
 //! destination aborts with exit code 2 *before* the run, not after it.
+//! So does a `--…` flag the binary does not know.
 //!
-//! The `bench-diff` binary is the regression gate over the
+//! The `bench-diff` binary is the exact-answer regression gate over the
 //! `BENCH_metrics.json` artifact; see [`diff`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod diff;
-pub mod history;
-pub mod leaderboard;
 pub mod stats;
 
 use rescue_core::atpg::AtpgMetrics;
@@ -126,21 +125,29 @@ pub struct ObsFlags {
     pub serve_metrics: Option<String>,
     /// `--progress-every <n>`: progress-frame period (0 = off).
     pub progress_every: u64,
-    /// `--repeat <n>`: measured benchmark runs (default 1). With n > 1
-    /// the varying metrics in the report become median/MAD/min/IQR
-    /// statistics over the n runs.
+    /// `--repeat <n>`: benchmark runs (default 1). With n > 1 the
+    /// varying metrics in the report become median/MAD/min/IQR
+    /// statistics over the n runs, which `bench-diff` fails on any path
+    /// it gates exactly.
     pub repeat: usize,
-    /// `--warmup <k>`: unmeasured warmup runs before the measured ones
-    /// (default 0).
-    pub warmup: usize,
     /// `--metrics-json <path>`: where to write the report JSON
     /// (binaries with a conventional default, like `all` →
     /// `BENCH_metrics.json`, use it when the flag is absent).
     pub metrics_json: Option<String>,
-    /// `--history <path>`: append one run-history record (git SHA,
-    /// date, metric medians) to this JSONL file at exit.
-    pub history: Option<String>,
 }
+
+/// The flags [`obs_init`] parses for every binary, value-taking or not.
+const SHARED_FLAGS: &[&str] = &[
+    "--metrics",
+    "--trace-json",
+    "--trace-perfetto",
+    "--coverage-csv",
+    "--coverage-json",
+    "--serve-metrics",
+    "--progress-every",
+    "--repeat",
+    "--metrics-json",
+];
 
 /// The running telemetry server, held for the duration of the run and
 /// shut down (gracefully, joining its thread) by [`obs_finish`].
@@ -153,20 +160,6 @@ static SERVER: std::sync::Mutex<Option<rescue_obs::TelemetryServer>> = std::sync
 pub fn probe_output_file(path: &str) {
     if let Err(e) = std::fs::File::create(path) {
         eprintln!("error: cannot write output file {path}: {e}");
-        std::process::exit(2);
-    }
-}
-
-/// Probe an append-mode output file: create it if missing and verify it
-/// opens for append *without* truncating existing content (the history
-/// file is append-only by contract). Exits with code 2 on failure.
-pub fn probe_append_file(path: &str) {
-    if let Err(e) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        eprintln!("error: cannot append to output file {path}: {e}");
         std::process::exit(2);
     }
 }
@@ -191,10 +184,19 @@ pub fn probe_output_dir(path: &std::path::Path) {
     }
 }
 
-/// Parse the observability flags and arm the global tracer. Every
-/// output path is opened here so a typo'd directory or a read-only
+/// Parse the observability flags and arm the global tracer. `own` names
+/// the binary's other flags: any `--…` argument that is neither one of
+/// them nor a shared observability flag exits with code 2, so a typo
+/// like `--quik` cannot silently run the paper-size model. Every output
+/// path is opened here too, so a typo'd directory or a read-only
 /// destination fails with exit code 2 before any engine work starts.
-pub fn obs_init() -> ObsFlags {
+pub fn obs_init(own: &[&str]) -> ObsFlags {
+    if let Some(bad) = std::env::args().skip(1).find(|a| {
+        a.starts_with("--") && !SHARED_FLAGS.contains(&a.as_str()) && !own.contains(&a.as_str())
+    }) {
+        eprintln!("error: unknown flag {bad}");
+        std::process::exit(2);
+    }
     let flags = ObsFlags {
         metrics: arg_flag("--metrics"),
         trace_json: arg_str("--trace-json"),
@@ -204,9 +206,7 @@ pub fn obs_init() -> ObsFlags {
         serve_metrics: arg_str("--serve-metrics"),
         progress_every: arg_usize("--progress-every", 0) as u64,
         repeat: arg_usize("--repeat", 1).max(1),
-        warmup: arg_usize("--warmup", 0),
         metrics_json: arg_str("--metrics-json"),
-        history: arg_str("--history"),
     };
     // The span aggregate is on by default: spans are coarse
     // (phase-level, block-level) and their cost is bounded by the
@@ -216,9 +216,6 @@ pub fn obs_init() -> ObsFlags {
     rescue_obs::profile::global().set_enabled(true);
     if let Some(path) = &flags.metrics_json {
         probe_output_file(path);
-    }
-    if let Some(path) = &flags.history {
-        probe_append_file(path);
     }
     if let Some(path) = &flags.trace_json {
         if let Err(e) = rescue_obs::global().set_sink_path(path) {
@@ -341,27 +338,20 @@ fn collect_profile(report: &mut Report, divisor: u64) {
     *PROFILE_ROWS.lock().expect("profile rows poisoned") = rows;
 }
 
-/// Run `body` `--warmup` times unmeasured, then `--repeat` times
-/// measured, and merge the measured reports: deterministic values stay
-/// scalars (exact gating preserved), varying values become
-/// median/MAD/min/IQR statistics, and the span summary and `profile.*`
-/// tree are per-run averages over the measured runs only. `body`
-/// receives the report to fill and whether this is the first
-/// *measured* run (print tables then, so stdout artifacts appear
-/// exactly once).
+/// Run `body` `--repeat` times and merge the reports: values identical
+/// across the runs stay scalars, varying values become
+/// median/MAD/min/IQR statistics (which `bench-diff` fails on every
+/// exactly gated path, so a repeated run is a run-to-run determinism
+/// check), and the span summary and `profile.*` tree are per-run
+/// averages. `body` receives the report to fill and whether this is the
+/// first run (print tables then, so stdout artifacts appear exactly
+/// once).
 pub fn run_repeated(
     title: &str,
     flags: &ObsFlags,
     mut body: impl FnMut(&mut Report, bool),
 ) -> Report {
     let repeat = flags.repeat.max(1);
-    for _ in 0..flags.warmup {
-        let mut scratch = Report::new(title);
-        body(&mut scratch, false);
-    }
-    // Reset the span aggregate so warmup work is not attributed.
-    rescue_obs::profile::flush_thread();
-    rescue_obs::profile::global().reset();
     let mut runs: Vec<Report> = Vec::with_capacity(repeat);
     for i in 0..repeat {
         let mut r = Report::new(title);
@@ -369,10 +359,7 @@ pub fn run_repeated(
         runs.push(r);
     }
     let mut merged = stats::merge_reports(&runs);
-    merged
-        .section("bench")
-        .u64("repeat", repeat as u64)
-        .u64("warmup", flags.warmup as u64);
+    merged.section("bench").u64("repeat", repeat as u64);
     collect_profile(&mut merged, repeat as u64);
     merged
 }
@@ -391,18 +378,6 @@ pub fn write_metrics_json(flags: &ObsFlags, report: &Report, default_path: Optio
         std::process::exit(1);
     }
     eprintln!("wrote metrics JSON {path}");
-}
-
-/// Append one run-history record to the `--history` file (no-op when
-/// the flag is absent). Exits with code 1 on I/O failure.
-pub fn history_append(flags: &ObsFlags, report: &Report, threads: usize) {
-    let Some(path) = &flags.history else { return };
-    let rec = history::HistoryRecord::from_report(report, threads, quick_mode());
-    if let Err(e) = history::append_record(path, &rec) {
-        eprintln!("error: cannot append history record to {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("appended history record to {path} (sha {})", rec.sha);
 }
 
 /// Fill the `live` report section with the final per-counter totals
@@ -501,12 +476,11 @@ pub fn atpg_report(report: &mut Report, prefix: &str, m: &AtpgMetrics) {
 /// The `fsim-kernel` microbench: a lane-width sweep {64, 256, 512} of
 /// the PPSFP kernel over every collapsed fault of the Rescue (largest)
 /// design against the same 512-pattern stimulus, an n-detect
-/// fault-dropping sweep, and the 1-vs-N-thread ATPG scaling row.
+/// fault-dropping sweep, and the N-thread ATPG run both draw on.
 /// Deterministic counters (`detected`, `gate_evals`,
 /// `detect_agreement`, the dropping identity flags) gate exactly in
-/// `bench-diff`; the `_ms` / `_per_sec` keys are throughput data
-/// (stats-gated directionally under `--stats-gate`), and everything
-/// under `fsim_kernel.parallel` is informational wall-clock.
+/// `bench-diff`; the `_ms` / `_per_sec` keys and everything under
+/// `fsim_kernel.parallel` are informational wall-clock.
 pub fn fsim_kernel_report(
     report: &mut Report,
     params: &rescue_core::model::ModelParams,
@@ -524,9 +498,6 @@ pub fn fsim_kernel_report(
     let lev = Levelized::new(&scanned.netlist);
     let faults = scanned.netlist.collapse_faults();
 
-    // 1-vs-N scaling row: the same full ATPG run, serial then sharded.
-    // Identical results are the serial-equivalence guarantee; the gap in
-    // wall-clock is the speedup the sharding layer buys.
     let timed_run = |cfg: AtpgConfig| {
         let t = Instant::now();
         let r = Atpg::new(&scanned, cfg)
@@ -535,17 +506,10 @@ pub fn fsim_kernel_report(
             .expect("atpg run");
         (r, t.elapsed().as_secs_f64())
     };
-    let (run_1t, secs_1t) = timed_run(AtpgConfig {
-        threads: 1,
-        ..AtpgConfig::default()
-    });
     let (run_nt, secs_nt) = timed_run(AtpgConfig {
         threads,
         ..AtpgConfig::default()
     });
-    let identical = run_1t.stats == run_nt.stats
-        && run_1t.metrics.counts == run_nt.metrics.counts
-        && run_1t.metrics.coverage.to_csv("x") == run_nt.metrics.coverage.to_csv("x");
 
     // One shared 512-pattern stimulus (8 × 64-pattern blocks, the lcm
     // of every lane width): the run's own blocks, padded with seeded
@@ -648,7 +612,6 @@ pub fn fsim_kernel_report(
         .u64("detected_ppsfp", count(detected_w512))
         .u64("gate_evals_ppsfp", *evals_w512)
         .u64("detect_agreement", u64::from(detect_agreement))
-        .u64("serial_equivalence", u64::from(identical))
         .f64("ppsfp_ms", best_secs * 1e3)
         .f64(
             "ppsfp_evals_per_sec",
@@ -657,9 +620,7 @@ pub fn fsim_kernel_report(
     report
         .section("fsim_kernel.parallel")
         .u64("threads", threads as u64)
-        .f64("atpg_1t_ms", secs_1t * 1e3)
         .f64("atpg_nt_ms", secs_nt * 1e3)
-        .f64("atpg_speedup", secs_1t / secs_nt.max(1e-12))
         .f64("utilization", run_nt.metrics.parallel.utilization())
         .f64(
             "effective_parallelism",

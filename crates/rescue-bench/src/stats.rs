@@ -8,10 +8,11 @@
 //!   counts — anything deterministic) stay plain scalars, so the
 //!   exact-integer rules in `bench-diff` keep gating them and a
 //!   `--repeat 1` run produces byte-compatible output;
-//! * values that vary (wall-clock, throughput) become
-//!   [`Value::Stats`] — median/MAD/min/max/IQR over the N samples —
-//!   which `bench-diff` compares with a noise band derived from the
-//!   baseline's own spread;
+//! * values that vary become [`Value::Stats`] — median/MAD/min/max/IQR
+//!   over the N samples. `bench-diff` reports those as `info` on
+//!   wall-clock and other informational paths and fails them
+//!   everywhere else: a deterministic counter that varied is a
+//!   nondeterminism bug, not noise;
 //! * strings and histograms keep the first run's value (histograms are
 //!   deterministic here; a varying histogram would already fail the
 //!   scalar counters feeding it).

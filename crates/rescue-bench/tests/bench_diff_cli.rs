@@ -1,5 +1,6 @@
 //! End-to-end tests of the `bench-diff` binary: exit 0 on an unchanged
-//! run, nonzero when a counter is perturbed, exit 2 on unusable input.
+//! run, 1 when a counter is perturbed or varied across `--repeat` runs,
+//! 2 on unusable input.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -61,88 +62,55 @@ fn wall_clock_drift_alone_does_not_gate() {
     let (code, stdout, _) = run(&[a.to_str().unwrap(), b.to_str().unwrap()]);
     assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("info"), "{stdout}");
-    // ...unless a tolerance is requested.
-    let (code, _, _) = run(&[
-        a.to_str().unwrap(),
-        b.to_str().unwrap(),
-        "--time-tolerance-pct",
-        "10",
-    ]);
-    assert_eq!(code, Some(1));
 }
 
-fn fixture(name: &str) -> String {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-        .to_str()
-        .unwrap()
-        .to_owned()
-}
-
-#[test]
-fn stats_gate_fails_the_regression_fixture() {
-    let (code, stdout, stderr) = run(&[
-        &fixture("stats_baseline.json"),
-        &fixture("stats_regression.json"),
-        "--stats-gate",
-    ]);
-    assert_eq!(code, Some(1), "{stdout}{stderr}");
-    assert!(stdout.contains("kern.fsim_ms"), "{stdout}");
-    assert!(stdout.contains("noise band"), "{stdout}");
-}
-
-#[test]
-fn stats_gate_passes_improvement_and_within_noise_fixtures() {
-    for name in ["stats_improvement.json", "stats_within_noise.json"] {
-        let (code, stdout, stderr) = run(&[
-            &fixture("stats_baseline.json"),
-            &fixture(name),
-            "--stats-gate",
-        ]);
-        assert_eq!(code, Some(0), "{name}: {stdout}{stderr}");
-    }
-    // The identical document trivially passes too.
-    let (code, _, _) = run(&[
-        &fixture("stats_baseline.json"),
-        &fixture("stats_baseline.json"),
-        "--stats-gate",
-    ]);
-    assert_eq!(code, Some(0));
+/// A `--repeat 3` document: `rescue_bench::stats::merge_reports` over
+/// three runs whose timing always varies and whose `detected` count
+/// varies when `flaky`.
+fn repeated_doc(flaky: bool) -> String {
+    use rescue_obs::Report;
+    let runs: Vec<Report> = [(1234, 790.5), (1234, 812.25), (1233, 905.0)]
+        .into_iter()
+        .map(|(detected, fsim_ms)| {
+            let mut r = Report::new("all");
+            r.section("table3.rescue.podem")
+                .u64("detected", if flaky { detected } else { 1234 })
+                .u64("aborted", 3);
+            r.section("table3.rescue.timing").f64("fsim_ms", fsim_ms);
+            r
+        })
+        .collect();
+    rescue_bench::stats::merge_reports(&runs).to_json()
 }
 
 #[test]
 fn stats_are_informational_without_the_gate_flag() {
-    let (code, stdout, _) = run(&[
-        &fixture("stats_baseline.json"),
-        &fixture("stats_regression.json"),
-    ]);
+    // Only the timing varied across the repeats: an `info` row, exit 0.
+    let a = write_doc("base_rep.json", &repeated_doc(false));
+    let b = write_doc("cur_rep.json", &repeated_doc(false));
+    let (code, stdout, _) = run(&[a.to_str().unwrap(), b.to_str().unwrap()]);
     assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("info"), "{stdout}");
 }
 
 #[test]
-fn noise_knobs_change_the_band() {
-    // A huge MAD multiplier absorbs even the 3x regression...
-    let (code, _, _) = run(&[
-        &fixture("stats_baseline.json"),
-        &fixture("stats_regression.json"),
-        "--stats-gate",
-        "--noise-mads",
-        "200",
-    ]);
-    assert_eq!(code, Some(0));
-    // ...while a zero band makes the within-noise drift fail.
-    let (code, _, _) = run(&[
-        &fixture("stats_baseline.json"),
-        &fixture("stats_within_noise.json"),
-        "--stats-gate",
-        "--noise-mads",
-        "0",
-        "--noise-floor-pct",
-        "0",
-    ]);
-    assert_eq!(code, Some(1));
+fn counter_varied_across_repeats_exits_one() {
+    let a = write_doc("base_scalar.json", DOC);
+    let b = write_doc("cur_flaky.json", &repeated_doc(true));
+    let (code, stdout, stderr) = run(&[a.to_str().unwrap(), b.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(stdout.contains("table3.rescue.podem.detected"), "{stdout}");
+    assert!(stdout.contains("varied across --repeat runs"), "{stdout}");
+}
+
+#[test]
+fn removed_speed_gate_flags_are_usage_errors() {
+    let a = write_doc("base_flags.json", DOC);
+    for flag in ["--stats-gate", "--time-tolerance-pct"] {
+        let (code, _, stderr) = run(&[a.to_str().unwrap(), a.to_str().unwrap(), flag]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{stderr}");
+    }
 }
 
 #[test]
