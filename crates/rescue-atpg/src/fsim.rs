@@ -1,11 +1,28 @@
-//! Parallel-pattern single-fault-propagation (PPSFP) fault simulation.
+//! Fanout-free-region (FFR) fault simulation, 64 to 512 patterns per
+//! pass.
 //!
 //! Good-machine values for a lane block of `W * 64` patterns (64, 256
-//! or 512 for `W` ∈ {1, 4, 8}) are computed once; each fault is then
-//! simulated by propagating only the *difference* it causes through the
-//! fanout cone, stopping as soon as the difference dies. This is the
-//! standard high-throughput architecture of commercial fault
-//! simulators.
+//! or 512 for `W` ∈ {1, 4, 8}) are computed once. A fault is then
+//! simulated in two parts, the critical-path-tracing split of
+//! Abramovici, Menon & Miller (1984) and Antreich & Schulz (1987):
+//!
+//! * **Local difference.** Inside its fanout-free region
+//!   ([`Levelized::ffr_root`]) a fault effect has exactly one way out:
+//!   each net on the way is read by a single gate pin and observed
+//!   nowhere. The difference is carried on good values along that path,
+//!   one gate evaluation per hop (a pin fault first re-evaluates its gate
+//!   with the pin forced), and stops as soon as it dies.
+//! * **Root observability.** The region's root is flipped in every lane
+//!   and the change is propagated event-driven through its fanout cone
+//!   to the flip-flop D inputs and primary outputs. In the lanes where
+//!   the local difference is set, the faulty machine *is* the flipped
+//!   machine, so the fault's detect mask is its local difference AND the
+//!   root's observability — exact for every fault, lane and width. The
+//!   observability is computed at most once per root per loaded block
+//!   and kept in a dense per-root memo.
+//!
+//! The work unit, [`FsimStats::gate_evals`], therefore counts FFR hops
+//! plus root propagations, each root once per block.
 //!
 //! The simulator runs over the [`Levelized`] packed view of the netlist
 //! and keeps its hot `good`/`faulty` arrays in the view's **internal
@@ -18,13 +35,13 @@
 //! **level-indexed bucket array** with O(1) push/pop. The faulty array
 //! is a full copy of the good values, so the inner loop reads it
 //! directly (no branch per pin), and a touched-net undo list restores
-//! the copy after each fault. There is one kernel at every width; its
-//! reference is the naive full re-simulation
+//! the copy after each propagation. There is one kernel at every width;
+//! its reference is the naive full re-simulation
 //! [`Netlist::simulate_faulty`], which the tests and the fuzz oracles
 //! check it against.
 //!
-//! All per-fault scratch (the input buffer, the touched-net list, the
-//! queues) lives in the `FaultSim` and is reused across calls; a
+//! All scratch (the input buffer, the touched-net list, the queues, the
+//! root memo) lives in the `FaultSim` and is reused across calls; a
 //! simulator performs no per-fault allocation in steady state.
 
 use rescue_netlist::{Fault, FaultSite, Levelized, Netlist, PatternBlock, WideBlock};
@@ -46,15 +63,17 @@ pub struct FsimStats {
     /// Pattern blocks loaded (good-machine simulations). A wide load
     /// counts once per *lane block*, whatever its width.
     pub blocks_loaded: Counter,
-    /// Faults simulated (difference-propagation runs).
+    /// Faults simulated (detect-mask or observation queries).
     pub faults_simulated: Counter,
     /// Simulated faults that were detected under their block.
     pub faults_detected: Counter,
-    /// Gate re-evaluations in the event-driven propagation (the unit of
-    /// fault-simulation work). One wide eval counts once: at `W = 8` a
-    /// single eval covers 512 patterns.
+    /// Gate evaluations beyond the good sweep (the unit of
+    /// fault-simulation work): the hops of each fault's local
+    /// difference, plus the event-driven propagation of each FFR root
+    /// once per block. One wide eval counts once: at `W = 8` a single
+    /// eval covers 512 patterns.
     pub gate_evals: Counter,
-    /// Events pushed onto the propagation queue (queue pressure).
+    /// Events pushed onto the root-propagation queue (queue pressure).
     pub events_queued: Counter,
     /// High-water mark of pending propagation events at any instant.
     pub queue_peak: Gauge,
@@ -62,7 +81,7 @@ pub struct FsimStats {
 
 impl FsimStats {
     /// Fold a measured queue high-water mark into the gauge (keeps the
-    /// max across faults).
+    /// max across propagations).
     fn note_queue_peak(&self, peak: usize) {
         let peak = peak as i64;
         if peak > self.queue_peak.get() {
@@ -90,44 +109,28 @@ impl LevHandle<'_> {
     }
 }
 
-/// The fault as seen by the propagation inner loop: the stuck value plus
-/// packed-position overrides, with sentinels instead of `Option`s so the
-/// hot path stays branch-cheap. Net indices are internal level-order.
-#[derive(Clone, Copy)]
-struct FaultView {
-    /// All-ones for stuck-at-1, all-zeros for stuck-at-0 (per word).
-    stuck: u64,
-    /// Packed position whose input pin is forced, or `u32::MAX`.
-    gpos: u32,
-    /// The forced pin index (meaningful when `gpos` is set).
-    pin: usize,
-    /// Internal net index forced to `stuck`, or `usize::MAX`.
-    net: usize,
+/// Dense index of the fanout-free-region root `fault`'s effect leaves
+/// through: that of the faulty net, or of a faulty pin's gate output.
+pub(crate) fn ffr_root_of(lev: &Levelized, fault: Fault) -> usize {
+    lev.ffr_root(match fault.site {
+        FaultSite::Net(site) => lev.new_net(site.index()),
+        FaultSite::GateInput(g, _) => lev.out_net(lev.pos_of(g)) as usize,
+    })
 }
 
-impl FaultView {
-    fn new(lev: &Levelized, fault: Fault) -> Self {
-        let stuck = if fault.stuck_at.is_one() { u64::MAX } else { 0 };
-        match fault.site {
-            FaultSite::Net(site) => FaultView {
-                stuck,
-                gpos: u32::MAX,
-                pin: 0,
-                net: lev.new_net(site.index()),
-            },
-            FaultSite::GateInput(g, pin) => FaultView {
-                stuck,
-                gpos: lev.pos_of(g),
-                pin: pin as usize,
-                net: usize::MAX,
-            },
-        }
-    }
+#[inline]
+fn xor<const W: usize>(a: [u64; W], b: [u64; W]) -> [u64; W] {
+    std::array::from_fn(|i| a[i] ^ b[i])
+}
 
-    #[inline]
-    fn stuck_wide<const W: usize>(&self) -> [u64; W] {
-        [self.stuck; W]
-    }
+#[inline]
+fn and<const W: usize>(a: [u64; W], b: [u64; W]) -> [u64; W] {
+    std::array::from_fn(|i| a[i] & b[i])
+}
+
+#[inline]
+fn any<const W: usize>(a: [u64; W]) -> bool {
+    a.iter().any(|&w| w != 0)
 }
 
 /// Fault simulator bound to a netlist, reusable across pattern blocks.
@@ -147,12 +150,12 @@ pub struct FaultSim<'a, const W: usize = 1> {
     lev: LevHandle<'a>,
     /// Good-machine values for the current block, internal net order.
     good: Vec<[u64; W]>,
-    /// Faulty values: a full copy of `good`, kept exact between faults
-    /// by the undo list.
+    /// Values under the root being propagated: a full copy of `good`,
+    /// kept exact between propagations by the undo list.
     faulty: Vec<[u64; W]>,
     touched_epoch: Vec<u32>,
-    /// Nets touched by the current run (indices into `faulty`): the
-    /// undo list, and the only nets observation collection visits.
+    /// Nets touched by the current propagation (indices into `faulty`):
+    /// the undo list, and the only nets observation collection visits.
     touched: Vec<u32>,
     epoch: u32,
     /// Per packed gate position: epoch when last queued.
@@ -161,6 +164,14 @@ pub struct FaultSim<'a, const W: usize = 1> {
     buckets: Vec<Vec<u32>>,
     /// Reusable gate-input scratch.
     in_buf: Vec<[u64; W]>,
+    /// Per FFR root (dense index): lanes in which flipping the root is
+    /// observed, valid when `root_block` matches `block`.
+    root_obs: Vec<[u64; W]>,
+    /// Per FFR root: the block number `root_obs` was computed under
+    /// (0 = never).
+    root_block: Vec<u32>,
+    /// Number of the loaded block, from 1.
+    block: u32,
     /// Non-replicated words of the loaded lane block (`1..=W`).
     loaded_words: usize,
     stats: FsimStats,
@@ -218,18 +229,19 @@ impl<'a, const W: usize> FaultSim<'a, W> {
     fn from_handle(lev: LevHandle<'a>) -> Self {
         let l = lev.get();
         let n = l.num_nets();
-        let num_gates = l.num_gates();
-        let num_levels = l.num_levels() as usize;
-        let max_fanin = l.max_fanin();
+        let roots = l.num_ffr_roots();
         FaultSim {
             good: vec![[0; W]; n],
             faulty: vec![[0; W]; n],
             touched_epoch: vec![0; n],
             touched: Vec::new(),
             epoch: 0,
-            queued: vec![0; num_gates],
-            buckets: vec![Vec::new(); num_levels],
-            in_buf: Vec::with_capacity(max_fanin),
+            queued: vec![0; l.num_gates()],
+            buckets: vec![Vec::new(); l.num_levels() as usize],
+            in_buf: Vec::with_capacity(l.max_fanin()),
+            root_obs: vec![[0; W]; roots],
+            root_block: vec![0; roots],
+            block: 0,
             loaded_words: 1,
             stats: FsimStats::default(),
             lev,
@@ -250,15 +262,21 @@ impl<'a, const W: usize> FaultSim<'a, W> {
     /// `W * 64` patterns in one sweep.
     pub fn load_wide(&mut self, wide: &WideBlock<W>) {
         // Phase attribution: the full-block good sweep plus the
-        // faulty-copy reset. Per-fault propagation is left to the
-        // caller's span (`fsim.worker` self time): a span per fault
-        // would cost more than the work it measures.
+        // faulty-copy reset. Per-fault work is left to the caller's span
+        // (`fsim.worker` self time): a span per fault would cost more
+        // than the work it measures.
         let _span = rescue_obs::span("ppsfp_good_sweep");
         self.lev.get().eval_wide_into(wide, &mut self.good);
         self.loaded_words = wide.real_words;
-        // The inner loop reads `faulty` unconditionally, so it must
+        // The propagation reads `faulty` unconditionally, so it must
         // start as an exact copy of the good values.
         self.faulty.copy_from_slice(&self.good);
+        // A new block number invalidates every root memo entry.
+        self.block = self.block.wrapping_add(1);
+        if self.block == 0 {
+            self.root_block.fill(0);
+            self.block = 1;
+        }
         self.stats.blocks_loaded.inc();
     }
 
@@ -278,13 +296,23 @@ impl<'a, const W: usize> FaultSim<'a, W> {
     /// fault; all-zero when the block misses it. Padding words
     /// replicate their source block's word.
     pub fn detect_mask_wide(&mut self, fault: Fault) -> [u64; W] {
-        let mut mask = [0u64; W];
-        self.run(fault, |_, m| {
-            for (acc, w) in mask.iter_mut().zip(m) {
-                *acc |= w;
-            }
-        });
-        if mask.iter().any(|&w| w != 0) {
+        self.stats.faults_simulated.inc();
+        let (root, local) = self.local_diff(fault);
+        if !any(local) {
+            return local;
+        }
+        if self.root_block[root] != self.block {
+            let mut obs = [0u64; W];
+            self.propagate_root(root, |_, diff| {
+                for (acc, w) in obs.iter_mut().zip(diff) {
+                    *acc |= w;
+                }
+            });
+            self.root_obs[root] = obs;
+            self.root_block[root] = self.block;
+        }
+        let mask = and(local, self.root_obs[root]);
+        if any(mask) {
             self.stats.faults_detected.inc();
         }
         mask
@@ -319,12 +347,61 @@ impl<'a, const W: usize> FaultSim<'a, W> {
     }
 
     /// Simulate `fault` and report every observation point where a
-    /// difference appears, with its per-word pattern masks.
+    /// difference appears, with its per-word pattern masks: the root's
+    /// propagation with each point's difference ANDed with the fault's
+    /// local difference (not memoised).
     pub fn observations_wide(&mut self, fault: Fault) -> Vec<(Observation, [u64; W])> {
+        self.stats.faults_simulated.inc();
+        let (root, local) = self.local_diff(fault);
         let mut obs = Vec::new();
-        self.run(fault, |o, m| obs.push((o, m)));
+        if any(local) {
+            self.propagate_root(root, |o, diff| {
+                let m = and(diff, local);
+                if any(m) {
+                    obs.push((o, m));
+                }
+            });
+        }
         obs.sort();
         obs
+    }
+
+    /// The fault's difference at its FFR root, carried on good values
+    /// from the site one gate per hop: `(dense root index, difference)`.
+    /// The difference is all-zero when the effect dies inside the
+    /// region (the walk stops there).
+    fn local_diff(&mut self, fault: Fault) -> (usize, [u64; W]) {
+        let FaultSim {
+            lev,
+            good,
+            in_buf,
+            stats,
+            ..
+        } = self;
+        let lev = lev.get();
+        let stuck = [if fault.stuck_at.is_one() { u64::MAX } else { 0 }; W];
+        let (mut net, mut diff) = match fault.site {
+            FaultSite::Net(site) => {
+                let ni = lev.new_net(site.index());
+                (ni, xor(good[ni], stuck))
+            }
+            FaultSite::GateInput(g, pin) => {
+                hop(lev, lev.pos_of(g), pin as usize, stuck, good, in_buf, stats)
+            }
+        };
+        let root = lev.ffr_root(net);
+        let root_net = lev.ffr_root_net(root);
+        while net != root_net && any(diff) {
+            // A non-root net is read by exactly one pin of one gate.
+            let pos = lev.fanout(net)[0];
+            let pin = lev
+                .inputs(pos)
+                .iter()
+                .position(|&i| i as usize == net)
+                .expect("a non-root net is read by its single consumer");
+            (net, diff) = hop(lev, pos, pin, xor(good[net], diff), good, in_buf, stats);
+        }
+        (root, diff)
     }
 
     fn bump_epoch(&mut self) {
@@ -338,28 +415,20 @@ impl<'a, const W: usize> FaultSim<'a, W> {
         self.touched.clear();
     }
 
-    /// Core event-driven difference propagation.
-    fn run(&mut self, fault: Fault, mut on_observe: impl FnMut(Observation, [u64; W])) {
-        self.stats.faults_simulated.inc();
+    /// Flip FFR root `root` in every lane, propagate the change
+    /// event-driven, and report each observation point that differs
+    /// with its per-word difference.
+    fn propagate_root(&mut self, root: usize, mut on_observe: impl FnMut(Observation, [u64; W])) {
         self.bump_epoch();
-        self.propagate(fault);
+        self.propagate(self.lev.get().ffr_root_net(root));
         // Collect observations: any touched net with a difference that
-        // feeds a flip-flop D or a primary output. A stem fault on a net
-        // that directly feeds state/outputs but is driven by input/DFF is
-        // included because seeding marks the site touched.
+        // feeds a flip-flop D or a primary output. The root itself is
+        // touched, so a root that is observed directly is included.
         let lev = self.lev.get();
         for &net in &self.touched {
             let ni = net as usize;
-            let mut diff = [0u64; W];
-            let mut any = 0u64;
-            for (d, (f, g)) in diff
-                .iter_mut()
-                .zip(self.faulty[ni].iter().zip(&self.good[ni]))
-            {
-                *d = f ^ g;
-                any |= *d;
-            }
-            if any == 0 {
+            let diff = xor(self.faulty[ni], self.good[ni]);
+            if !any(diff) {
                 continue;
             }
             for &d in lev.fanout_dffs(ni) {
@@ -369,7 +438,7 @@ impl<'a, const W: usize> FaultSim<'a, W> {
                 on_observe(Observation::PrimaryOutput(o as usize), diff);
             }
         }
-        // Undo: restore the full faulty copy for the next fault.
+        // Undo: restore the full faulty copy for the next propagation.
         let FaultSim {
             touched,
             good,
@@ -382,7 +451,7 @@ impl<'a, const W: usize> FaultSim<'a, W> {
         }
     }
 
-    fn propagate(&mut self, fault: Fault) {
+    fn propagate(&mut self, root_net: usize) {
         let FaultSim {
             lev,
             good,
@@ -398,49 +467,22 @@ impl<'a, const W: usize> FaultSim<'a, W> {
         } = self;
         let lev = lev.get();
         let epoch = *epoch;
-        let fv = FaultView::new(lev, fault);
 
-        let mut pending = 0usize;
-        let mut pushes = 0u64;
-        let mut peak = 0usize;
-        let mut first_level = lev.num_levels();
-        match fault.site {
-            FaultSite::Net(_) => {
-                let ni = fv.net;
-                faulty[ni] = fv.stuck_wide();
-                if touched_epoch[ni] != epoch {
-                    touched_epoch[ni] = epoch;
-                    touched.push(ni as u32);
-                }
-                if fv.stuck_wide() != good[ni] {
-                    for &pos in lev.fanout(ni) {
-                        if queued[pos as usize] != epoch {
-                            queued[pos as usize] = epoch;
-                            let l = lev.level(pos);
-                            buckets[l as usize].push(pos);
-                            pending += 1;
-                            first_level = first_level.min(l);
-                        }
-                    }
-                }
-            }
-            FaultSite::GateInput(g, _) => {
-                // Re-evaluate the gate with the pin forced.
-                let pos = lev.pos_of(g);
-                queued[pos as usize] = epoch;
-                let l = lev.level(pos);
-                buckets[l as usize].push(pos);
-                pending += 1;
-                first_level = l;
-            }
-        }
-        pushes += pending as u64;
-        peak = peak.max(pending);
+        faulty[root_net] = good[root_net].map(|w| !w);
+        touched_epoch[root_net] = epoch;
+        touched.push(root_net as u32);
+        let mut pending = schedule(lev, root_net, queued, buckets, epoch);
+        let mut pushes = pending as u64;
+        let mut peak = pending;
 
         // A gate only schedules consumers at strictly higher levels, so a
-        // single ascending sweep drains every event; nothing is ever
-        // pushed at or below the level being drained.
-        let mut lvl = first_level;
+        // single ascending sweep from the root's first (lowest-level)
+        // consumer drains every event; nothing is ever pushed at or below
+        // the level being drained.
+        let mut lvl = lev
+            .fanout(root_net)
+            .first()
+            .map_or(0, |&pos| lev.level(pos));
         while pending > 0 {
             let bucket = &mut buckets[lvl as usize];
             if bucket.is_empty() {
@@ -456,7 +498,6 @@ impl<'a, const W: usize> FaultSim<'a, W> {
                 let out = eval_gate::<W>(
                     lev,
                     pos,
-                    fv,
                     faulty,
                     touched_epoch,
                     touched,
@@ -465,14 +506,9 @@ impl<'a, const W: usize> FaultSim<'a, W> {
                     stats,
                 );
                 if let Some(out) = out {
-                    for &cons in lev.fanout(out) {
-                        if queued[cons as usize] != epoch {
-                            queued[cons as usize] = epoch;
-                            buckets[lev.level(cons) as usize].push(cons);
-                            pending += 1;
-                            pushes += 1;
-                        }
-                    }
+                    let queued_now = schedule(lev, out, queued, buckets, epoch);
+                    pending += queued_now;
+                    pushes += queued_now as u64;
                     peak = peak.max(pending);
                 }
             }
@@ -485,9 +521,51 @@ impl<'a, const W: usize> FaultSim<'a, W> {
     }
 }
 
-/// Re-evaluate the gate at packed position `pos` under the fault.
-/// Marks the output net touched; returns `Some(out_net)` when the
-/// change must be propagated to the net's consumers.
+/// Queue every consumer of internal net `net` not yet queued this epoch
+/// in its level's bucket; returns how many were queued.
+#[inline]
+fn schedule(
+    lev: &Levelized,
+    net: usize,
+    queued: &mut [u32],
+    buckets: &mut [Vec<u32>],
+    epoch: u32,
+) -> usize {
+    let mut pushed = 0;
+    for &pos in lev.fanout(net) {
+        if queued[pos as usize] != epoch {
+            queued[pos as usize] = epoch;
+            buckets[lev.level(pos) as usize].push(pos);
+            pushed += 1;
+        }
+    }
+    pushed
+}
+
+/// Evaluate the gate at packed position `pos` on good values with input
+/// pin `pin` replaced by `value`: `(output net, its difference from the
+/// good value)`.
+#[inline]
+fn hop<const W: usize>(
+    lev: &Levelized,
+    pos: u32,
+    pin: usize,
+    value: [u64; W],
+    good: &[[u64; W]],
+    in_buf: &mut Vec<[u64; W]>,
+    stats: &FsimStats,
+) -> (usize, [u64; W]) {
+    stats.gate_evals.inc();
+    in_buf.clear();
+    in_buf.extend(lev.inputs(pos).iter().map(|&ni| good[ni as usize]));
+    in_buf[pin] = value;
+    let out = lev.out_net(pos) as usize;
+    (out, xor(lev.kind(pos).eval_wide(in_buf), good[out]))
+}
+
+/// Re-evaluate the gate at packed position `pos` on the propagation's
+/// values. Marks the output net touched; returns `Some(out_net)` when
+/// the change must be propagated to the net's consumers.
 ///
 /// The faulty array is a full copy of the good values kept exact by the
 /// undo list, so pins read it unconditionally and a change propagates
@@ -497,7 +575,6 @@ impl<'a, const W: usize> FaultSim<'a, W> {
 fn eval_gate<const W: usize>(
     lev: &Levelized,
     pos: u32,
-    fv: FaultView,
     faulty: &mut [[u64; W]],
     touched_epoch: &mut [u32],
     touched: &mut Vec<u32>,
@@ -508,14 +585,8 @@ fn eval_gate<const W: usize>(
     stats.gate_evals.inc();
     in_buf.clear();
     in_buf.extend(lev.inputs(pos).iter().map(|&ni| faulty[ni as usize]));
-    if pos == fv.gpos {
-        in_buf[fv.pin] = fv.stuck_wide();
-    }
-    let mut v = lev.kind(pos).eval_wide(in_buf);
+    let v = lev.kind(pos).eval_wide(in_buf);
     let oi = lev.out_net(pos) as usize;
-    if oi == fv.net {
-        v = fv.stuck_wide();
-    }
     if v == faulty[oi] {
         return None;
     }
@@ -570,27 +641,68 @@ mod tests {
         }
     }
 
+    /// Fanout-free-region boundary cases: nets read twice by one gate
+    /// (`xor2(a, a)`, `and2(c, c)`), a mux whose select sits inside a
+    /// region, a chain of hops with pin faults deep inside it, a root
+    /// that feeds a flip-flop D input and more gates, const gates, and
+    /// pin faults on a gate whose output is an observed root.
+    fn ffr_fixture() -> rescue_netlist::Netlist {
+        let mut b = NetlistBuilder::new();
+        b.enter_component("ffr");
+        let a = b.input("a");
+        let c = b.input("c");
+        let d = b.input("d");
+        let e = b.input("e");
+        let f = b.input("f");
+        let xa = b.xor2(a, a);
+        let cc = b.and2(c, c);
+        let sel = b.nand2(d, e);
+        let m = b.mux(sel, cc, xa);
+        let n1 = b.not(m);
+        let n2 = b.and2(n1, f);
+        let n3 = b.or2(n2, d);
+        let r = b.xor2(n3, e);
+        let q = b.dff(r, "q");
+        let k0 = b.const0();
+        let k1 = b.const1();
+        let g1 = b.and2(r, q);
+        let g2 = b.or2(r, k0);
+        let g3 = b.and2(g1, k1);
+        let g4 = b.xor2(g2, g3);
+        b.output(g4, "o");
+        b.finish().unwrap()
+    }
+
     /// Cross-check the event-driven simulator against full faulty
-    /// re-simulation on a small circuit.
+    /// re-simulation on every enumerated fault of small circuits.
     #[test]
     fn event_driven_matches_full_resimulation() {
-        let n = sample();
-        let block = PatternBlock {
-            inputs: vec![0b1100_1010, 0b1010_0110, 0b0110_0011],
-            state: vec![0b0001_1000],
-        };
-        let mut sim = FaultSim::new(&n);
-        sim.load_block(&block);
-        for fault in n.enumerate_faults() {
-            assert_eq!(
-                sim.detect_mask(fault),
-                naive_mask(&n, &block, fault),
-                "fault {fault}"
-            );
+        let fixture = ffr_fixture();
+        let fixture_block = random_block(&fixture, &mut SplitMix64::new(0xff5));
+        let cases = [
+            (
+                sample(),
+                PatternBlock {
+                    inputs: vec![0b1100_1010, 0b1010_0110, 0b0110_0011],
+                    state: vec![0b0001_1000],
+                },
+            ),
+            (fixture, fixture_block),
+        ];
+        for (n, block) in &cases {
+            let mut sim = FaultSim::new(n);
+            sim.load_block(block);
+            for fault in n.enumerate_faults() {
+                assert_eq!(
+                    sim.detect_mask(fault),
+                    naive_mask(n, block, fault),
+                    "fault {fault}"
+                );
+            }
+            assert!(sim.stats().gate_evals.get() > 0);
+            assert!(sim.stats().events_queued.get() > 0);
+            assert!(sim.stats().queue_peak.get() > 0);
         }
-        assert!(sim.stats().gate_evals.get() > 0);
-        assert!(sim.stats().events_queued.get() > 0);
-        assert!(sim.stats().queue_peak.get() > 0);
     }
 
     /// The undo list must leave `faulty == good` after every fault, or
@@ -599,25 +711,27 @@ mod tests {
     /// width `W`, check the copy after every fault, and require every
     /// word of every mask to match the naive re-simulation of its block.
     fn undo_restores_the_good_copy<const W: usize>() {
-        let n = sample();
-        let faults = n.enumerate_faults();
-        let mut rng = SplitMix64::new(0x5eed ^ W as u64);
-        let lev = Levelized::new(&n);
-        let mut sim = FaultSim::<W>::wide(&lev);
-        for group in 0..4 {
-            let blocks: Vec<PatternBlock> = (0..W).map(|_| random_block(&n, &mut rng)).collect();
-            sim.load_blocks(&blocks);
-            for &fault in &faults {
-                let mask = sim.detect_mask_wide(fault);
-                for (word, block) in blocks.iter().enumerate() {
-                    assert_eq!(
-                        mask[word],
-                        naive_mask(&n, block, fault),
-                        "W={W} group {group} word {word} fault {fault}"
-                    );
-                }
-                for (ni, (f, g)) in sim.faulty.iter().zip(&sim.good).enumerate() {
-                    assert_eq!(f, g, "W={W} fault {fault}: copy not restored at net {ni}");
+        for n in [sample(), ffr_fixture()] {
+            let faults = n.enumerate_faults();
+            let mut rng = SplitMix64::new(0x5eed ^ W as u64);
+            let lev = Levelized::new(&n);
+            let mut sim = FaultSim::<W>::wide(&lev);
+            for group in 0..4 {
+                let blocks: Vec<PatternBlock> =
+                    (0..W).map(|_| random_block(&n, &mut rng)).collect();
+                sim.load_blocks(&blocks);
+                for &fault in &faults {
+                    let mask = sim.detect_mask_wide(fault);
+                    for (word, block) in blocks.iter().enumerate() {
+                        assert_eq!(
+                            mask[word],
+                            naive_mask(&n, block, fault),
+                            "W={W} group {group} word {word} fault {fault}"
+                        );
+                    }
+                    for (ni, (f, g)) in sim.faulty.iter().zip(&sim.good).enumerate() {
+                        assert_eq!(f, g, "W={W} fault {fault}: copy not restored at net {ni}");
+                    }
                 }
             }
         }

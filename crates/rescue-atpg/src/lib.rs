@@ -10,8 +10,11 @@
 //!    cube that is random-filled into a full vector,
 //! 3. batch vectors 64 at a time and run the **parallel-pattern
 //!    single-fault-propagation simulator** ([`fsim`]) to drop every other
-//!    fault the batch happens to detect — sharded across worker threads
-//!    ([`parallel`]) with results bit-identical to the 1-thread run,
+//!    fault the batch happens to detect. Each fault's difference walks
+//!    its fanout-free region to the region's root, and each root's
+//!    observability is propagated event-driven once per block. Faults
+//!    are sharded across worker threads by region root ([`parallel`]),
+//!    with results and work counts bit-identical to the 1-thread run,
 //! 4. account test application cycles with the standard overlapped
 //!    scan-in/scan-out schedule,
 //! 5. for **isolation** ([`isolation`]): replay the vector set against an

@@ -1,16 +1,17 @@
-//! Deterministic fault-parallel sharding for the PPSFP simulator.
+//! Deterministic fault-parallel sharding for the FFR fault simulator.
 //!
 //! Fault simulation is embarrassingly parallel across the fault list:
-//! every fault is an independent difference propagation against the same
-//! good-machine block. [`FaultShards`] splits the fault slice into
-//! contiguous index ranges, simulates each range on its own worker (one
-//! [`FaultSim`] per worker over a shared [`Levelized`]), and reduces the
-//! per-fault results **in canonical fault-index order**. Because each
-//! fault's result depends only on the fault and the block — never on
-//! other faults or on scheduling — the reduced output is bit-for-bit
-//! identical for any worker count, including 1. Fault dropping, the
-//! coverage curve, per-vector provenance, and every `AtpgCounts` value
-//! therefore match the sequential run exactly.
+//! every fault's result depends only on the fault and the good-machine
+//! block. [`FaultShards`] groups the faults by fanout-free-region root,
+//! cuts the groups into one shard per worker (one [`FaultSim`] per
+//! worker over a shared [`Levelized`]), and scatters the per-fault
+//! results back **into canonical fault-index order**. The reduced output
+//! is therefore bit-for-bit identical for any worker count, including 1.
+//! Because no root is split across workers, each root's observability is
+//! propagated once per block whatever the worker count, so the summed
+//! gate evals are thread-invariant too. Fault dropping, the coverage
+//! curve, per-vector provenance, and every `AtpgCounts` value match the
+//! sequential run exactly.
 //!
 //! The same invariance holds across lane widths: a worker pool is
 //! `FaultShards<'a, W>` for `W` ∈ {1, 4, 8} (64/256/512 patterns per
@@ -27,7 +28,7 @@
 //! time in the utilization report.
 
 use crate::error::AtpgError;
-use crate::fsim::FaultSim;
+use crate::fsim::{ffr_root_of, FaultSim};
 use rescue_netlist::{Fault, Levelized, PatternBlock, WideBlock};
 use rescue_obs::live::LiveCounter;
 
@@ -130,6 +131,7 @@ impl FsimParallel {
 /// See the module docs for the determinism argument.
 #[derive(Debug)]
 pub struct FaultShards<'a, const W: usize = 1> {
+    lev: &'a Levelized,
     sims: Vec<FaultSim<'a, W>>,
     busy_ns: Vec<u64>,
     wall_ns: u64,
@@ -157,6 +159,7 @@ impl<'a, const W: usize> FaultShards<'a, W> {
     pub fn wide(lev: &'a Levelized, threads: usize) -> Self {
         let threads = threads.max(1);
         FaultShards {
+            lev,
             sims: (0..threads).map(|_| FaultSim::wide(lev)).collect(),
             busy_ns: vec![0; threads],
             wall_ns: 0,
@@ -168,9 +171,10 @@ impl<'a, const W: usize> FaultShards<'a, W> {
         self.sims.len()
     }
 
-    /// Gate re-evaluations summed across workers. Deterministic: the
-    /// per-fault eval count is scheduling-independent, so the sum over a
-    /// fixed fault population never varies with the worker count.
+    /// Gate evaluations summed across workers. Deterministic: a fault's
+    /// local hops are scheduling-independent and each root belongs to
+    /// exactly one worker, so the sum over a fixed fault population
+    /// never varies with the worker count.
     pub fn gate_evals(&self) -> u64 {
         self.sims.iter().map(|s| s.stats().gate_evals.get()).sum()
     }
@@ -198,8 +202,12 @@ impl<'a, const W: usize> FaultShards<'a, W> {
     }
 
     /// Shard `faults` over the workers, apply `op` per fault against the
-    /// loaded lane block, and concatenate the results in canonical
+    /// loaded lane block, and return the results in canonical
     /// fault-index order.
+    ///
+    /// Shards are whole fanout-free regions ([`root_shards`]): each
+    /// root's observability is then propagated by exactly one worker,
+    /// so the summed gate evals are the same at every worker count.
     fn map_faults<R: Send>(
         &mut self,
         wide: &WideBlock<W>,
@@ -226,35 +234,42 @@ impl<'a, const W: usize> FaultShards<'a, W> {
             self.busy_ns[0] += busy.finish();
             results
         } else {
-            let chunk = faults.len().div_ceil(workers);
+            let shards = root_shards(self.lev, faults, workers);
             let FaultShards { sims, busy_ns, .. } = self;
             let op = &op;
-            let mut results: Vec<R> = Vec::with_capacity(faults.len());
+            let mut results: Vec<Option<R>> =
+                std::iter::repeat_with(|| None).take(faults.len()).collect();
             std::thread::scope(|s| {
                 let handles: Vec<_> = sims
                     .iter_mut()
-                    .zip(faults.chunks(chunk))
+                    .zip(&shards)
                     .enumerate()
                     .map(|(worker, (sim, shard))| {
                         s.spawn(move || {
                             let busy = rescue_obs::span_root("fsim.worker");
                             let before = live_stats(sim);
                             sim.load_wide(wide);
-                            let shard_out: Vec<R> = shard.iter().map(|&f| op(sim, f)).collect();
+                            let shard_out: Vec<R> =
+                                shard.iter().map(|&i| op(sim, faults[i as usize])).collect();
                             publish_live(worker, sim, before);
                             (shard_out, busy.finish())
                         })
                     })
                     .collect();
-                // Join in spawn order: shard results concatenate back
-                // into canonical fault-index order.
-                for (i, h) in handles.into_iter().enumerate() {
+                // Scatter each shard's results back to their canonical
+                // fault positions.
+                for (i, (h, shard)) in handles.into_iter().zip(&shards).enumerate() {
                     let (shard_out, busy) = h.join().expect("fsim worker panicked");
-                    results.extend(shard_out);
+                    for (&slot, r) in shard.iter().zip(shard_out) {
+                        results[slot as usize] = Some(r);
+                    }
                     busy_ns[i] += busy;
                 }
             });
-            results
+            // Every position is covered by exactly one shard; a gap would
+            // shorten the list, which callers reject as a lane-count
+            // mismatch.
+            results.into_iter().flatten().collect()
         };
         self.wall_ns += wall.finish();
         debug_assert_eq!(out.len(), faults.len());
@@ -262,9 +277,42 @@ impl<'a, const W: usize> FaultShards<'a, W> {
     }
 }
 
+/// Positions into `faults`, grouped by fanout-free-region root (roots
+/// ascending, canonical order within a root) and cut at root boundaries
+/// into at most `workers` shards of about `faults.len() / workers`
+/// faults each. A counting sort over the dense root indices.
+fn root_shards(lev: &Levelized, faults: &[Fault], workers: usize) -> Vec<Vec<u32>> {
+    let roots: Vec<u32> = faults.iter().map(|&f| ffr_root_of(lev, f) as u32).collect();
+    let mut next = vec![0u32; lev.num_ffr_roots() + 1];
+    for &r in &roots {
+        next[r as usize + 1] += 1;
+    }
+    for r in 1..next.len() {
+        next[r] += next[r - 1];
+    }
+    let mut order = vec![0u32; faults.len()];
+    for (i, &r) in roots.iter().enumerate() {
+        order[next[r as usize] as usize] = i as u32;
+        next[r as usize] += 1;
+    }
+    let target = faults.len().div_ceil(workers);
+    let root_at = |k: usize| roots[order[k] as usize];
+    let mut shards = Vec::with_capacity(workers);
+    let mut cut = 0;
+    while cut < order.len() {
+        let mut end = (cut + target).min(order.len());
+        while end < order.len() && root_at(end) == root_at(end - 1) {
+            end += 1;
+        }
+        shards.push(order[cut..end].to_vec());
+        cut = end;
+    }
+    shards
+}
+
 /// Runtime lane-width dispatch over the three [`FaultShards`]
 /// monomorphizations, so the ATPG loop can take `lane_words` as a plain
-/// config knob. Every width runs the same PPSFP kernel; lane results are
+/// config knob. Every width runs the same FFR kernel; lane results are
 /// width-invariant, so the choice only affects wall-clock time (and the
 /// gate-eval count, since a wide pass evaluates the union of its words'
 /// cones).

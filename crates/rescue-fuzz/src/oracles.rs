@@ -6,11 +6,12 @@
 //!
 //! * [`engines`] — good-machine values from the interpreter
 //!   ([`Netlist::simulate`]) against the levelized packed evaluator,
-//!   and per-fault detection masks from the naive full-re-evaluation
-//!   reference against the event-driven PPSFP kernel at 64 patterns
-//!   per pass.
+//!   and, on every enumerated fault, the detection mask and the
+//!   per-observation-point differences from the naive full-re-evaluation
+//!   reference against the FFR kernel at 64 patterns per pass.
 //! * [`shards`] — the multi-threaded fault-sharding layer at 1, 2 and 8
-//!   workers against the serial simulator, lane for lane.
+//!   workers against the serial simulator, lane for lane, with equal
+//!   gate-eval totals at every worker count.
 //! * [`wide`] — the PPSFP kernel at 256 and 512 patterns per pass
 //!   against the same kernel at 64 (which [`engines`] pins to the
 //!   naive reference): every per-block detect-mask word and the global
@@ -39,7 +40,8 @@
 
 use crate::ir::CaseIr;
 use rescue_atpg::{
-    Atpg, AtpgConfig, FaultClass, FaultShards, FaultSim, Podem, PodemConfig, PodemResult,
+    Atpg, AtpgConfig, FaultClass, FaultShards, FaultSim, Observation, Podem, PodemConfig,
+    PodemResult,
 };
 use rescue_netlist::scan::insert_scan;
 use rescue_netlist::{Fault, Levelized, NetId, Netlist, PatternBlock, StuckAt};
@@ -155,7 +157,8 @@ fn signature(netlist: &Netlist, good: &[u64], block: &PatternBlock, fault: Fault
 }
 
 /// Oracle (a): interpreter vs. levelized evaluator on every net, then
-/// naive vs. event-driven detection masks on every collapsed fault.
+/// naive vs. event-driven detection masks and per-point observations on
+/// every enumerated fault.
 pub fn engines(case: &CaseIr) -> Result<(), String> {
     let netlist = case.build()?;
     let block = case.block();
@@ -174,12 +177,30 @@ pub fn engines(case: &CaseIr) -> Result<(), String> {
 
     let mut sim = FaultSim::with_levelized(&lev);
     sim.load_block(&block);
-    for fault in netlist.collapse_faults() {
-        let want = naive_detect_mask(&netlist, &good.nets, &block, fault);
+    let points: Vec<Observation> = (0..netlist.outputs().len())
+        .map(Observation::PrimaryOutput)
+        .chain((0..netlist.num_dffs()).map(Observation::ScanCell))
+        .collect();
+    for fault in netlist.enumerate_faults() {
+        let sig = signature(&netlist, &good.nets, &block, fault);
+        let want = sig.iter().fold(0, |a, w| a | w);
         let got = sim.detect_mask(fault);
         if got != want {
             return Err(format!(
                 "fault {fault}: naive mask {want:#x}, event-driven {got:#x}"
+            ));
+        }
+        let mut want_obs: Vec<(Observation, u64)> = points
+            .iter()
+            .zip(&sig)
+            .filter(|(_, &w)| w != 0)
+            .map(|(&o, &w)| (o, w))
+            .collect();
+        want_obs.sort();
+        let got_obs = sim.observations(fault);
+        if got_obs != want_obs {
+            return Err(format!(
+                "fault {fault}: naive observations {want_obs:?}, event-driven {got_obs:?}"
             ));
         }
     }
@@ -187,8 +208,8 @@ pub fn engines(case: &CaseIr) -> Result<(), String> {
 }
 
 /// Oracle (b): the fault-sharding layer must return bit-identical lanes
-/// at every worker count, and those lanes must match the serial
-/// simulator.
+/// and gate-eval totals at every worker count, and those lanes must
+/// match the serial simulator.
 pub fn shards(case: &CaseIr) -> Result<(), String> {
     let netlist = case.build()?;
     let block = case.block();
@@ -202,6 +223,7 @@ pub fn shards(case: &CaseIr) -> Result<(), String> {
         .map(|&f| serial.first_detecting_lane(f))
         .collect();
 
+    let mut evals = Vec::new();
     for threads in [1usize, 2, 8] {
         let mut shards = FaultShards::new(&lev, threads);
         let got = shards.detect_lanes(&block, &faults);
@@ -212,6 +234,10 @@ pub fn shards(case: &CaseIr) -> Result<(), String> {
                 faults[i], got[i], want[i]
             ));
         }
+        evals.push((threads, shards.gate_evals()));
+    }
+    if evals.windows(2).any(|w| w[0].1 != w[1].1) {
+        return Err(format!("gate evals vary with the worker count: {evals:?}"));
     }
     Ok(())
 }

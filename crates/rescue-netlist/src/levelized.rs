@@ -16,7 +16,10 @@
 //!   inputs, then flip-flop Q outputs, then gate outputs in packed
 //!   order — behind an old↔new permutation, so the hot good/faulty
 //!   value arrays are written in streaming order during the level sweep
-//!   instead of striding through builder-assigned net ids.
+//!   instead of striding through builder-assigned net ids;
+//! * every net carries its **fanout-free-region (FFR) root**: the net a
+//!   fault effect on it must pass through to reach anything but its own
+//!   single consumer chain (see [`Levelized::ffr_root`]).
 //!
 //! Positions into the packed order are called `pos` below; they relate
 //! to [`GateId`]s through [`Levelized::pos_of`] / [`Levelized::gate_at`].
@@ -65,6 +68,10 @@ pub struct Levelized {
     net_old: Vec<u32>,
     /// Inverse permutation: original `NetId` -> internal net index.
     net_new: Vec<u32>,
+    /// Per net: dense index of its fanout-free-region root.
+    ffr_root: Vec<u32>,
+    /// Per dense root index: the root's internal net index.
+    ffr_root_nets: Vec<u32>,
     /// Largest gate fan-in (scratch-buffer sizing).
     max_fanin: usize,
 }
@@ -159,6 +166,32 @@ impl Levelized {
         });
         let (po_offsets, po_ids) = csr(0..n.num_nets(), |ni| n.fanout_outputs(old_of(ni)).to_vec());
 
+        // Fanout-free-region roots, in reverse level order so a net's
+        // single consumer is resolved before the net itself. A net is a
+        // root unless exactly one gate pin reads it (a net on two pins of
+        // one gate appears twice in its fanout) and no flip-flop or
+        // primary output does. The consumer's output always has a higher
+        // internal index, except for undriven stragglers, which are
+        // made roots too. Dense root indices count down from the last
+        // net.
+        let num_nets = n.num_nets();
+        let mut ffr_root = vec![0u32; num_nets];
+        let mut ffr_root_nets = Vec::new();
+        for ni in (0..num_nets).rev() {
+            let fan = &fanout_pos[fanout_offsets[ni] as usize..fanout_offsets[ni + 1] as usize];
+            let observed =
+                dff_offsets[ni] != dff_offsets[ni + 1] || po_offsets[ni] != po_offsets[ni + 1];
+            ffr_root[ni] = match *fan {
+                [pos] if !observed && out_net[pos as usize] as usize > ni => {
+                    ffr_root[out_net[pos as usize] as usize]
+                }
+                _ => {
+                    ffr_root_nets.push(ni as u32);
+                    ffr_root_nets.len() as u32 - 1
+                }
+            };
+        }
+
         Levelized {
             num_nets: n.num_nets(),
             num_levels: level.last().map_or(0, |&l| l + 1),
@@ -178,6 +211,8 @@ impl Levelized {
             dff_q_nets: n.dffs().iter().map(|d| net_new[d.q().index()]).collect(),
             net_old,
             net_new,
+            ffr_root,
+            ffr_root_nets,
             max_fanin: n
                 .gates()
                 .iter()
@@ -274,6 +309,27 @@ impl Levelized {
     #[inline]
     pub fn fanout_outputs(&self, ni: usize) -> &[u32] {
         &self.po_ids[self.po_offsets[ni] as usize..self.po_offsets[ni + 1] as usize]
+    }
+
+    /// Dense index (`0..num_ffr_roots()`) of the fanout-free-region
+    /// root of internal net `ni`. Following the single consumer from a
+    /// non-root net leads, one gate per hop, to its root; a fault effect
+    /// anywhere in the region reaches the rest of the circuit only
+    /// through the root.
+    #[inline]
+    pub fn ffr_root(&self, ni: usize) -> usize {
+        self.ffr_root[ni] as usize
+    }
+
+    /// Internal net index of the root with dense index `root`.
+    #[inline]
+    pub fn ffr_root_net(&self, root: usize) -> usize {
+        self.ffr_root_nets[root] as usize
+    }
+
+    /// Number of fanout-free-region roots.
+    pub fn num_ffr_roots(&self) -> usize {
+        self.ffr_root_nets.len()
     }
 
     /// Internal net index per primary input, declaration order. Together
@@ -438,6 +494,33 @@ mod tests {
         for pos in 0..lev.num_gates() as u32 {
             assert_eq!(lev.out_net(pos) as usize, base + pos as usize);
         }
+    }
+
+    #[test]
+    fn ffr_roots_follow_single_consumers() {
+        let mut b = NetlistBuilder::new();
+        b.enter_component("c");
+        let a = b.input("a");
+        let c = b.input("c");
+        let twice = b.xor2(c, c);
+        let x = b.and2(a, twice);
+        let y = b.not(x);
+        let q = b.dff(y, "r");
+        let z = b.or2(y, q);
+        b.output(z, "o");
+        let n = b.finish().unwrap();
+        let lev = Levelized::new(&n);
+        let root_net = |net: NetId| lev.ffr_root_net(lev.ffr_root(lev.new_net(net.index())));
+        // `c` is read twice by one gate, `y` feeds a flip-flop, `z` an
+        // output, `q` nothing but `z`'s gate.
+        for net in [c, y, z] {
+            assert_eq!(root_net(net), lev.new_net(net.index()), "{net:?}");
+        }
+        for net in [a, twice, x] {
+            assert_eq!(root_net(net), lev.new_net(y.index()), "{net:?}");
+        }
+        assert_eq!(root_net(q), lev.new_net(z.index()));
+        assert_eq!(lev.num_ffr_roots(), 3);
     }
 
     #[test]

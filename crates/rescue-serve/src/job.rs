@@ -65,9 +65,10 @@ impl JobKind {
 pub struct JobConfig {
     /// Job kind (`"kind"`, required).
     pub kind: JobKind,
-    /// Worker threads (`"threads"`, 0 = auto). Datapath knob: results
-    /// are bit-identical for any value, so it is excluded from
-    /// [`JobConfig::config_hash`].
+    /// Worker threads (`"threads"`, at most 64; 0 = auto: the server's
+    /// share `nproc / workers`, or all cores from the CLI). Datapath
+    /// knob: results are bit-identical for any value, so it is excluded
+    /// from [`JobConfig::config_hash`].
     pub threads: usize,
     /// Fault-sim lane width in words (`"lane_words"`, 1/4/8). For an
     /// fsim job it is the width of the groups after the first block,
@@ -97,6 +98,10 @@ pub struct JobConfig {
     /// Fsim: pattern generator seed (`"seed"`).
     pub seed: u64,
 }
+
+/// Most worker threads a job may ask for: each one holds a fault
+/// simulator and may be spawned per pattern group.
+const MAX_THREADS: usize = 64;
 
 /// Largest PODEM backtrack budget a job may ask for.
 const MAX_BACKTRACKS: usize = 100_000;
@@ -177,7 +182,11 @@ impl JobConfig {
                 _ => return Err("\"static_prepass\" must be a boolean".to_owned()),
             }
         }
-        // Admission caps: one request must not hold a worker for long.
+        // Admission caps: one request must not hold a worker for long
+        // or take the machine's memory and threads.
+        if cfg.threads > MAX_THREADS {
+            return Err(format!("\"threads\" must be at most {MAX_THREADS}"));
+        }
         if cfg.max_backtracks > MAX_BACKTRACKS {
             return Err(format!(
                 "\"max_backtracks\" must be at most {MAX_BACKTRACKS}"
@@ -541,6 +550,13 @@ mod tests {
         assert!(JobConfig::parse(&over)
             .unwrap_err()
             .contains("\"patterns\""));
+
+        // Parsing only: no job above the cap runs, so no thread starts.
+        let at = format!(r#"{{"kind":"fsim","threads":{MAX_THREADS}}}"#);
+        assert_eq!(JobConfig::parse(&at).unwrap().threads, MAX_THREADS);
+        let over = format!(r#"{{"kind":"fsim","threads":{}}}"#, MAX_THREADS + 1);
+        assert!(JobConfig::parse(&over).unwrap_err().contains("\"threads\""));
+        assert!(JobConfig::parse(r#"{"kind":"fsim","threads":100000}"#).is_err());
     }
 
     #[test]

@@ -158,6 +158,10 @@ type JobRunner = fn(&Design, &JobConfig) -> Result<String, String>;
 struct State {
     caches: ServeCaches,
     gate: Arc<Gate>,
+    /// Threads a job with `"threads": 0` runs on: its share of the
+    /// machine, `nproc / workers`, so concurrent jobs do not
+    /// oversubscribe the cores.
+    job_threads: usize,
     title: String,
     run: JobRunner,
     jobs_accepted: Arc<Counter>,
@@ -174,6 +178,7 @@ impl State {
         State {
             caches: ServeCaches::new(opts.design_cache, opts.result_cache),
             gate: Arc::new(Gate::new(opts.workers, opts.queue_depth)),
+            job_threads: (rescue_atpg::resolve_threads(0) / opts.workers.max(1)).max(1),
             title: opts.title.clone(),
             run,
             jobs_accepted: reg.counter("serve.jobs.accepted"),
@@ -345,8 +350,18 @@ fn run_cached(
         })
         .as_bytes(),
     );
+    // `threads` is a hash-excluded datapath knob, so resolving the
+    // server's share here changes neither the cache key nor the bytes.
+    let run_cfg = JobConfig {
+        threads: if cfg.threads == 0 {
+            state.job_threads
+        } else {
+            cfg.threads
+        },
+        ..cfg.clone()
+    };
     let line = Arc::new(catch_job_panic(&state.jobs_panicked, || {
-        (state.run)(&design, cfg)
+        (state.run)(&design, &run_cfg)
     })?);
     state
         .caches
