@@ -56,7 +56,7 @@ pub use error::AtpgError;
 pub use fsim::{FaultSim, FsimStats, Observation};
 pub use isolation::{IsolationOutcome, Isolator};
 pub use parallel::{first_detections, resolve_threads, FaultShards, FsimParallel, LaneShards};
-pub use podem::{Podem, PodemConfig, PodemResult, PodemStats, TestCube};
+pub use podem::{Podem, PodemConfig, PodemMemo, PodemResult, PodemStats, TestCube};
 pub use rescue_netlist::V3;
 pub use tpg::{
     merge_cubes, Atpg, AtpgConfig, AtpgCounts, AtpgMetrics, AtpgRun, AtpgTiming, FaultClass,

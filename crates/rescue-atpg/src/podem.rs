@@ -7,10 +7,21 @@
 //! points (pins directly, captured state through scan-out). Pin
 //! constraints model test-mode wiring — `scan_enable` is held at 0 during
 //! capture.
+//!
+//! [`Podem::generate`] is a pure function of (netlist, constraints,
+//! fault, backtrack budget), and the search reads the budget only at
+//! its abort check. [`PodemMemo`] keeps one outcome per fault on that
+//! basis and serves it again wherever the budget rule
+//! ([`PodemMemo`]'s docs) says a fresh search would return the same
+//! outcome with the same counts; [`Podem::generate_memoized`] replays
+//! a hit into [`PodemStats`] exactly as the search would have recorded
+//! it.
 
 use rescue_netlist::threeval::{controlling_value, eval_gate_v3, V3};
 use rescue_netlist::{Driver, Fault, FaultSite, GateKind, Levelized, NetId, Netlist};
 use rescue_obs::metrics::{Counter, Histogram};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Tuning knobs for PODEM.
 #[derive(Clone, Copy, Debug)]
@@ -90,6 +101,13 @@ struct Machine {
     bad: Vec<V3>,
 }
 
+/// The work one search did: what [`PodemStats`] records per call.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    decisions: u64,
+    backtracks: u64,
+}
+
 impl<'a> Podem<'a> {
     /// Create an engine. `lev` must be `Levelized::new(netlist)`: the
     /// backtrace costs are the shared SCOAP over it. `constraints` has
@@ -120,19 +138,45 @@ impl<'a> Podem<'a> {
 
     /// Generate a test for `fault`.
     pub fn generate(&self, fault: Fault) -> PodemResult {
-        self.stats.faults_targeted.inc();
-        let mut backtracks = 0usize;
-        let result = self.search(fault, &mut backtracks);
-        self.stats.backtracks_per_fault.record(backtracks as u64);
-        match &result {
-            PodemResult::Test(_) => self.stats.tests_found.inc(),
-            PodemResult::Untestable => self.stats.untestable.inc(),
-            PodemResult::Aborted => self.stats.aborted.inc(),
-        }
+        let mut tally = Tally::default();
+        let result = self.search(fault, &mut tally);
+        self.record(&result, tally);
         result
     }
 
-    fn search(&self, fault: Fault, backtracks: &mut usize) -> PodemResult {
+    /// [`Podem::generate`] through `memo`: a hit returns the stored
+    /// outcome and records the stored counts, so both the result and
+    /// [`PodemStats`] equal what the search would have produced; a miss
+    /// searches and stores the outcome. `memo` must only ever serve
+    /// engines built over this netlist with these constraints.
+    pub fn generate_memoized(&self, fault: Fault, memo: &PodemMemo) -> PodemResult {
+        let budget = self.config.max_backtracks;
+        if let Some((result, tally)) = memo.lookup(self.netlist, fault, budget) {
+            self.record(&result, tally);
+            return result;
+        }
+        let mut tally = Tally::default();
+        let result = self.search(fault, &mut tally);
+        self.record(&result, tally);
+        memo.store(fault, &result, tally);
+        result
+    }
+
+    /// Add one call's outcome and work to the engine counters.
+    fn record(&self, result: &PodemResult, tally: Tally) {
+        let s = &self.stats;
+        s.faults_targeted.inc();
+        s.decisions.add(tally.decisions);
+        s.backtracks.add(tally.backtracks);
+        s.backtracks_per_fault.record(tally.backtracks);
+        match result {
+            PodemResult::Test(_) => s.tests_found.inc(),
+            PodemResult::Untestable => s.untestable.inc(),
+            PodemResult::Aborted => s.aborted.inc(),
+        }
+    }
+
+    fn search(&self, fault: Fault, tally: &mut Tally) -> PodemResult {
         let n = self.netlist;
         let mut m = Machine {
             good: vec![V3::X; n.num_nets()],
@@ -158,7 +202,7 @@ impl<'a> Podem<'a> {
 
             match next {
                 Some((net, value)) => {
-                    self.stats.decisions.inc();
+                    tally.decisions += 1;
                     stack.push((net, value, false));
                     assign[net.index()] = V3::from_bool(value);
                 }
@@ -170,9 +214,11 @@ impl<'a> Podem<'a> {
                             Some((net, v, tried_both)) => {
                                 assign[net.index()] = V3::X;
                                 if !tried_both {
-                                    *backtracks += 1;
-                                    self.stats.backtracks.inc();
-                                    if *backtracks > self.config.max_backtracks {
+                                    tally.backtracks += 1;
+                                    // The only read of the budget: the
+                                    // rule in `MemoEntry::serves`
+                                    // depends on it.
+                                    if tally.backtracks > self.config.max_backtracks as u64 {
                                         return PodemResult::Aborted;
                                     }
                                     stack.push((net, !v, true));
@@ -453,10 +499,162 @@ impl<'a> Podem<'a> {
     }
 }
 
+/// Shared outcome memo for [`Podem::generate_memoized`]: at most one
+/// entry per fault, each holding the verdict, the call's `decisions`
+/// and `backtracks`, and for a test the cube's specified positions only
+/// (a mean of about 9 of 448 inputs plus flops on the quick Rescue
+/// model, 13 of 1392 on the paper-size one).
+///
+/// **Budget rule.** The search is deterministic and reads
+/// `max_backtracks` only at its abort check, so:
+///
+/// * a `Test` or `Untestable` found after `k` backtracks is what any
+///   budget ≥ `k` returns, with the same counts;
+/// * an `Aborted` stops at backtrack `budget + 1`, so it is served only
+///   at the budget it aborted at (a larger budget searches on, a smaller
+///   one stops sooner with other counts).
+///
+/// A lookup the rule rejects is a miss, and the fresh outcome replaces
+/// the entry, so the memo never holds more entries than distinct faults
+/// asked about, whatever mix of budgets it sees.
+///
+/// The memo is `Sync`; concurrent runs may share it. The lock is never
+/// held across a search (two racing misses both search and store the
+/// same outcome), and a lock poisoned by a panicking holder is
+/// recovered: entries are inserted whole, so the map is always
+/// consistent.
+#[derive(Debug, Default)]
+pub struct PodemMemo {
+    entries: Mutex<HashMap<Fault, MemoEntry>>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+}
+
+/// One stored [`Podem::generate`] outcome.
+#[derive(Debug)]
+struct MemoEntry {
+    verdict: Verdict,
+    tally: Tally,
+}
+
+#[derive(Debug)]
+enum Verdict {
+    /// The cube's specified positions (inputs, then flops) and values.
+    Test(Box<[(u32, bool)]>),
+    Untestable,
+    Aborted,
+}
+
+impl MemoEntry {
+    fn new(result: &PodemResult, tally: Tally) -> MemoEntry {
+        let verdict = match result {
+            PodemResult::Test(cube) => Verdict::Test(
+                cube.inputs
+                    .iter()
+                    .chain(&cube.state)
+                    .enumerate()
+                    // Inputs and flops are distinct nets, and net ids
+                    // are `u32`, so a position always fits.
+                    .filter_map(|(pos, v)| Some((pos as u32, v.to_bool()?)))
+                    .collect(),
+            ),
+            PodemResult::Untestable => Verdict::Untestable,
+            PodemResult::Aborted => Verdict::Aborted,
+        };
+        MemoEntry { verdict, tally }
+    }
+
+    /// Whether a search under `budget` returns exactly this outcome.
+    fn serves(&self, budget: usize) -> bool {
+        let budget = budget as u64;
+        match self.verdict {
+            Verdict::Test(_) | Verdict::Untestable => self.tally.backtracks <= budget,
+            Verdict::Aborted => self.tally.backtracks - 1 == budget,
+        }
+    }
+
+    /// The outcome as `generate` returns it on `netlist`.
+    fn result(&self, netlist: &Netlist) -> PodemResult {
+        match &self.verdict {
+            Verdict::Test(specified) => {
+                let n_in = netlist.inputs().len();
+                let mut inputs = vec![V3::X; n_in];
+                let mut state = vec![V3::X; netlist.num_dffs()];
+                for &(pos, value) in specified.iter() {
+                    let pos = pos as usize;
+                    let slot = if pos < n_in {
+                        &mut inputs[pos]
+                    } else {
+                        &mut state[pos - n_in]
+                    };
+                    *slot = V3::from_bool(value);
+                }
+                PodemResult::Test(TestCube { inputs, state })
+            }
+            Verdict::Untestable => PodemResult::Untestable,
+            Verdict::Aborted => PodemResult::Aborted,
+        }
+    }
+}
+
+impl PodemMemo {
+    /// An empty memo counting its hits and misses on the given
+    /// counters (e.g. ones from the [`rescue_obs::metrics`] registry).
+    /// [`PodemMemo::default`] counts on private ones.
+    pub fn with_counters(hits: Arc<Counter>, misses: Arc<Counter>) -> PodemMemo {
+        PodemMemo {
+            entries: Mutex::default(),
+            hits,
+            misses,
+        }
+    }
+
+    /// Number of faults with a stored outcome.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Whether no outcome is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<Fault, MemoEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The stored outcome of `fault` and its counts, if the budget rule
+    /// lets it stand for a search under `budget`.
+    fn lookup(
+        &self,
+        netlist: &Netlist,
+        fault: Fault,
+        budget: usize,
+    ) -> Option<(PodemResult, Tally)> {
+        let hit = self
+            .lock()
+            .get(&fault)
+            .filter(|e| e.serves(budget))
+            .map(|e| (e.result(netlist), e.tally));
+        match hit {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
+        hit
+    }
+
+    /// Store a fresh outcome, replacing any entry for `fault`.
+    fn store(&self, fault: Fault, result: &PodemResult, tally: Tally) {
+        let entry = MemoEntry::new(result, tally);
+        self.lock().insert(fault, entry);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rescue_netlist::{NetlistBuilder, StuckAt};
+    use rescue_obs::SplitMix64;
 
     /// PODEM over `n` with default limits.
     fn podem(n: &Netlist, constraints: Vec<Option<bool>>) -> Podem<'_> {
@@ -554,5 +752,144 @@ mod tests {
             }
             other => panic!("expected a test, got {other:?}"),
         }
+    }
+
+    /// A seeded random DAG over four inputs and the outputs of two
+    /// flops, observed at two outputs and a third flop: reconvergent
+    /// enough that some searches backtrack and some abort.
+    fn random_circuit(seed: u64) -> Netlist {
+        let mut rng = SplitMix64::new(seed);
+        let mut b = NetlistBuilder::new();
+        b.enter_component("c");
+        let mut nets: Vec<NetId> = (0..4).map(|i| b.input(&format!("i{i}"))).collect();
+        let a = b.input("fb0");
+        let c = b.input("fb1");
+        nets.push(b.dff(a, "s0"));
+        nets.push(b.dff(c, "s1"));
+        for _ in 0..40 {
+            let mut pick = || nets[rng.below(nets.len())];
+            let (x, y, z) = (pick(), pick(), pick());
+            let out = match rng.below(6) {
+                0 => b.and2(x, y),
+                1 => b.or2(x, y),
+                2 => b.xor2(x, y),
+                3 => b.nand2(x, y),
+                4 => b.mux(z, x, y),
+                _ => b.not(x),
+            };
+            nets.push(out);
+        }
+        let k = nets.len();
+        b.output(nets[k - 1], "o0");
+        b.output(nets[k - 2], "o1");
+        let q = b.dff(nets[k - 3], "s2");
+        b.output(q, "o2");
+        b.finish().unwrap()
+    }
+
+    fn engine(n: &Netlist, max_backtracks: usize) -> Podem<'_> {
+        let free = vec![None; n.inputs().len()];
+        Podem::new(n, &Levelized::new(n), free, PodemConfig { max_backtracks })
+    }
+
+    /// Every counter of `a` equals the same counter of `b`.
+    fn same_stats(a: &PodemStats, b: &PodemStats) -> bool {
+        let counters = |s: &PodemStats| {
+            [
+                &s.faults_targeted,
+                &s.tests_found,
+                &s.untestable,
+                &s.aborted,
+                &s.decisions,
+                &s.backtracks,
+            ]
+            .map(|c| c.get())
+        };
+        counters(a) == counters(b)
+            && a.backtracks_per_fault.snapshot() == b.backtracks_per_fault.snapshot()
+    }
+
+    #[test]
+    fn memo_serves_finished_outcomes_at_or_above_k_and_aborts_at_their_own_budget() {
+        let (mut finished_after_backtracks, mut aborted) = (0, 0);
+        for seed in 1..=8 {
+            let n = random_circuit(seed);
+            let faults = n.collapse_faults();
+            let hits = Arc::new(Counter::new());
+            let memo = PodemMemo::with_counters(Arc::clone(&hits), Arc::default());
+            // One shared memo across a stream of budgets, each engine
+            // checked against a fresh one call for call and counter for
+            // counter.
+            for budget in [300, 0, 1, 300, 2, 5, 2, 10_000] {
+                let fresh = engine(&n, budget);
+                let shared = engine(&n, budget);
+                for &f in &faults {
+                    let want = fresh.generate(f);
+                    assert_eq!(shared.generate_memoized(f, &memo), want, "{f} at {budget}");
+                    aborted += usize::from(want == PodemResult::Aborted);
+                }
+                assert!(same_stats(shared.stats(), fresh.stats()), "budget {budget}");
+                assert!(memo.len() <= faults.len());
+            }
+
+            // The rule fault by fault, from the backtrack count `k` a
+            // deep search needs.
+            for &f in &faults {
+                let deep = engine(&n, 10_000);
+                let want = deep.generate(f);
+                let k = deep.stats().backtracks.get() as usize;
+                if k == 0 || want == PodemResult::Aborted {
+                    continue;
+                }
+                finished_after_backtracks += 1;
+                let memo = PodemMemo::with_counters(Arc::clone(&hits), Arc::default());
+                let ask = |budget: usize| {
+                    let before = hits.get();
+                    let got = engine(&n, budget).generate_memoized(f, &memo);
+                    (got, hits.get() > before)
+                };
+                assert_eq!(ask(10_000), (want.clone(), false));
+                assert_eq!(
+                    ask(k),
+                    (want.clone(), true),
+                    "finished at {k}, reused at {k}"
+                );
+                assert_eq!(ask(k - 1), (PodemResult::Aborted, false), "never below k");
+                assert_eq!(
+                    ask(k - 1),
+                    (PodemResult::Aborted, true),
+                    "abort at its budget"
+                );
+                assert_eq!(
+                    ask(k),
+                    (want.clone(), false),
+                    "abort not at a larger budget"
+                );
+                assert_eq!(memo.len(), 1);
+            }
+        }
+        // The circuits exercise both sides of the rule.
+        assert!(finished_after_backtracks > 0 && aborted > 0);
+    }
+
+    #[test]
+    fn a_poisoned_memo_keeps_serving() {
+        let n = and_circuit();
+        let p = podem(&n, vec![None, None]);
+        let f = Fault::net(n.outputs()[0].1, StuckAt::Zero);
+        let hits = Arc::new(Counter::new());
+        let memo = PodemMemo::with_counters(Arc::clone(&hits), Arc::default());
+        let first = p.generate_memoized(f, &memo);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = memo.lock();
+                panic!("a job panics while holding the memo lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(memo.entries.is_poisoned());
+        assert_eq!(p.generate_memoized(f, &memo), first);
+        assert_eq!(hits.get(), 1);
+        assert_eq!(memo.len(), 1);
     }
 }

@@ -1,8 +1,17 @@
 //! The top-level ATPG flow and the scan-test statistics of Table 3.
+//!
+//! Every entry point runs one loop with one PODEM call site, which goes
+//! through a [`PodemMemo`]. [`Atpg::run`] and [`Atpg::run_prepared`]
+//! give it a fresh memo that dies with the run; a run targets each fault
+//! at most once, so that memo never hits. [`Atpg::run_memoized`] takes
+//! the caller's memo, which lets later runs on the same design (other
+//! fill seeds, budgets or compaction settings) reuse earlier PODEM
+//! outcomes, with results and [`AtpgCounts`] bit-identical to a fresh
+//! run.
 
 use crate::error::AtpgError;
 use crate::parallel::{apply_detect_lanes, resolve_threads, FsimParallel, LaneShards};
-use crate::podem::{Podem, PodemConfig, PodemResult, TestCube};
+use crate::podem::{Podem, PodemConfig, PodemMemo, PodemResult, TestCube};
 use rescue_netlist::V3;
 use rescue_netlist::{Driver, Fault, FaultSite, Levelized, PatternBlock, ScanNetlist};
 use rescue_obs::coverage::{CoverageRecorder, LabelId};
@@ -396,7 +405,7 @@ impl<'a> Atpg<'a> {
         let n = &self.scanned.netlist;
         let lev = Levelized::new(n);
         let faults = n.collapse_faults();
-        finish_run(span, self.run_inner(&lev, &faults))
+        finish_run(span, self.run_inner(&lev, &faults, &PodemMemo::default()))
     }
 
     /// Run the full flow against a pre-built levelized view and
@@ -413,13 +422,39 @@ impl<'a> Atpg<'a> {
     ///
     /// Same contract as [`Atpg::run`].
     pub fn run_prepared(&self, lev: &Levelized, faults: &[Fault]) -> Result<AtpgRun, AtpgError> {
-        let span = rescue_obs::span("atpg.run");
-        finish_run(span, self.run_inner(lev, faults))
+        self.run_memoized(lev, faults, &PodemMemo::default())
     }
 
-    /// Shared body of [`Atpg::run`] / [`Atpg::run_prepared`]; callers
-    /// hold the `atpg.run` span open and fill `timing.total_ns` from it.
-    fn run_inner(&self, lev: &Levelized, faults: &[Fault]) -> Result<AtpgRun, AtpgError> {
+    /// [`Atpg::run_prepared`] with PODEM outcomes looked up in and
+    /// stored to `memo` ([`Podem::generate_memoized`]), so a caller
+    /// that keeps one memo per design (the `rescue-serve` design cache)
+    /// skips the searches earlier runs already did. The [`AtpgRun`],
+    /// counters included, is bit-identical to [`Atpg::run`]'s.
+    ///
+    /// `memo` must only ever be used with this scanned netlist: its
+    /// outcomes are facts about one design.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Atpg::run`].
+    pub fn run_memoized(
+        &self,
+        lev: &Levelized,
+        faults: &[Fault],
+        memo: &PodemMemo,
+    ) -> Result<AtpgRun, AtpgError> {
+        let span = rescue_obs::span("atpg.run");
+        finish_run(span, self.run_inner(lev, faults, memo))
+    }
+
+    /// Shared body of every entry point; callers hold the `atpg.run`
+    /// span open and fill `timing.total_ns` from it.
+    fn run_inner(
+        &self,
+        lev: &Levelized,
+        faults: &[Fault],
+        memo: &PodemMemo,
+    ) -> Result<AtpgRun, AtpgError> {
         let mut counts = AtpgCounts::default();
         let mut timing = AtpgTiming::default();
         let n = &self.scanned.netlist;
@@ -593,7 +628,7 @@ impl<'a> Atpg<'a> {
                 PodemResult::Untestable
             } else {
                 let phase = rescue_obs::span("podem");
-                let g = podem.generate(fault);
+                let g = podem.generate_memoized(fault, memo);
                 timing.generate_ns += phase.finish();
                 g
             };

@@ -23,6 +23,9 @@
 //!   (`drop_after`) and with wide lanes (`lane_words = 8`) against the
 //!   default run: classifications, vectors and the coverage curve must
 //!   be bit-identical, since both are pure datapath/bookkeeping knobs.
+//!   Then runs sharing one PODEM memo at budgets 300, 5, 300 and 10,000
+//!   with different fill seeds, each against a fresh run: the counters
+//!   must agree too.
 //! * [`collapse`] — structural fault-equivalence collapsing against
 //!   brute force: on exhaustively-stimulated small circuits, every
 //!   enumerated fault's full detection signature must be exhibited by
@@ -41,7 +44,7 @@
 use crate::ir::CaseIr;
 use rescue_atpg::{
     Atpg, AtpgConfig, FaultClass, FaultShards, FaultSim, Observation, Podem, PodemConfig,
-    PodemResult,
+    PodemMemo, PodemResult,
 };
 use rescue_netlist::scan::insert_scan;
 use rescue_netlist::{Fault, Levelized, NetId, Netlist, PatternBlock, StuckAt};
@@ -60,7 +63,8 @@ pub enum OracleKind {
     /// simulator.
     AtpgConfirm,
     /// ATPG with n-detect dropping / wide lanes vs. the default run:
-    /// classifications, vectors and coverage must be bit-identical.
+    /// classifications, vectors and coverage must be bit-identical;
+    /// runs sharing a PODEM memo vs. fresh runs, counters included.
     Dropping,
     /// Fault-equivalence collapsing vs. brute-force signatures.
     Collapse,
@@ -323,7 +327,9 @@ pub fn wide(case: &CaseIr) -> Result<(), String> {
 /// Oracle: n-detect fault dropping (`drop_after`) and wide lanes
 /// (`lane_words = 8`) are pure bookkeeping/datapath knobs — a full ATPG
 /// run with either enabled must produce bit-identical classifications,
-/// vectors and coverage curves to the default run.
+/// vectors and coverage curves to the default run. And a PODEM memo is
+/// exact: runs sharing one across budgets and fill seeds must equal
+/// fresh runs, [`rescue_atpg::AtpgCounts`] included.
 pub fn dropping(case: &CaseIr) -> Result<(), String> {
     let netlist = case.build()?;
     let scanned = insert_scan(&netlist).map_err(|e| format!("insert_scan: {e}"))?;
@@ -379,6 +385,42 @@ pub fn dropping(case: &CaseIr) -> Result<(), String> {
         }
         if run.metrics.coverage != base.metrics.coverage {
             return Err(format!("{label}: coverage curve diverges from default run"));
+        }
+    }
+
+    // One PODEM memo shared across runs with other budgets and fill
+    // seeds: each run, counters included, must equal a fresh run.
+    let lev = Levelized::new(&scanned.netlist);
+    let faults = scanned.netlist.collapse_faults();
+    let memo = PodemMemo::default();
+    for (i, max_backtracks) in [300, 5, 300, 10_000].into_iter().enumerate() {
+        let cfg = AtpgConfig {
+            podem: PodemConfig { max_backtracks },
+            fill_seed: 11 + i as u64,
+            ..AtpgConfig::default()
+        };
+        let atpg = Atpg::new(&scanned, cfg).map_err(|e| format!("Atpg::new: {e}"))?;
+        let label = format!("shared memo, run {i} at budget {max_backtracks}");
+        let fresh = atpg
+            .run()
+            .map_err(|e| format!("Atpg::run ({label}): {e}"))?;
+        let shared = atpg
+            .run_memoized(&lev, &faults, &memo)
+            .map_err(|e| format!("Atpg::run_memoized ({label}): {e}"))?;
+        if shared.classes != fresh.classes {
+            return Err(format!("{label}: classifications diverge from a fresh run"));
+        }
+        if shared.vectors != fresh.vectors {
+            return Err(format!("{label}: vectors diverge from a fresh run"));
+        }
+        if shared.metrics.coverage != fresh.metrics.coverage {
+            return Err(format!("{label}: coverage curve diverges from a fresh run"));
+        }
+        if shared.metrics.counts != fresh.metrics.counts {
+            return Err(format!(
+                "{label}: counts diverge from a fresh run: {:?} vs {:?}",
+                shared.metrics.counts, fresh.metrics.counts
+            ));
         }
     }
     Ok(())

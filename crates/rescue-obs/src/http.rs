@@ -261,16 +261,20 @@ pub fn read_request(stream: &mut TcpStream, opts: &HttpOptions) -> std::io::Resu
             "body too large\n",
         )));
     }
+    // Read straight into a buffer of the announced size (bounded by
+    // `max_body` above), not through a chain of doubling reallocations.
     let mut body = body_start;
-    while body.len() < content_length {
-        match stream.read(&mut buf) {
+    let mut filled = body.len();
+    body.resize(filled.max(content_length), 0);
+    while filled < content_length {
+        match stream.read(&mut body[filled..content_length]) {
             Ok(0) => {
                 return Ok(RequestOutcome::Reject(Response::text(
                     "400 Bad Request",
                     "truncated body\n",
                 )))
             }
-            Ok(n) => body.extend_from_slice(&buf[..n]),
+            Ok(n) => filled += n,
             Err(e) => return Err(e),
         }
     }

@@ -128,7 +128,7 @@ fn post_body_is_read_per_content_length() {
         "127.0.0.1:0",
         "post-test",
         HttpOptions {
-            max_body: 1024,
+            max_body: 4096,
             ..HttpOptions::default()
         },
         |req: Request, stream: &mut TcpStream| {
@@ -143,6 +143,27 @@ fn post_body_is_read_per_content_length() {
     );
     let (_, body) = resp.split_once("\r\n\r\n").expect("terminator");
     assert_eq!(body, "hello world");
+
+    // A body longer than one socket read arrives whole.
+    let long = "x".repeat(3000);
+    let resp = send_raw(
+        server.addr(),
+        format!("POST /jobs HTTP/1.1\r\nContent-Length: 3000\r\n\r\n{long}").as_bytes(),
+    );
+    let (_, body) = resp.split_once("\r\n\r\n").expect("terminator");
+    assert_eq!(body, long);
+
+    // A body cut short of its Content-Length is a 400.
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .write_all(b"POST /jobs HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello")
+        .expect("write");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("shutdown write");
+    let mut resp = String::new();
+    stream.read_to_string(&mut resp).expect("read");
+    assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
 }
 
 #[test]

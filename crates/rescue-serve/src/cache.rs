@@ -1,12 +1,15 @@
 //! The server's two content-addressed caches.
 //!
 //! * The **design cache** maps the FNV/SplitMix content hash of the
-//!   POSTed netlist text to a prepared [`Design`]: the parsed netlist,
-//!   its scan-inserted form, the [`Levelized`] packed view, and the
-//!   collapsed fault list. These are the expensive, job-independent
-//!   artifacts — every job kind starts from them, and
-//!   [`rescue_atpg::Atpg::run_prepared`] guarantees reusing them is
-//!   bit-identical to rebuilding.
+//!   POSTed netlist text to a prepared [`Design`]: the scan-inserted
+//!   netlist (the parsed one when it has no state), the [`Levelized`]
+//!   packed view, the collapsed fault list, and a PODEM outcome memo
+//!   every ATPG job on the design shares. These are the expensive,
+//!   job-independent artifacts — every job kind starts from them, and
+//!   [`rescue_atpg::Atpg::run_memoized`] guarantees reusing them is
+//!   bit-identical to rebuilding. The memo holds at most one sparse
+//!   entry per collapsed fault, and counts its hits and misses as
+//!   `serve.podem_memo.*`.
 //! * The **result cache** maps `(netlist text hash, job config hash)`
 //!   to the finished canonical result line, so a repeated identical job
 //!   skips the engines entirely.
@@ -27,6 +30,7 @@
 //! gated by `bench-diff`.
 
 use crate::job::JobConfig;
+use rescue_atpg::PodemMemo;
 use rescue_netlist::scan::insert_scan;
 use rescue_netlist::{fnv1a64, BuildError, Fault, Levelized, Netlist};
 use rescue_obs::metrics::Counter;
@@ -39,6 +43,22 @@ use std::sync::{Arc, Mutex};
 /// server's size limit cannot hold a worker on a far larger design.
 const MAX_GATES: usize = 100_000;
 
+/// Structure counts of a netlist as POSTed, before scan insertion:
+/// what a `netlist` job reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NetlistCounts {
+    /// Primary inputs.
+    pub inputs: usize,
+    /// Primary outputs.
+    pub outputs: usize,
+    /// Combinational gates.
+    pub gates: usize,
+    /// Flip-flops.
+    pub dffs: usize,
+    /// Named components.
+    pub components: usize,
+}
+
 /// A prepared design: everything about a netlist that every job kind
 /// shares, built once per distinct netlist text and reused.
 #[derive(Debug)]
@@ -50,16 +70,23 @@ pub struct Design {
     /// ([`Netlist::content_hash`]), echoed in results so two texts that
     /// parse to the same structure are recognizably identical.
     pub content_hash: u64,
-    /// The parsed pre-scan netlist.
-    pub base: Netlist,
+    /// Structure counts of the parsed netlist, before scan insertion.
+    pub counts: NetlistCounts,
     /// Scan-inserted form; `None` when the design has no state (scan
     /// insertion requires at least one flip-flop). ATPG jobs need this.
     pub scanned: Option<rescue_netlist::ScanNetlist>,
-    /// Levelized packed view of the scanned netlist (of `base` when
-    /// there is no state), shared immutably across fault-sim workers.
+    /// The parsed netlist, kept only when there is no scan form. The
+    /// scan form carries every parsed gate, and a second copy would add
+    /// half again to a cached paper-size design's memory.
+    plain: Option<Netlist>,
+    /// Levelized packed view of [`Design::netlist`], shared immutably
+    /// across fault-sim workers.
     pub lev: Levelized,
     /// Collapsed stuck-at fault list for the same netlist as `lev`.
     pub faults: Vec<Fault>,
+    /// PODEM outcomes of earlier ATPG jobs on the scanned netlist,
+    /// shared by every later one ([`rescue_atpg::Atpg::run_memoized`]).
+    pub podem_memo: PodemMemo,
 }
 
 impl Design {
@@ -79,27 +106,53 @@ impl Design {
         Ok(())
     }
 
+    /// The netlist jobs lint and simulate: the scan-inserted form when
+    /// the design has state, else the parsed netlist.
+    pub fn netlist(&self) -> &Netlist {
+        match (&self.scanned, &self.plain) {
+            (Some(s), _) => &s.netlist,
+            (None, Some(plain)) => plain,
+            (None, None) => {
+                unreachable!("Design::build keeps the parsed netlist when it has no scan form")
+            }
+        }
+    }
+
     /// Parse and prepare `text`. Errors are human-readable strings —
     /// this path faces untrusted input and must never panic.
     pub fn build(text: &str) -> Result<Design, String> {
         Self::check_gate_count(text)?;
         let base = rescue_netlist::text::parse(text)?;
         let content_hash = base.content_hash();
+        let counts = NetlistCounts {
+            inputs: base.inputs().len(),
+            outputs: base.outputs().len(),
+            gates: base.num_gates(),
+            dffs: base.num_dffs(),
+            components: base.num_components(),
+        };
         let scanned = match insert_scan(&base) {
             Ok(s) => Some(s),
             Err(BuildError::NoState) => None,
             Err(e) => return Err(format!("scan insertion failed: {e}")),
         };
-        let sim_netlist = scanned.as_ref().map(|s| &s.netlist).unwrap_or(&base);
+        let sim_netlist = scanned.as_ref().map_or(&base, |s| &s.netlist);
         let lev = Levelized::new(sim_netlist);
         let faults = sim_netlist.collapse_faults();
+        let plain = scanned.is_none().then_some(base);
+        let reg = rescue_obs::metrics::global();
         Ok(Design {
             text: Arc::from(text),
             content_hash,
-            base,
+            counts,
             scanned,
+            plain,
             lev,
             faults,
+            podem_memo: PodemMemo::with_counters(
+                reg.counter("serve.podem_memo.hits"),
+                reg.counter("serve.podem_memo.misses"),
+            ),
         })
     }
 }
@@ -307,7 +360,7 @@ mod tests {
     #[test]
     fn gate_cap_accepts_the_cap_and_rejects_one_more() {
         let at_cap = Design::build(&inverter_fan(MAX_GATES)).expect("a design at the cap builds");
-        assert_eq!(at_cap.base.num_gates(), MAX_GATES);
+        assert_eq!(at_cap.counts.gates, MAX_GATES);
         let err = Design::build(&inverter_fan(MAX_GATES + 1)).expect_err("one over the cap");
         assert!(err.contains(&(MAX_GATES + 1).to_string()), "{err}");
     }

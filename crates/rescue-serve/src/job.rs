@@ -67,8 +67,8 @@ pub struct JobConfig {
     pub kind: JobKind,
     /// Worker threads (`"threads"`, at most 64; 0 = auto: the server's
     /// share `nproc / workers`, or all cores from the CLI). Datapath
-    /// knob: results are bit-identical for any value, so it is excluded
-    /// from [`JobConfig::config_hash`].
+    /// knob: results are bit-identical for any value, so it is not in
+    /// [`JobConfig::result_fields`].
     pub threads: usize,
     /// Fault-sim lane width in words (`"lane_words"`, 1/4/8). For an
     /// fsim job it is the width of the groups after the first block,
@@ -90,8 +90,8 @@ pub struct JobConfig {
     /// Vectors are invariant, but the pre-pass can soundly upgrade
     /// budget-`Aborted` faults to `Untestable`, which moves the result
     /// line's class counts and coverage — so unlike
-    /// `threads`/`lane_words` it is **included** in
-    /// [`JobConfig::config_hash`].
+    /// `threads`/`lane_words` it is in an ATPG job's
+    /// [`JobConfig::result_fields`].
     pub static_prepass: bool,
     /// Fsim: number of 64-pattern blocks to simulate (`"patterns"`).
     pub patterns: usize,
@@ -198,41 +198,72 @@ impl JobConfig {
         Ok(cfg)
     }
 
-    /// Hash of every config field that can change the result bytes.
-    /// `threads` and `lane_words` are excluded: both are documented
-    /// bit-identical datapath knobs, so jobs differing only in them
-    /// share a result-cache entry. `static_prepass` is **included**:
-    /// the vectors are invariant, but on designs where PODEM's budget
-    /// aborts inside a proven-redundant cone the pre-pass upgrades the
-    /// class to `Untestable`, moving the result line's
-    /// `untestable`/`aborted`/`coverage` fields.
+    /// Result-cache key: a hash of exactly [`JobConfig::result_fields`],
+    /// so jobs share an entry when their result bytes provably agree.
     pub fn config_hash(&self) -> u64 {
+        // Destructured so a new field cannot be left out of the key.
+        let JobConfig {
+            kind,
+            threads,
+            lane_words,
+            fill_seed,
+            merge_cubes,
+            merge_window,
+            max_backtracks,
+            drop_after,
+            static_prepass,
+            patterns,
+            seed,
+        } = self.result_fields();
         let mut h = Fnv64::new();
-        h.write_str("rescue-serve-config-v1");
-        h.write_str(self.kind.name());
-        h.write_u64(self.fill_seed);
-        h.write_u64(u64::from(self.merge_cubes));
-        h.write_u64(self.merge_window as u64);
-        h.write_u64(self.max_backtracks as u64);
-        h.write_u64(u64::from(self.drop_after));
-        h.write_u64(u64::from(self.static_prepass));
-        h.write_u64(self.patterns as u64);
-        h.write_u64(self.seed);
+        h.write_str("rescue-serve-config-v2");
+        h.write_str(kind.name());
+        for v in [
+            threads as u64,
+            lane_words as u64,
+            fill_seed,
+            u64::from(merge_cubes),
+            merge_window as u64,
+            max_backtracks as u64,
+            u64::from(drop_after),
+            u64::from(static_prepass),
+            patterns as u64,
+            seed,
+        ] {
+            h.write_u64(v);
+        }
         h.finish()
     }
 
-    /// This config with the datapath knobs (`threads`, `lane_words`)
-    /// reset to their defaults: exactly the fields
-    /// [`JobConfig::config_hash`] covers, so two configs share a result
-    /// exactly when their `result_fields` are equal. The result cache
-    /// compares these on every hit.
+    /// This config with every field its kind's result does not read
+    /// reset to the kind's default: the datapath knobs (`threads`,
+    /// `lane_words`) for every kind, since results are bit-identical
+    /// for any value; the ATPG fields for fsim jobs; `patterns` and
+    /// `seed` for ATPG jobs; everything but the kind for netlist and
+    /// lint jobs. Two configs share a result exactly when their
+    /// `result_fields` are equal; the result cache compares these on
+    /// every hit. `static_prepass` stays in for ATPG: the vectors are
+    /// invariant, but on designs where PODEM's budget aborts inside a
+    /// proven-redundant cone the pre-pass upgrades the class to
+    /// `Untestable`, moving the result line's class counts and coverage.
     pub(crate) fn result_fields(&self) -> JobConfig {
-        let defaults = JobConfig::new(self.kind);
-        JobConfig {
-            threads: defaults.threads,
-            lane_words: defaults.lane_words,
-            ..self.clone()
+        let mut r = JobConfig::new(self.kind);
+        match self.kind {
+            JobKind::Netlist | JobKind::Lint => {}
+            JobKind::Atpg => {
+                r.fill_seed = self.fill_seed;
+                r.merge_cubes = self.merge_cubes;
+                r.merge_window = self.merge_window;
+                r.max_backtracks = self.max_backtracks;
+                r.drop_after = self.drop_after;
+                r.static_prepass = self.static_prepass;
+            }
+            JobKind::Fsim => {
+                r.patterns = self.patterns;
+                r.seed = self.seed;
+            }
         }
+        r
     }
 
     fn atpg_config(&self) -> AtpgConfig {
@@ -277,13 +308,13 @@ fn result_head(design: &Design, job: JobKind) -> JsonObj {
 }
 
 fn netlist_result(design: &Design) -> String {
-    let n = &design.base;
+    let n = &design.counts;
     let mut o = result_head(design, JobKind::Netlist);
-    o.u64("inputs", n.inputs().len() as u64)
-        .u64("outputs", n.outputs().len() as u64)
-        .u64("gates", n.num_gates() as u64)
-        .u64("dffs", n.num_dffs() as u64)
-        .u64("components", n.num_components() as u64)
+    o.u64("inputs", n.inputs as u64)
+        .u64("outputs", n.outputs as u64)
+        .u64("gates", n.gates as u64)
+        .u64("dffs", n.dffs as u64)
+        .u64("components", n.components as u64)
         .u64("faults", design.faults.len() as u64)
         .bool("scannable", design.scanned.is_some());
     o.finish()
@@ -293,7 +324,7 @@ fn lint_result(design: &Design) -> String {
     let name = format!("{:016x}", design.content_hash);
     let report = match &design.scanned {
         Some(s) => rescue_lint::lint_scan(s),
-        None => rescue_lint::lint_netlist(&design.base),
+        None => rescue_lint::lint_netlist(design.netlist()),
     };
     let mut o = result_head(design, JobKind::Lint);
     o.u64("errors", report.count(rescue_lint::Severity::Error) as u64)
@@ -313,7 +344,7 @@ fn atpg_result(design: &Design, cfg: &JobConfig) -> Result<String, String> {
         .ok_or("atpg requires a design with at least one flip-flop")?;
     let atpg = Atpg::new(scanned, cfg.atpg_config()).map_err(|e| e.to_string())?;
     let run = atpg
-        .run_prepared(&design.lev, &design.faults)
+        .run_memoized(&design.lev, &design.faults, &design.podem_memo)
         .map_err(|e| e.to_string())?;
 
     // Digest of the actual vector bits: two runs agree on this iff they
@@ -348,16 +379,12 @@ fn atpg_result(design: &Design, cfg: &JobConfig) -> Result<String, String> {
 }
 
 fn fsim_result(design: &Design, cfg: &JobConfig) -> Result<String, String> {
-    let sim_netlist = design
-        .scanned
-        .as_ref()
-        .map(|s| &s.netlist)
-        .unwrap_or(&design.base);
+    let sim_netlist = design.netlist();
     // Each fault's global first-detect pattern, keyed by its canonical
     // position. `lane_words` and `threads` only change how the patterns
     // are grouped and sharded, not which pattern detects a fault first,
     // so the digest below is invariant in both — as it must be, because
-    // both are excluded from [`JobConfig::config_hash`] and jobs
+    // neither is in [`JobConfig::result_fields`] and jobs
     // differing only in them share a result-cache entry.
     let first_detect = first_detections(
         &design.lev,
@@ -442,7 +469,7 @@ mod tests {
     /// Each fault's first detecting pattern from one 64-pattern
     /// `FaultSim`, one block at a time, with no grouping or sharding.
     fn reference_first_detections(design: &Design, seed: u64, patterns: usize) -> Vec<Option<u64>> {
-        let netlist = design.scanned.as_ref().map_or(&design.base, |s| &s.netlist);
+        let netlist = design.netlist();
         let mut sim = FaultSim::with_levelized(&design.lev);
         let mut first = vec![None; design.faults.len()];
         for (j, block) in pattern_blocks(netlist, seed).take(patterns).enumerate() {
@@ -461,7 +488,7 @@ mod tests {
     #[test]
     fn first_detections_match_a_one_block_reference() {
         for design in [small_fixture(), quick_model()] {
-            let netlist = design.scanned.as_ref().map_or(&design.base, |s| &s.netlist);
+            let netlist = design.netlist();
             for patterns in [1usize, 9, 17] {
                 let want = reference_first_detections(&design, 11, patterns);
                 if patterns > 1 {
@@ -589,5 +616,45 @@ mod tests {
         let mut prepass = base.clone();
         prepass.static_prepass = true;
         assert_ne!(base.config_hash(), prepass.config_hash());
+
+        // Each kind's key covers only the fields its result reads.
+        let same = |a: &JobConfig, b: &JobConfig| {
+            a.config_hash() == b.config_hash() && a.result_fields() == b.result_fields()
+        };
+        let atpg_only = |c: &JobConfig| JobConfig {
+            fill_seed: 3,
+            merge_cubes: false,
+            merge_window: 2,
+            max_backtracks: 40,
+            drop_after: 3,
+            static_prepass: true,
+            ..c.clone()
+        };
+        let fsim_only = |c: &JobConfig| JobConfig {
+            patterns: 9,
+            seed: 11,
+            ..c.clone()
+        };
+        let fsim = JobConfig::new(JobKind::Fsim);
+        assert!(same(&fsim, &atpg_only(&fsim)));
+        assert!(!same(&fsim, &fsim_only(&fsim)));
+        assert!(same(&base, &fsim_only(&base)));
+        for field in 0..6 {
+            let mut one = base.clone();
+            match field {
+                0 => one.fill_seed = 3,
+                1 => one.merge_cubes = false,
+                2 => one.merge_window = 2,
+                3 => one.max_backtracks = 40,
+                4 => one.drop_after = 3,
+                _ => one.static_prepass = true,
+            }
+            assert!(!same(&base, &one), "ATPG field {field}");
+        }
+        for kind in [JobKind::Netlist, JobKind::Lint] {
+            let plain = JobConfig::new(kind);
+            assert!(same(&plain, &fsim_only(&atpg_only(&plain))), "{kind:?}");
+            assert!(!same(&plain, &base), "{kind:?}");
+        }
     }
 }

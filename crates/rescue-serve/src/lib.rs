@@ -13,10 +13,11 @@
 //!
 //! * **content-addressed caching** ([`cache`]) — the FNV/SplitMix
 //!   content hash of the netlist text keys a bounded LRU of prepared
-//!   designs (parsed netlist, scan-inserted form, [`Levelized`] view,
-//!   collapsed fault list), and `(netlist, config)` keys a result
-//!   cache, so a repeated identical job skips the engines entirely;
-//!   [`rescue_atpg::Atpg::run_prepared`] guarantees the reuse is
+//!   designs (scan-inserted netlist, [`Levelized`] view,
+//!   collapsed fault list, and a PODEM outcome memo its ATPG jobs
+//!   share), and `(netlist, config)` keys a result cache, so a
+//!   repeated identical job skips the engines entirely;
+//!   [`rescue_atpg::Atpg::run_memoized`] guarantees the reuse is
 //!   bit-identical to a cold run;
 //! * **admission control** ([`server`]) — a bounded worker pool plus
 //!   wait queue; excess jobs shed immediately with `429`;
@@ -53,7 +54,7 @@ pub mod cache;
 pub mod job;
 pub mod server;
 
-pub use cache::{Design, LruCache, ServeCaches};
+pub use cache::{Design, LruCache, NetlistCounts, ServeCaches};
 pub use job::{run_job, JobConfig, JobKind};
 pub use server::{JobServer, ServeOptions};
 

@@ -117,17 +117,25 @@ fn served_atpg_is_byte_identical_to_cli_and_cached_10x_faster() {
     );
 
     // Same netlist, different semantic config: a different cache entry.
-    let (_, body) = post_job(
-        addr,
-        r#"{"kind":"atpg","threads":1,"fill_seed":9}"#,
-        &netlist,
-    );
+    let memo_hits = rescue_obs::metrics::global().counter("serve.podem_memo.hits");
+    let hits_before = memo_hits.get();
+    let reseeded = r#"{"kind":"atpg","threads":1,"fill_seed":9}"#;
+    let (_, body) = post_job(addr, reseeded, &netlist);
     assert!(
         saw_cache_event(&body, "serve.result.cache", false),
         "{body}"
     );
-    // But the design cache hits — the netlist text is unchanged.
+    // But the design cache hits — the netlist text is unchanged — so
+    // the job reuses the first job's PODEM outcomes, and still serves
+    // exactly the bytes a fresh CLI run computes.
     assert!(saw_cache_event(&body, "serve.design.cache", true), "{body}");
+    assert!(memo_hits.get() > hits_before, "no PODEM memo hit");
+    let cli_reseeded = {
+        let design = Design::build(&netlist).expect("design builds");
+        run_job(&design, &JobConfig::parse(reseeded).expect("config parses")).expect("job runs")
+    };
+    assert_eq!(result_line(&body), Some(cli_reseeded.as_str()));
+    assert_ne!(cli_reseeded, cli_line, "the fill seed moves the vectors");
 
     server.shutdown();
 }
