@@ -30,18 +30,9 @@
 use crate::error::AtpgError;
 use crate::fsim::{ffr_root_of, FaultSim};
 use rescue_netlist::{Fault, Levelized, PatternBlock, WideBlock};
-use rescue_obs::live::LiveCounter;
 
-/// Live counters published per worker pass, paired with the
-/// [`crate::fsim::FsimStats`] field each one mirrors.
-const LIVE_FSIM: [LiveCounter; 4] = [
-    LiveCounter::FsimGateEvals,
-    LiveCounter::FsimFaultsSimulated,
-    LiveCounter::FsimEventsQueued,
-    LiveCounter::FsimBlocksLoaded,
-];
-
-/// Current values of the mirrored stats counters, in [`LIVE_FSIM`] order.
+/// Current values of the [`crate::fsim::FsimStats`] counters that the
+/// `live.fsim.*` counters mirror.
 fn live_stats<const W: usize>(sim: &FaultSim<'_, W>) -> [u64; 4] {
     let st = sim.stats();
     [
@@ -52,20 +43,17 @@ fn live_stats<const W: usize>(sim: &FaultSim<'_, W>) -> [u64; 4] {
     ]
 }
 
-/// Publish one worker pass's stats delta into that worker's live
-/// progress ring (worker `i` owns ring slot `i + 1`; slot 0 belongs to
-/// the main thread). One atomic load and out when live telemetry is off.
-fn publish_live<const W: usize>(worker: usize, sim: &FaultSim<'_, W>, before: [u64; 4]) {
-    let hub = rescue_obs::live::global();
-    let Some(ring) = hub.ring(worker + 1) else {
-        return;
-    };
-    let now = hub.now_ns();
-    for (i, after) in live_stats(sim).into_iter().enumerate() {
-        let delta = after.saturating_sub(before[i]);
-        if delta > 0 {
-            ring.record(LIVE_FSIM[i], delta, now);
-        }
+/// Add one worker pass's stats delta to the `live.fsim.*` counters.
+fn publish_live<const W: usize>(sim: &FaultSim<'_, W>, before: [u64; 4]) {
+    let live = rescue_obs::live::counters();
+    let counters = [
+        &live.fsim_gate_evals,
+        &live.fsim_faults_simulated,
+        &live.fsim_events_queued,
+        &live.fsim_blocks_loaded,
+    ];
+    for ((counter, after), before) in counters.into_iter().zip(live_stats(sim)).zip(before) {
+        counter.add(after - before);
     }
 }
 
@@ -230,7 +218,7 @@ impl<'a, const W: usize> FaultShards<'a, W> {
             let before = live_stats(sim);
             sim.load_wide(wide);
             let results: Vec<R> = faults.iter().map(|&f| op(sim, f)).collect();
-            publish_live(0, sim, before);
+            publish_live(sim, before);
             self.busy_ns[0] += busy.finish();
             results
         } else {
@@ -243,15 +231,14 @@ impl<'a, const W: usize> FaultShards<'a, W> {
                 let handles: Vec<_> = sims
                     .iter_mut()
                     .zip(&shards)
-                    .enumerate()
-                    .map(|(worker, (sim, shard))| {
+                    .map(|(sim, shard)| {
                         s.spawn(move || {
                             let busy = rescue_obs::span_root("fsim.worker");
                             let before = live_stats(sim);
                             sim.load_wide(wide);
                             let shard_out: Vec<R> =
                                 shard.iter().map(|&i| op(sim, faults[i as usize])).collect();
-                            publish_live(worker, sim, before);
+                            publish_live(sim, before);
                             (shard_out, busy.finish())
                         })
                     })
@@ -463,6 +450,8 @@ pub fn first_detections(
     let mut remaining: Vec<usize> = (0..faults.len()).collect();
     let mut wide: Option<LaneShards<'_>> = None;
     let mut group: Vec<PatternBlock> = Vec::with_capacity(lane_words);
+    // The still-undetected faults, rebuilt in place for each group.
+    let mut undetected: Vec<Fault> = Vec::with_capacity(faults.len());
     let mut start_block = 0usize;
     while !remaining.is_empty() {
         let width = if start_block == 0 { 1 } else { lane_words };
@@ -479,7 +468,8 @@ pub fn first_detections(
             }
             wide.as_mut().ok_or(unsupported.clone())?
         };
-        let undetected: Vec<Fault> = remaining.iter().map(|&slot| faults[slot]).collect();
+        undetected.clear();
+        undetected.extend(remaining.iter().map(|&slot| faults[slot]));
         let lanes = shards.detect_lanes_group(&group, &undetected);
         let base = start_block as u64 * 64;
         apply_detect_lanes(&lanes, &mut remaining, |slot, lane| {

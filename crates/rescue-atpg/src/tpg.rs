@@ -519,6 +519,7 @@ impl<'a> Atpg<'a> {
             None => rec.label(IO_LABEL),
         };
 
+        let live = rescue_obs::live::counters();
         let flush = |pending: &mut Vec<TestCube>,
                      vectors: &mut Vec<PatternVector>,
                      remaining: &mut Vec<Fault>,
@@ -589,9 +590,8 @@ impl<'a> Atpg<'a> {
                         });
                     }
                 }
-                let hub = rescue_obs::live::global();
-                hub.record(rescue_obs::LiveCounter::AtpgFaultsClassified, dropped);
-                hub.record(rescue_obs::LiveCounter::AtpgFaultsDetected, dropped);
+                live.atpg_faults_classified.add(dropped);
+                live.atpg_faults_detected.add(dropped);
                 rescue_obs::counter("atpg.detected", recorder.detected_so_far() as f64);
                 rescue_obs::counter(
                     "atpg.coverage_so_far",
@@ -603,8 +603,7 @@ impl<'a> Atpg<'a> {
                 );
             }
             timing.fsim_ns += phase.finish();
-            rescue_obs::live::global()
-                .record(rescue_obs::LiveCounter::AtpgVectors, filled.len() as u64);
+            live.atpg_vectors.add(filled.len() as u64);
             vectors.append(&mut filled);
             rescue_obs::counter("atpg.vectors", vectors.len() as f64);
             Ok(())
@@ -676,14 +675,12 @@ impl<'a> Atpg<'a> {
                 PodemResult::Untestable => {
                     classes.insert(fault, FaultClass::Untestable);
                     remaining.swap_remove(cursor);
-                    rescue_obs::live::global()
-                        .record(rescue_obs::LiveCounter::AtpgFaultsClassified, 1);
+                    live.atpg_faults_classified.inc();
                 }
                 PodemResult::Aborted => {
                     classes.insert(fault, FaultClass::Aborted);
                     remaining.swap_remove(cursor);
-                    rescue_obs::live::global()
-                        .record(rescue_obs::LiveCounter::AtpgFaultsClassified, 1);
+                    live.atpg_faults_classified.inc();
                 }
             }
         }

@@ -133,7 +133,7 @@ const FLOAT_REL_TOL: f64 = 1e-9;
 /// and the static pre-pass rows (`atpg.prepass.*` — proofs are
 /// deterministic; only the `_ms` / `_per_sec` suffixed rates there
 /// are wall-clock). The observability self-benchmark (`obs.overhead.*`) is
-/// wall-clock by nature, and the `live.*` ring totals only exist on
+/// wall-clock by nature, and the `live.*` counter totals only exist on
 /// runs started with `--serve-metrics` / `--progress-every`. The
 /// `profile.*` sections are the span tree: per-path wall-clock
 /// attribution of the same spans whose per-name counts gate under
@@ -795,7 +795,7 @@ mod tests {
             ))
             .unwrap()
         };
-        // The overhead ratio is wall-clock; the live ring totals only
+        // The overhead ratio is wall-clock; the live counter totals only
         // exist on `--serve-metrics` runs. Neither may gate, even when
         // the integer values move.
         let b = mk("1.01", 5000, 400);

@@ -238,11 +238,7 @@ pub fn obs_init(own: &[&str]) -> ObsFlags {
         // rendered at exit.
         rescue_obs::global().set_record(true);
     }
-    if flags.progress_every > 0 {
-        let hub = rescue_obs::live::global();
-        hub.set_progress_every(flags.progress_every);
-        hub.set_enabled(true);
-    }
+    rescue_obs::live::set_progress_every(flags.progress_every);
     if let Some(addr) = &flags.serve_metrics {
         let title = std::env::args().next().unwrap_or_else(|| "rescue".into());
         match rescue_obs::TelemetryServer::start(addr, &title) {
@@ -268,7 +264,9 @@ pub fn obs_init(own: &[&str]) -> ObsFlags {
 /// write the Perfetto document when `--trace-perfetto` was given, and
 /// shut the telemetry server down.
 pub fn obs_finish(flags: &ObsFlags, report: &mut Report) {
-    live_report(report);
+    if flags.serve_metrics.is_some() || flags.progress_every > 0 {
+        live_report(report);
+    }
     if report.spans.is_empty() {
         collect_profile(report, 1);
     }
@@ -380,21 +378,17 @@ pub fn write_metrics_json(flags: &ObsFlags, report: &Report, default_path: Optio
     eprintln!("wrote metrics JSON {path}");
 }
 
-/// Fill the `live` report section with the final per-counter totals
-/// from the progress rings (name-sorted; only when live telemetry was
-/// enabled this run). The whole section is informational in
-/// `bench-diff`: it only exists on runs with `--serve-metrics` /
-/// `--progress-every`.
+/// Fill the `live` report section with the final `live.*` counter
+/// totals (name-sorted). [`obs_finish`] writes it only on runs with
+/// `--serve-metrics` / `--progress-every`, so the whole section is
+/// informational in `bench-diff`.
 fn live_report(report: &mut Report) {
-    let hub = rescue_obs::live::global();
-    if !hub.enabled() {
-        return;
-    }
-    let snap = hub.snapshot();
+    rescue_obs::live::counters();
+    let snap = rescue_obs::metrics::global().snapshot();
     let sec = report.section("live");
-    sec.f64("uptime_ms", snap.uptime_ns as f64 / 1e6);
-    for c in &snap.counters {
-        sec.u64(c.name, c.total);
+    sec.f64("uptime_ms", rescue_obs::global().now_ns() as f64 / 1e6);
+    for (name, total) in rescue_obs::live::totals(&snap) {
+        sec.u64(name, total);
     }
 }
 
@@ -628,16 +622,16 @@ pub fn fsim_kernel_report(
         );
 }
 
-/// The `obs.overhead` self-benchmark: the cost of live telemetry and
+/// The `obs.overhead` self-benchmark: the cost of live counters and
 /// spans, itself measured. Sweeps every collapsed fault of the Rescue
 /// design against one deterministic pattern block on the fault
-/// simulator in three arms — everything off; the live hub with a ring
-/// record per 64-fault chunk (strictly more record traffic than the
-/// per-shard records production code emits); and the hub plus the span
-/// aggregate with one `obs_sweep` span per chunk — and reports the
-/// throughputs plus their ratios. Best-of-3 per arm, arms interleaved.
-/// Wall-clock data: the whole `obs.overhead` section is informational
-/// in `bench-diff`.
+/// simulator in three arms — everything off; an add to the
+/// `live.fsim.gate_evals` counter per 64-fault chunk (strictly more
+/// counter traffic than the per-shard adds production code makes); and
+/// the counter plus the span aggregate with one `obs_sweep` span per
+/// chunk — and reports the throughputs plus their ratios. Best-of-3
+/// per arm, arms interleaved. Wall-clock data: the whole
+/// `obs.overhead` section is informational in `bench-diff`.
 pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::ModelParams) {
     use rescue_core::atpg::FaultSim;
     use rescue_core::model::{build_pipeline, Variant};
@@ -654,15 +648,14 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
         state: vec![0x0ff0_f00f_aa55_55aa; scanned.netlist.num_dffs()],
     };
 
-    let hub = rescue_obs::live::global();
+    let gate_evals = &rescue_obs::live::counters().fsim_gate_evals;
     let prof = rescue_obs::profile::global();
-    let was_enabled = hub.enabled();
     let prof_was_enabled = prof.enabled();
-    // Three arms, A/B/C: everything off, the live hub alone, and hub
-    // plus the span aggregate. The hub arm publishes at PPSFP-block
-    // granularity (one `hub.record` per 64 faults) — still far more
-    // often than the production path, which publishes once per shard
-    // per batch — and the span arm additionally opens one root-pinned
+    // Three arms, A/B/C: everything off, the live counter alone, and
+    // the counter plus the span aggregate. The counter arm adds at
+    // PPSFP-block granularity (one add per 64 faults) — still far more
+    // often than the production path, which adds once per shard per
+    // batch — and the span arm additionally opens one root-pinned
     // span per 64-fault chunk, denser than the phase-level spans
     // production code uses, so both measured ratios are conservative
     // upper bounds. The span arm's cost includes the timeline when a
@@ -674,8 +667,7 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
     // `obs_sweep` span count is an exact counter like any other.
     const RECORD_EVERY_FAULTS: usize = 64;
     const ARM_GATE_EVALS: u64 = 2_000_000;
-    let sweep = |hub_on: bool, prof_on: bool| -> (u64, f64) {
-        hub.set_enabled(hub_on);
+    let sweep = |count_on: bool, prof_on: bool| -> (u64, f64) {
         prof.set_enabled(prof_on);
         let mut sim = FaultSim::with_levelized(&lev);
         sim.load_block(&block);
@@ -688,10 +680,10 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
                 let before = sim.stats().gate_evals.get();
                 std::hint::black_box(sim.detect_mask(f));
                 evals += sim.stats().gate_evals.get() - before;
-                if hub_on {
+                if count_on {
                     pending_delta += sim.stats().gate_evals.get() - before;
                     if i.is_multiple_of(RECORD_EVERY_FAULTS) {
-                        hub.record(rescue_obs::LiveCounter::FsimGateEvals, pending_delta);
+                        gate_evals.add(pending_delta);
                         pending_delta = 0;
                     }
                 }
@@ -704,8 +696,8 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
                 }
             }
             drop(chunk_span);
-            if hub_on && pending_delta > 0 {
-                hub.record(rescue_obs::LiveCounter::FsimGateEvals, pending_delta);
+            if count_on && pending_delta > 0 {
+                gate_evals.add(pending_delta);
             }
             if evals >= ARM_GATE_EVALS {
                 break;
@@ -715,25 +707,24 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
     };
     let mut evals = 0u64;
     let mut best_off = f64::MAX;
-    let mut best_hub = f64::MAX;
+    let mut best_counter = f64::MAX;
     let mut best_full = f64::MAX;
     for _ in 0..3 {
         let (e, secs) = sweep(false, false);
         evals = e;
         best_off = best_off.min(secs / e.max(1) as f64);
         let (e, secs) = sweep(true, false);
-        best_hub = best_hub.min(secs / e.max(1) as f64);
+        best_counter = best_counter.min(secs / e.max(1) as f64);
         let (e, secs) = sweep(true, true);
         best_full = best_full.min(secs / e.max(1) as f64);
     }
-    hub.set_enabled(was_enabled);
     prof.set_enabled(prof_was_enabled);
     // The sweep's chunk spans stay in the profile under the root-level
     // `obs_sweep` path — honest attribution of the self-benchmark's own
     // cost, kept apart from the engine phases.
     // Normalize per-eval (arms may run different sweep counts).
     let best_off = best_off * evals as f64;
-    let best_hub = best_hub * evals as f64;
+    let best_counter = best_counter * evals as f64;
     let best_full = best_full * evals as f64;
     let pct = |num: f64, den: f64| (num / den.max(1e-12) - 1.0) * 100.0;
 
@@ -753,8 +744,8 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
         )
         .f64("overhead_ratio", best_full / best_off.max(1e-12))
         .f64("overhead_pct", pct(best_full, best_off))
-        .f64("hub_overhead_pct", pct(best_hub, best_off))
-        .f64("profiler_overhead_pct", pct(best_full, best_hub));
+        .f64("counter_overhead_pct", pct(best_counter, best_off))
+        .f64("profiler_overhead_pct", pct(best_full, best_counter));
 }
 
 /// Run the static DFT linter over the model's baseline and Rescue
@@ -788,7 +779,9 @@ pub fn lint_report(
         let findings = lr.count(rescue_lint::Severity::Error)
             + lr.count(rescue_lint::Severity::Warning)
             + lr.count(rescue_lint::Severity::Info);
-        rescue_obs::live::global().record(rescue_obs::LiveCounter::LintFindings, findings as u64);
+        rescue_obs::live::counters()
+            .lint_findings
+            .add(findings as u64);
         let sec = report.section(&format!("lint.{label}"));
         sec.u64("errors", lr.count(rescue_lint::Severity::Error) as u64)
             .u64("warnings", lr.count(rescue_lint::Severity::Warning) as u64)

@@ -78,8 +78,6 @@ fn assert_valid_exposition(body: &str) {
 
 #[test]
 fn two_scrapes_during_live_run_are_valid_and_monotone() {
-    let hub = rescue_obs::live::global();
-    hub.set_enabled(true);
     let mut server =
         rescue_obs::TelemetryServer::start("127.0.0.1:0", "telemetry-smoke").expect("bind");
     let addr = server.addr();
@@ -144,7 +142,7 @@ fn two_scrapes_during_live_run_are_valid_and_monotone() {
         );
     }
 
-    // The JSON snapshot stays consistent with the live hub.
+    // The JSON snapshot carries the live counters and the registry.
     let snap = http_get(addr, "/snapshot.json");
     let doc = rescue_obs::json::parse(&snap).expect("snapshot.json parses");
     assert!(doc.get("live").is_some());

@@ -159,14 +159,14 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     };
     let main_cfg = GenConfig::sized(cfg.max_gates);
     let small_cfg = GenConfig::small();
-    let hub = rescue_obs::live::global();
+    let live = rescue_obs::live::counters();
     let mut meter = rescue_obs::ProgressMeter::new("fuzz");
 
     for idx in 0..cfg.cases {
         let main_case = generate(cfg.seed, idx, &main_cfg);
         let small_case = generate(cfg.seed ^ SMALL_STREAM, idx, &small_cfg);
         report.gates_generated += (main_case.gates.len() + small_case.gates.len()) as u64;
-        hub.record(rescue_obs::LiveCounter::FuzzCases, 1);
+        live.fuzz_cases.inc();
         meter.tick(1);
 
         for &oracle in &cfg.oracles {
@@ -184,7 +184,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                 continue;
             };
             slot.1.divergences += 1;
-            hub.record(rescue_obs::LiveCounter::FuzzDivergences, 1);
+            live.fuzz_divergences.inc();
 
             let (shrunk, stats) = shrink(case, |c| oracle.run(c).is_err());
             report.shrink_probes += stats.probes as u64;

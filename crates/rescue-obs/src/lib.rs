@@ -7,7 +7,8 @@
 //!
 //! * [`metrics`] — typed counters, gauges, and log₂-bucket histograms
 //!   cheap enough (one relaxed atomic op) to live in the PODEM inner
-//!   loop, plus a name-keyed [`metrics::Registry`] for ad-hoc use;
+//!   loop, plus the name-keyed [`metrics::Registry`] of counters and
+//!   histograms that the telemetry endpoints serve;
 //! * [`trace`] — [`span`], the one timing primitive: a guard that
 //!   reads the clock once at open and once at close and hands that
 //!   elapsed value to the profile tree, the timeline (an optional JSONL
@@ -28,10 +29,9 @@
 //! * [`json`] — the hand-rolled JSON serializer and parser behind the
 //!   sinks, the Perfetto converter, and `bench-diff` (the build
 //!   environment is offline, so no serde);
-//! * [`live`] — lock-free per-worker progress rings plus a snapshot
-//!   aggregator: the pull-able live-progress surface for long engine
-//!   loops, and the [`live::ProgressMeter`] that mirrors progress as
-//!   JSONL frames and Perfetto counter tracks;
+//! * [`live`] — the twelve `live.*` engine-progress counters, held in
+//!   the global registry, and the [`live::ProgressMeter`] that mirrors
+//!   progress as JSONL frames and Perfetto counter tracks;
 //! * [`profile`] — the span aggregate: closed spans fold into a
 //!   per-thread path tree, merged across worker threads, rendered as
 //!   `profile.*` report sections, a text flame summary, and the
@@ -81,7 +81,7 @@ pub mod server;
 pub mod trace;
 
 pub use coverage::{CoverageCurve, CoverageRecorder};
-pub use live::{LiveCounter, LiveSnapshot, ProgressMeter, ProgressRing};
+pub use live::{EngineCounters, ProgressMeter};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use report::{Report, RobustStats};
 pub use rng::SplitMix64;

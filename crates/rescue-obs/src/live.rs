@@ -1,425 +1,122 @@
-//! Live telemetry: lock-free per-worker progress rings and a snapshot
-//! aggregator — the pull-able progress surface behind the
+//! Live progress counters: the engine-progress surface behind the
 //! `--serve-metrics` HTTP endpoint ([`crate::server`]) and the
 //! `--progress-every` JSONL progress frames.
 //!
 //! Long engine loops (PODEM over the collapsed fault list, sharded
-//! fault simulation, fuzz campaigns) publish progress as
-//! `(mono_ns, counter, delta)` samples into fixed-capacity
-//! [`ProgressRing`]s — one ring per fault-simulation worker slot plus
-//! one for the main thread — using only relaxed/acq-rel atomics, so the
-//! hot loops never take a lock and never block on a slow scraper. A
-//! reader-side aggregator ([`LiveHub::snapshot`]) folds the rings into
-//! monotonic per-counter totals and recent-window rates.
+//! fault simulation, pipeline simulation, fuzz campaigns) count their
+//! progress on twelve ordinary [`Counter`]s of the global
+//! [`crate::metrics::Registry`], named `live.<name>`. [`counters`]
+//! registers all twelve together on first use, so `/metrics` lists
+//! every `rescue_live_<name>_total` family from its first scrape. Engines
+//! fetch the handles once, outside their loops; an update is one relaxed
+//! `fetch_add`. Counters always count: there is no enable gate.
 //!
-//! Two precision classes, by design:
-//!
-//! * **Totals are exact.** Every [`ProgressRing::record`] adds its delta
-//!   to a per-counter atomic total before touching the sample slots, so
-//!   aggregated totals are correct for any number of writers, even when
-//!   the ring wraps and old samples are overwritten.
-//! * **Samples are advisory.** The ring keeps only the newest
-//!   `capacity` samples (overflow silently overwrites the oldest), and
-//!   a reader racing a writer may observe a torn sample, which it
-//!   simply misattributes within the rate window. Rates are therefore
-//!   estimates; the monotone counters served at `/metrics` come from
-//!   the exact totals.
-//!
-//! The hub starts disabled; until a bench binary enables it (the
-//! `--serve-metrics` / `--progress-every` flags), every record call is
-//! one relaxed atomic load and no ring memory is allocated.
+//! `/metrics`, `/snapshot.json`, the `live` report section and the
+//! [`ProgressMeter`]'s `live.<name>` counter tracks are all views over
+//! the registry. A reader that wants a rate diffs two snapshots.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
+use crate::metrics::{Counter, RegistrySnapshot};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// The fixed set of live progress counters engines publish. Adding a
-/// variant automatically adds it to `/metrics`, `/snapshot.json`, and
-/// the `live.*` report section.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LiveCounter {
-    /// ATPG: collapsed faults classified (any class, including faults
-    /// dropped by fault simulation).
-    AtpgFaultsClassified,
-    /// ATPG: faults classified `Detected` specifically.
-    AtpgFaultsDetected,
+/// Registry-name prefix shared by every live counter.
+const PREFIX: &str = "live.";
+
+/// Handles to the twelve live counters in the global registry.
+#[derive(Debug)]
+pub struct EngineCounters {
+    /// ATPG: collapsed faults classified, in any class.
+    pub atpg_faults_classified: Arc<Counter>,
+    /// ATPG: faults classified `Detected` by fault-simulation dropping.
+    pub atpg_faults_detected: Arc<Counter>,
     /// ATPG: capture vectors committed (post-compaction, post-fill).
-    AtpgVectors,
-    /// Fault simulation: gate re-evaluations (the unit of fsim work),
-    /// recorded per worker shard.
-    FsimGateEvals,
-    /// Fault simulation: difference-propagation runs, per worker shard.
-    FsimFaultsSimulated,
-    /// Fault simulation: events pushed onto the propagation queue, per
-    /// worker shard (queue pressure).
-    FsimEventsQueued,
+    pub atpg_vectors: Arc<Counter>,
+    /// Fault simulation: gate re-evaluations (the unit of fsim work).
+    pub fsim_gate_evals: Arc<Counter>,
+    /// Fault simulation: difference-propagation runs.
+    pub fsim_faults_simulated: Arc<Counter>,
+    /// Fault simulation: events pushed onto the propagation queue.
+    pub fsim_events_queued: Arc<Counter>,
     /// Fault simulation: pattern blocks loaded (good-machine passes).
-    FsimBlocksLoaded,
+    pub fsim_blocks_loaded: Arc<Counter>,
     /// Pipeline simulation: cycles stepped.
-    PipesimCycles,
+    pub pipesim_cycles: Arc<Counter>,
     /// Pipeline simulation: instructions committed.
-    PipesimCommitted,
+    pub pipesim_committed: Arc<Counter>,
     /// Fuzzing: cases completed across all enabled oracles.
-    FuzzCases,
+    pub fuzz_cases: Arc<Counter>,
     /// Fuzzing: confirmed cross-engine divergences.
-    FuzzDivergences,
+    pub fuzz_divergences: Arc<Counter>,
     /// Lint: diagnostics found across linted designs.
-    LintFindings,
+    pub lint_findings: Arc<Counter>,
 }
 
-impl LiveCounter {
-    /// Every counter, in declaration order (the ring's index space).
-    pub const ALL: [LiveCounter; 12] = [
-        LiveCounter::AtpgFaultsClassified,
-        LiveCounter::AtpgFaultsDetected,
-        LiveCounter::AtpgVectors,
-        LiveCounter::FsimGateEvals,
-        LiveCounter::FsimFaultsSimulated,
-        LiveCounter::FsimEventsQueued,
-        LiveCounter::FsimBlocksLoaded,
-        LiveCounter::PipesimCycles,
-        LiveCounter::PipesimCommitted,
-        LiveCounter::FuzzCases,
-        LiveCounter::FuzzDivergences,
-        LiveCounter::LintFindings,
-    ];
-
-    /// Stable dotted name, used in `/snapshot.json`, the `live.*`
-    /// report section, and (sanitized) the Prometheus family name.
-    pub fn name(self) -> &'static str {
-        match self {
-            LiveCounter::AtpgFaultsClassified => "atpg.faults_classified",
-            LiveCounter::AtpgFaultsDetected => "atpg.faults_detected",
-            LiveCounter::AtpgVectors => "atpg.vectors",
-            LiveCounter::FsimGateEvals => "fsim.gate_evals",
-            LiveCounter::FsimFaultsSimulated => "fsim.faults_simulated",
-            LiveCounter::FsimEventsQueued => "fsim.events_queued",
-            LiveCounter::FsimBlocksLoaded => "fsim.blocks_loaded",
-            LiveCounter::PipesimCycles => "pipesim.cycles",
-            LiveCounter::PipesimCommitted => "pipesim.committed",
-            LiveCounter::FuzzCases => "fuzz.cases",
-            LiveCounter::FuzzDivergences => "fuzz.divergences",
-            LiveCounter::LintFindings => "lint.findings",
+/// The live counters, all twelve registered in
+/// [`crate::metrics::global`] on the first call.
+pub fn counters() -> &'static EngineCounters {
+    static LIVE: OnceLock<EngineCounters> = OnceLock::new();
+    LIVE.get_or_init(|| {
+        let c = |name: &str| crate::metrics::global().counter(name);
+        EngineCounters {
+            atpg_faults_classified: c("live.atpg.faults_classified"),
+            atpg_faults_detected: c("live.atpg.faults_detected"),
+            atpg_vectors: c("live.atpg.vectors"),
+            fsim_gate_evals: c("live.fsim.gate_evals"),
+            fsim_faults_simulated: c("live.fsim.faults_simulated"),
+            fsim_events_queued: c("live.fsim.events_queued"),
+            fsim_blocks_loaded: c("live.fsim.blocks_loaded"),
+            pipesim_cycles: c("live.pipesim.cycles"),
+            pipesim_committed: c("live.pipesim.committed"),
+            fuzz_cases: c("live.fuzz.cases"),
+            fuzz_divergences: c("live.fuzz.divergences"),
+            lint_findings: c("live.lint.findings"),
         }
-    }
-
-    /// One-line help text for the Prometheus `# HELP` line.
-    pub fn help(self) -> &'static str {
-        match self {
-            LiveCounter::AtpgFaultsClassified => "Collapsed faults classified by ATPG.",
-            LiveCounter::AtpgFaultsDetected => "Faults classified Detected by ATPG.",
-            LiveCounter::AtpgVectors => "Capture vectors committed by ATPG.",
-            LiveCounter::FsimGateEvals => "Gate re-evaluations in fault simulation.",
-            LiveCounter::FsimFaultsSimulated => "Difference-propagation runs in fault simulation.",
-            LiveCounter::FsimEventsQueued => "Events pushed onto the fault-sim propagation queue.",
-            LiveCounter::FsimBlocksLoaded => "Pattern blocks loaded (good-machine passes).",
-            LiveCounter::PipesimCycles => "Pipeline-simulation cycles stepped.",
-            LiveCounter::PipesimCommitted => "Pipeline-simulation instructions committed.",
-            LiveCounter::FuzzCases => "Fuzz cases completed.",
-            LiveCounter::FuzzDivergences => "Confirmed cross-engine fuzz divergences.",
-            LiveCounter::LintFindings => "Lint diagnostics found.",
-        }
-    }
-
-    fn from_index(i: usize) -> Option<LiveCounter> {
-        LiveCounter::ALL.get(i).copied()
-    }
+    })
 }
 
-/// Number of live counters (the per-ring totals array length).
-pub const N_LIVE_COUNTERS: usize = LiveCounter::ALL.len();
-
-/// Samples kept per ring; older samples are overwritten (totals stay
-/// exact — see the module docs).
-pub const RING_CAPACITY: usize = 512;
-
-/// Ring slots in the hub: slot 0 is the main thread, slots 1..N are
-/// fault-simulation workers (worker `i` uses slot `i + 1`, wrapping).
-pub const MAX_RINGS: usize = 33;
-
-/// Recent-sample window for rate estimation, in nanoseconds. Exposed
-/// so `/snapshot.json` can tell scrapers which window the
-/// `rate_per_sec` fields were estimated over.
-pub const RATE_WINDOW_NS: u64 = 2_000_000_000;
-
-/// Delta payload bits in a packed sample (top 8 bits carry the counter
-/// index); larger deltas saturate in the *sample* only, never in the
-/// totals.
-const DELTA_MASK: u64 = (1 << 56) - 1;
-
-/// One sample slot: timestamp plus `(counter << 56) | delta` packed.
-#[derive(Debug)]
-struct Slot {
-    ts_ns: AtomicU64,
-    packed: AtomicU64,
+/// Prometheus `# HELP` text for a live counter's registry name.
+pub fn help(name: &str) -> Option<&'static str> {
+    Some(match name.strip_prefix(PREFIX)? {
+        "atpg.faults_classified" => "Collapsed faults classified by ATPG.",
+        "atpg.faults_detected" => "Faults classified Detected by ATPG.",
+        "atpg.vectors" => "Capture vectors committed by ATPG.",
+        "fsim.gate_evals" => "Gate re-evaluations in fault simulation.",
+        "fsim.faults_simulated" => "Difference-propagation runs in fault simulation.",
+        "fsim.events_queued" => "Events pushed onto the fault-sim propagation queue.",
+        "fsim.blocks_loaded" => "Pattern blocks loaded (good-machine passes).",
+        "pipesim.cycles" => "Pipeline-simulation cycles stepped.",
+        "pipesim.committed" => "Pipeline-simulation instructions committed.",
+        "fuzz.cases" => "Fuzz cases completed.",
+        "fuzz.divergences" => "Confirmed cross-engine fuzz divergences.",
+        "lint.findings" => "Lint diagnostics found.",
+        _ => return None,
+    })
 }
 
-/// One decoded progress sample, as read back by the aggregator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Sample {
-    /// Monotonic nanoseconds since the hub epoch.
-    pub ts_ns: u64,
-    /// Which counter the delta applies to.
-    pub counter: LiveCounter,
-    /// Delta recorded (saturated at 2^56-1 in the sample).
-    pub delta: u64,
+/// The live counters of a registry snapshot as `(name, total)`, with
+/// the `live.` prefix stripped (`atpg.faults_classified`), name-sorted.
+pub fn totals(reg: &RegistrySnapshot) -> impl Iterator<Item = (&str, u64)> {
+    reg.counters
+        .iter()
+        .filter_map(|(name, v)| Some((name.strip_prefix(PREFIX)?, *v)))
 }
 
-/// A fixed-capacity progress ring: exact per-counter totals plus the
-/// newest `capacity` `(mono_ns, counter, delta)` samples.
-///
-/// Designed for one writer (a worker thread) and any number of readers,
-/// but safe — totals exact, samples merely approximate — under
-/// concurrent writers too, since slot claims go through a fetch-add.
-#[derive(Debug)]
-pub struct ProgressRing {
-    totals: [AtomicU64; N_LIVE_COUNTERS],
-    written: AtomicU64,
-    slots: Box<[Slot]>,
-}
+/// The `--progress-every` period in ticked units (0 = frames off).
+static PROGRESS_EVERY: AtomicU64 = AtomicU64::new(0);
 
-impl ProgressRing {
-    /// An empty ring holding up to `capacity` samples (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        ProgressRing {
-            totals: [(); N_LIVE_COUNTERS].map(|_| AtomicU64::new(0)),
-            written: AtomicU64::new(0),
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    ts_ns: AtomicU64::new(0),
-                    packed: AtomicU64::new(u64::MAX), // invalid counter index: never decodes
-                })
-                .collect(),
-        }
-    }
-
-    /// Sample capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Samples ever recorded (not capped by capacity).
-    pub fn recorded(&self) -> u64 {
-        self.written.load(Ordering::Acquire)
-    }
-
-    /// Record one progress delta at monotonic time `ts_ns`. Lock-free:
-    /// two relaxed adds plus two relaxed stores.
-    #[inline]
-    pub fn record(&self, counter: LiveCounter, delta: u64, ts_ns: u64) {
-        let idx = counter as usize;
-        self.totals[idx].fetch_add(delta, Ordering::Relaxed);
-        // Claim a slot; on overflow this overwrites the oldest sample,
-        // keeping the newest `capacity` samples.
-        let seq = self.written.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        slot.packed.store(
-            ((idx as u64) << 56) | delta.min(DELTA_MASK),
-            Ordering::Relaxed,
-        );
-        slot.ts_ns.store(ts_ns, Ordering::Release);
-    }
-
-    /// Exact running total for one counter.
-    pub fn total(&self, counter: LiveCounter) -> u64 {
-        self.totals[counter as usize].load(Ordering::Relaxed)
-    }
-
-    /// Decode the newest up-to-`capacity` samples (unordered; samples
-    /// racing a concurrent writer may be skipped or misread — see the
-    /// module docs).
-    pub fn recent(&self) -> Vec<Sample> {
-        let written = self.written.load(Ordering::Acquire);
-        let n = (written.min(self.slots.len() as u64)) as usize;
-        let mut out = Vec::with_capacity(n);
-        for slot in self.slots.iter().take(n) {
-            let ts_ns = slot.ts_ns.load(Ordering::Acquire);
-            let packed = slot.packed.load(Ordering::Relaxed);
-            let Some(counter) = LiveCounter::from_index((packed >> 56) as usize) else {
-                continue; // unwritten or torn slot
-            };
-            out.push(Sample {
-                ts_ns,
-                counter,
-                delta: packed & DELTA_MASK,
-            });
-        }
-        out
-    }
-}
-
-/// Aggregated state of one live counter at snapshot time.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LiveCounterSnap {
-    /// Dotted counter name ([`LiveCounter::name`]).
-    pub name: &'static str,
-    /// Exact total across all rings.
-    pub total: u64,
-    /// Estimated rate over the recent sample window, per second.
-    pub rate_per_sec: f64,
-    /// Monotonic timestamp of the newest sample seen (0 when none).
-    pub last_ts_ns: u64,
-}
-
-/// A point-in-time aggregate of every ring, sorted by counter name.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LiveSnapshot {
-    /// Nanoseconds since the hub epoch.
-    pub uptime_ns: u64,
-    /// One entry per [`LiveCounter`], sorted by name.
-    pub counters: Vec<LiveCounterSnap>,
-}
-
-impl LiveSnapshot {
-    /// Total for a counter by name (0 when absent).
-    pub fn total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.total)
-    }
-}
-
-/// The process-wide ring pool: [`MAX_RINGS`] progress rings, an
-/// enable gate, and the monotonic epoch snapshots are measured against.
-#[derive(Debug)]
-pub struct LiveHub {
-    enabled: AtomicBool,
-    epoch: Instant,
-    rings: OnceLock<Vec<ProgressRing>>,
-    progress_every: AtomicU64,
-}
-
-impl LiveHub {
-    fn new() -> Self {
-        LiveHub {
-            enabled: AtomicBool::new(false),
-            epoch: Instant::now(),
-            rings: OnceLock::new(),
-            progress_every: AtomicU64::new(0),
-        }
-    }
-
-    /// Turn live telemetry on (allocating the ring pool on first use)
-    /// or off. While off, [`LiveHub::ring`] returns `None` and
-    /// [`LiveHub::record`] is one atomic load.
-    pub fn set_enabled(&self, on: bool) {
-        if on {
-            self.rings.get_or_init(|| {
-                (0..MAX_RINGS)
-                    .map(|_| ProgressRing::new(RING_CAPACITY))
-                    .collect()
-            });
-        }
-        self.enabled.store(on, Ordering::Release);
-    }
-
-    /// Whether live telemetry is being collected.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
-    /// Monotonic nanoseconds since the hub was created.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// The ring for `slot` (wrapping past [`MAX_RINGS`]), or `None`
-    /// while the hub is disabled. Slot 0 is the main thread; fault-sim
-    /// worker `i` uses slot `i + 1`.
-    pub fn ring(&self, slot: usize) -> Option<&ProgressRing> {
-        if !self.enabled() {
-            return None;
-        }
-        self.rings.get().map(|rings| &rings[slot % rings.len()])
-    }
-
-    /// Record a delta on the main-thread ring (slot 0); no-op while
-    /// disabled.
-    #[inline]
-    pub fn record(&self, counter: LiveCounter, delta: u64) {
-        if let Some(ring) = self.ring(0) {
-            ring.record(counter, delta, self.now_ns());
-        }
-    }
-
-    /// Exact total for one counter summed across all rings (0 while
-    /// disabled).
-    pub fn total(&self, counter: LiveCounter) -> u64 {
-        self.rings
-            .get()
-            .map_or(0, |rings| rings.iter().map(|r| r.total(counter)).sum())
-    }
-
-    /// Set the `--progress-every` period (0 disables progress frames).
-    pub fn set_progress_every(&self, every: u64) {
-        self.progress_every.store(every, Ordering::Relaxed);
-    }
-
-    /// Current progress-frame period (0 = disabled).
-    pub fn progress_every(&self) -> u64 {
-        self.progress_every.load(Ordering::Relaxed)
-    }
-
-    /// Aggregate every ring into per-counter totals, recent-window
-    /// rates, and freshness timestamps, sorted by counter name.
-    pub fn snapshot(&self) -> LiveSnapshot {
-        let now = self.now_ns();
-        let mut totals = [0u64; N_LIVE_COUNTERS];
-        let mut recent_sum = [0u64; N_LIVE_COUNTERS];
-        let mut last_ts = [0u64; N_LIVE_COUNTERS];
-        let window_ns = RATE_WINDOW_NS.min(now).max(1);
-        let cutoff = now.saturating_sub(window_ns);
-        if let Some(rings) = self.rings.get() {
-            for ring in rings {
-                for (i, t) in totals.iter_mut().enumerate() {
-                    *t += ring.total(LiveCounter::ALL[i]);
-                }
-                for s in ring.recent() {
-                    let i = s.counter as usize;
-                    last_ts[i] = last_ts[i].max(s.ts_ns);
-                    if s.ts_ns >= cutoff {
-                        recent_sum[i] += s.delta;
-                    }
-                }
-            }
-        }
-        let mut counters: Vec<LiveCounterSnap> = LiveCounter::ALL
-            .iter()
-            .map(|&c| {
-                let i = c as usize;
-                LiveCounterSnap {
-                    name: c.name(),
-                    total: totals[i],
-                    rate_per_sec: recent_sum[i] as f64 / (window_ns as f64 / 1e9),
-                    last_ts_ns: last_ts[i],
-                }
-            })
-            .collect();
-        counters.sort_by(|a, b| a.name.cmp(b.name));
-        LiveSnapshot {
-            uptime_ns: now,
-            counters,
-        }
-    }
-}
-
-/// The process-global live hub (created disabled).
-pub fn global() -> &'static LiveHub {
-    static GLOBAL: OnceLock<LiveHub> = OnceLock::new();
-    GLOBAL.get_or_init(LiveHub::new)
+/// Set the `--progress-every` period that arms [`ProgressMeter::new`].
+pub fn set_progress_every(every: u64) {
+    PROGRESS_EVERY.store(every, Ordering::Relaxed);
 }
 
 /// Periodic progress-frame emitter for one engine loop.
 ///
 /// Created with a label and armed by the global `--progress-every`
 /// period; every `period` ticked units it emits one `progress` event to
-/// the trace sink (a JSONL progress frame carrying the label, the
-/// cumulative unit count, and the exact live totals) plus
-/// `progress.<label>` / `live.<counter>` counter samples, which the
-/// Perfetto export renders as counter tracks. While the period is 0 a
-/// tick is a single integer add.
+/// the trace sink (a JSONL progress frame carrying the label and the
+/// cumulative unit count) plus `progress.<label>` / `live.<counter>`
+/// counter samples, which the Perfetto export renders as counter
+/// tracks. While the period is 0 a tick is a single integer add.
 ///
 /// Call [`ProgressMeter::finish`] (or just drop the meter) when the
 /// loop ends: a final completion frame is emitted so the last partial
@@ -438,7 +135,7 @@ pub struct ProgressMeter {
 impl ProgressMeter {
     /// A meter for the loop named `label`, armed by the global period.
     pub fn new(label: &'static str) -> Self {
-        ProgressMeter::with_period(label, global().progress_every())
+        ProgressMeter::with_period(label, PROGRESS_EVERY.load(Ordering::Relaxed))
     }
 
     /// A meter with an explicit period (0 = frames disabled), bypassing
@@ -496,7 +193,6 @@ impl ProgressMeter {
     fn emit(&mut self, final_frame: bool) {
         self.frames += 1;
         let tracer = crate::trace::global();
-        let hub = global();
         let done = self.done.to_string();
         let mut fields = vec![("label", self.label), ("done", done.as_str())];
         if final_frame {
@@ -504,10 +200,9 @@ impl ProgressMeter {
         }
         tracer.event("progress", &fields);
         tracer.counter(&format!("progress.{}", self.label), self.done as f64);
-        for &c in &LiveCounter::ALL {
-            let total = hub.total(c);
+        for (name, total) in totals(&crate::metrics::global().snapshot()) {
             if total > 0 {
-                tracer.counter(&format!("live.{}", c.name()), total as f64);
+                tracer.counter(&format!("{PREFIX}{name}"), total as f64);
             }
         }
     }
@@ -524,53 +219,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_are_exact_and_samples_decode() {
-        let r = ProgressRing::new(8);
-        r.record(LiveCounter::FsimGateEvals, 10, 100);
-        r.record(LiveCounter::FsimGateEvals, 5, 200);
-        r.record(LiveCounter::AtpgVectors, 1, 300);
-        assert_eq!(r.total(LiveCounter::FsimGateEvals), 15);
-        assert_eq!(r.total(LiveCounter::AtpgVectors), 1);
-        assert_eq!(r.recorded(), 3);
-        let mut samples = r.recent();
-        samples.sort_by_key(|s| s.ts_ns);
-        assert_eq!(
-            samples,
-            vec![
-                Sample {
-                    ts_ns: 100,
-                    counter: LiveCounter::FsimGateEvals,
-                    delta: 10
-                },
-                Sample {
-                    ts_ns: 200,
-                    counter: LiveCounter::FsimGateEvals,
-                    delta: 5
-                },
-                Sample {
-                    ts_ns: 300,
-                    counter: LiveCounter::AtpgVectors,
-                    delta: 1
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn empty_ring_decodes_no_samples() {
-        let r = ProgressRing::new(4);
-        assert!(r.recent().is_empty());
-        assert_eq!(r.total(LiveCounter::FuzzCases), 0);
-    }
-
-    #[test]
-    fn sample_delta_saturates_but_total_does_not() {
-        let r = ProgressRing::new(4);
-        r.record(LiveCounter::PipesimCycles, u64::MAX, 1);
-        assert_eq!(r.total(LiveCounter::PipesimCycles), u64::MAX);
-        let s = r.recent();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].delta, DELTA_MASK);
+    fn totals_strip_the_prefix_and_skip_other_counters() {
+        let reg = crate::metrics::Registry::new();
+        reg.counter("live.fuzz.cases").add(3);
+        reg.counter("serve.jobs").add(9);
+        let snap = reg.snapshot();
+        let got: Vec<(&str, u64)> = totals(&snap).collect();
+        assert_eq!(got, vec![("fuzz.cases", 3)]);
+        assert_eq!(help("live.fuzz.cases"), Some("Fuzz cases completed."));
+        assert_eq!(help("serve.jobs"), None);
     }
 
     #[test]

@@ -223,15 +223,15 @@ impl HistogramSnapshot {
     }
 }
 
-/// A name-keyed registry of shared metrics.
+/// A name-keyed registry of shared counters and histograms.
 ///
-/// Engines with typed metric structs don't need this; it exists for
-/// ad-hoc instrumentation and as the bridge into [`crate::report`].
-/// Lookup allocates, so fetch handles once outside hot loops.
+/// The global one ([`global`]) holds the `live.*` engine counters and
+/// the job server's `serve.*` counters, and is what the telemetry
+/// endpoints serve. Lookup locks and allocates, so fetch handles once
+/// outside hot loops.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: std::sync::Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: std::sync::Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: std::sync::Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -245,17 +245,6 @@ impl Registry {
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         Arc::clone(
             self.counters
-                .lock()
-                .expect("registry poisoned")
-                .entry(name.to_owned())
-                .or_default(),
-        )
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(
-            self.gauges
                 .lock()
                 .expect("registry poisoned")
                 .entry(name.to_owned())
@@ -284,13 +273,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .expect("registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
             histograms: self
                 .histograms
                 .lock()
@@ -311,8 +293,6 @@ impl Registry {
 pub struct RegistrySnapshot {
     /// (name, value) per counter, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// (name, value) per gauge, sorted by name.
-    pub gauges: Vec<(String, i64)>,
     /// (name, snapshot) per histogram, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -417,7 +397,6 @@ mod tests {
         let r = Registry::new();
         for name in ["zeta", "alpha", "mid.dle", "Alpha2"] {
             r.counter(name).inc();
-            r.gauge(name).set(1);
             r.histogram(name).record(1);
         }
         let snap = r.snapshot();
@@ -426,9 +405,7 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
-        let gauge_names: Vec<&str> = snap.gauges.iter().map(|(k, _)| k.as_str()).collect();
         let hist_names: Vec<&str> = snap.histograms.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(gauge_names, names);
         assert_eq!(hist_names, names);
     }
 
@@ -444,11 +421,9 @@ mod tests {
         let r = Registry::new();
         r.counter("a").inc();
         r.counter("a").inc();
-        r.gauge("g").set(-3);
         r.histogram("h").record(9);
         let snap = r.snapshot();
         assert_eq!(snap.counters, vec![("a".to_owned(), 2)]);
-        assert_eq!(snap.gauges, vec![("g".to_owned(), -3)]);
         assert_eq!(snap.histograms[0].1.count, 1);
     }
 }

@@ -3,12 +3,11 @@
 //!
 //! Pure functions over plain-data snapshots — no I/O, no globals — so
 //! the exact bytes served by [`crate::server::TelemetryServer`] are
-//! golden-testable. Families render sorted by name: live counters first
-//! (as `rescue_live_<name>_total` plus a `_per_sec` rate gauge), then
-//! registry counters, gauges, and histograms (log₂ buckets become
-//! cumulative `_bucket{le="..."}` series).
+//! golden-testable. After `rescue_uptime_seconds`, families render
+//! sorted by name: registry counters (`live.atpg.vectors` becomes
+//! `rescue_live_atpg_vectors_total`), then histograms (log₂ buckets
+//! become cumulative `_bucket{le="..."}` series).
 
-use crate::live::LiveSnapshot;
 use crate::metrics::{HistogramSnapshot, RegistrySnapshot};
 use std::fmt::Write as _;
 
@@ -74,11 +73,11 @@ fn histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
     let _ = writeln!(out, "{name}_count {}", h.count);
 }
 
-/// Render one full exposition document from a live-hub snapshot plus a
-/// registry snapshot. Both snapshot types are already sorted by name;
-/// the output preserves that ordering, so two scrapes of an idle
-/// process are byte-identical.
-pub fn render(live: &LiveSnapshot, reg: &RegistrySnapshot) -> String {
+/// Render one full exposition document from the telemetry uptime and
+/// a registry snapshot. The snapshot is already sorted by name and the
+/// output preserves that ordering, so two scrapes of an idle process
+/// differ only in the uptime line.
+pub fn render(uptime_ns: u64, reg: &RegistrySnapshot) -> String {
     let mut out = String::new();
     family(
         &mut out,
@@ -89,41 +88,12 @@ pub fn render(live: &LiveSnapshot, reg: &RegistrySnapshot) -> String {
     let _ = writeln!(
         &mut out,
         "rescue_uptime_seconds {}",
-        crate::json::fmt_f64(live.uptime_ns as f64 / 1e9)
+        crate::json::fmt_f64(uptime_ns as f64 / 1e9)
     );
-    for c in &live.counters {
-        let base = format!("{PREFIX}live_{}", sanitize(c.name));
-        let help = crate::live::LiveCounter::ALL
-            .iter()
-            .find(|lc| lc.name() == c.name)
-            .map_or("Live progress counter.", |lc| lc.help());
-        family(&mut out, &format!("{base}_total"), help, "counter");
-        let _ = writeln!(&mut out, "{base}_total {}", c.total);
-        family(
-            &mut out,
-            &format!("{base}_per_sec"),
-            "Recent-window rate of the matching live counter.",
-            "gauge",
-        );
-        let _ = writeln!(
-            &mut out,
-            "{base}_per_sec {}",
-            crate::json::fmt_f64(c.rate_per_sec)
-        );
-    }
     for (name, v) in &reg.counters {
-        let base = format!("{PREFIX}{}", sanitize(name));
-        family(
-            &mut out,
-            &format!("{base}_total"),
-            "Registry counter.",
-            "counter",
-        );
-        let _ = writeln!(&mut out, "{base}_total {v}");
-    }
-    for (name, v) in &reg.gauges {
-        let base = format!("{PREFIX}{}", sanitize(name));
-        family(&mut out, &base, "Registry gauge.", "gauge");
+        let base = format!("{PREFIX}{}_total", sanitize(name));
+        let help = crate::live::help(name).unwrap_or("Registry counter.");
+        family(&mut out, &base, help, "counter");
         let _ = writeln!(&mut out, "{base} {v}");
     }
     for (name, h) in &reg.histograms {

@@ -3,7 +3,8 @@
 //! dependencies, matching the workspace rule):
 //!
 //! * `GET /metrics` — Prometheus text exposition ([`crate::prometheus`])
-//!   over the live-hub rings plus the global [`crate::metrics::Registry`].
+//!   over the global [`crate::metrics::Registry`], which holds the
+//!   `live.*` engine counters ([`crate::live`]) among the rest.
 //! * `GET /snapshot.json` — the same state as a JSON document built with
 //!   the existing [`crate::json`] module.
 //! * `GET /healthz` — liveness probe (`ok`).
@@ -20,7 +21,6 @@
 
 use crate::http::{write_response, HttpOptions, HttpServer, Request, Response};
 use crate::json::{self, JsonObj};
-use crate::live::LiveSnapshot;
 use crate::metrics::RegistrySnapshot;
 use std::net::{SocketAddr, TcpStream};
 
@@ -31,11 +31,10 @@ pub struct TelemetryServer {
 }
 
 impl TelemetryServer {
-    /// Bind `addr` (e.g. `127.0.0.1:9200`, or port `0` for ephemeral),
-    /// enable the global live hub, and start serving on a new thread.
-    /// `title` is echoed in `/snapshot.json`.
+    /// Bind `addr` (e.g. `127.0.0.1:9200`, or port `0` for ephemeral)
+    /// and start serving on a new thread. `title` is echoed in
+    /// `/snapshot.json`.
     pub fn start(addr: &str, title: &str) -> std::io::Result<TelemetryServer> {
-        crate::live::global().set_enabled(true);
         let title = title.to_owned();
         let inner = HttpServer::start(
             addr,
@@ -63,61 +62,47 @@ impl TelemetryServer {
     }
 }
 
-/// Route a telemetry request against the global live hub and metrics
-/// registry. Returns `None` for methods other than `GET`/`HEAD` (the
-/// caller answers 405) so other servers — the `rescue-serve` job
-/// daemon mounts these same endpoints — can layer their own routes on
-/// top.
+/// Route a telemetry request against the global metrics registry.
+/// Returns `None` for methods other than `GET`/`HEAD` (the caller
+/// answers 405) so other servers — the `rescue-serve` job daemon mounts
+/// these same endpoints — can layer their own routes on top.
 pub fn route_telemetry(req: &Request, title: &str) -> Option<Response> {
     if req.method != "GET" && req.method != "HEAD" {
         return None;
     }
+    // Touch the live counters so every `live.*` family is listed from
+    // the first scrape, before any engine has counted.
+    crate::live::counters();
+    let uptime_ns = crate::trace::global().now_ns();
     Some(match req.path.as_str() {
         "/healthz" => Response::text("200 OK", "ok\n"),
         "/metrics" => {
-            let body = crate::prometheus::render(
-                &crate::live::global().snapshot(),
-                &crate::metrics::global().snapshot(),
-            );
+            let body = crate::prometheus::render(uptime_ns, &crate::metrics::global().snapshot());
             Response::ok("text/plain; version=0.0.4; charset=utf-8", body)
         }
         "/snapshot.json" => {
-            let body = snapshot_json(
-                title,
-                &crate::live::global().snapshot(),
-                &crate::metrics::global().snapshot(),
-            );
+            let body = snapshot_json(title, uptime_ns, &crate::metrics::global().snapshot());
             Response::ok("application/json", body)
         }
         _ => Response::not_found(),
     })
 }
 
-/// Build the `/snapshot.json` document: run title, hub uptime, the
-/// rate-estimation window, live counter aggregates (each with its
-/// exact total *and* trailing-window `rate_per_sec`, so scrapers never
-/// need to diff two snapshots), and the full registry snapshot (all
-/// name-sorted).
-pub fn snapshot_json(title: &str, live: &LiveSnapshot, reg: &RegistrySnapshot) -> String {
-    let live_counters: Vec<String> = live
-        .counters
-        .iter()
-        .map(|c| {
+/// Build the `/snapshot.json` document: run title, telemetry uptime,
+/// the `live.*` counter totals (prefix stripped), and the full registry
+/// snapshot, all name-sorted. Rates are left to the reader, who diffs
+/// two snapshots.
+pub fn snapshot_json(title: &str, uptime_ns: u64, reg: &RegistrySnapshot) -> String {
+    let live_counters: Vec<String> = crate::live::totals(reg)
+        .map(|(name, total)| {
             let mut o = JsonObj::new();
-            o.str("name", c.name)
-                .u64("total", c.total)
-                .f64("rate_per_sec", c.rate_per_sec)
-                .u64("last_ts_ns", c.last_ts_ns);
+            o.str("name", name).u64("total", total);
             o.finish()
         })
         .collect();
     let mut counters = JsonObj::new();
     for (name, v) in &reg.counters {
         counters.u64(name, *v);
-    }
-    let mut gauges = JsonObj::new();
-    for (name, v) in &reg.gauges {
-        gauges.i64(name, *v);
     }
     let mut histograms = JsonObj::new();
     for (name, h) in &reg.histograms {
@@ -135,12 +120,10 @@ pub fn snapshot_json(title: &str, live: &LiveSnapshot, reg: &RegistrySnapshot) -
     let mut reg_obj = JsonObj::new();
     reg_obj
         .raw("counters", &counters.finish())
-        .raw("gauges", &gauges.finish())
         .raw("histograms", &histograms.finish());
     let mut o = JsonObj::new();
     o.str("title", title)
-        .u64("uptime_ns", live.uptime_ns)
-        .u64("rate_window_ns", crate::live::RATE_WINDOW_NS)
+        .u64("uptime_ns", uptime_ns)
         .raw("live", &live_obj.finish())
         .raw("registry", &reg_obj.finish());
     o.finish()

@@ -1,87 +1,51 @@
-//! Integration tests for the live-telemetry surface: ring wraparound,
-//! concurrent-writer exactness, the Prometheus exposition golden, and
-//! the HTTP server end-to-end (on an ephemeral port).
+//! Integration tests for the live-telemetry surface: counter exactness
+//! under concurrent writers, the Prometheus exposition golden, the live
+//! families' names, and the HTTP server end-to-end (on an ephemeral
+//! port).
 
-use rescue_obs::live::{LiveCounter, LiveCounterSnap, LiveSnapshot, ProgressRing};
 use rescue_obs::metrics::Registry;
 use rescue_obs::{json, prometheus, server, TelemetryServer};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 
 #[test]
-fn ring_wraparound_keeps_newest_samples_and_exact_totals() {
-    let ring = ProgressRing::new(4);
-    for i in 1..=10u64 {
-        ring.record(LiveCounter::FsimGateEvals, i, i * 100);
-    }
-    // Totals cover all ten records, not just the surviving samples.
-    assert_eq!(
-        ring.total(LiveCounter::FsimGateEvals),
-        (1..=10).sum::<u64>()
-    );
-    assert_eq!(ring.recorded(), 10);
-    let mut samples = ring.recent();
-    assert_eq!(samples.len(), 4);
-    samples.sort_by_key(|s| s.ts_ns);
-    // Capacity overflow overwrote the oldest six; the newest four remain.
-    assert_eq!(
-        samples.iter().map(|s| s.ts_ns).collect::<Vec<_>>(),
-        vec![700, 800, 900, 1000]
-    );
-    assert_eq!(
-        samples.iter().map(|s| s.delta).collect::<Vec<_>>(),
-        vec![7, 8, 9, 10]
-    );
-}
-
-#[test]
 fn totals_stay_exact_under_eight_writer_threads() {
     const WRITERS: usize = 8;
     const PER_WRITER: u64 = 10_000;
-    let ring = ProgressRing::new(64);
+    let reg = Registry::new();
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
-            let ring = &ring;
+            let counter = reg.counter(if w % 2 == 0 {
+                "live.fsim.gate_evals"
+            } else {
+                "live.fuzz.cases"
+            });
             scope.spawn(move || {
-                let counter = if w % 2 == 0 {
-                    LiveCounter::FsimGateEvals
-                } else {
-                    LiveCounter::FuzzCases
-                };
-                for i in 0..PER_WRITER {
-                    ring.record(counter, 3, w as u64 * PER_WRITER + i);
+                for _ in 0..PER_WRITER {
+                    counter.add(3);
                 }
             });
         }
     });
-    // The ring wrapped thousands of times and writers raced on slots,
-    // but the totals path is a plain fetch_add: exact.
     let expected = (WRITERS as u64 / 2) * PER_WRITER * 3;
-    assert_eq!(ring.total(LiveCounter::FsimGateEvals), expected);
-    assert_eq!(ring.total(LiveCounter::FuzzCases), expected);
-    assert_eq!(ring.recorded(), WRITERS as u64 * PER_WRITER);
-    assert_eq!(ring.recent().len(), 64);
+    let snap = reg.snapshot();
+    let got: Vec<(&str, u64)> = rescue_obs::live::totals(&snap).collect();
+    assert_eq!(
+        got,
+        vec![("fsim.gate_evals", expected), ("fuzz.cases", expected)]
+    );
 }
 
 #[test]
 fn prometheus_exposition_golden() {
-    let live = LiveSnapshot {
-        uptime_ns: 2_500_000_000,
-        counters: vec![LiveCounterSnap {
-            name: "atpg.vectors",
-            total: 7,
-            rate_per_sec: 3.5,
-            last_ts_ns: 2_400_000_000,
-        }],
-    };
     let reg = Registry::new();
+    reg.counter("live.atpg.vectors").add(7);
     reg.counter("podem.backtracks").add(42);
-    reg.gauge("queue.depth").set(-3);
     let hist = reg.histogram("fault.weight");
     for v in [0u64, 1, 1000] {
         hist.record(v);
     }
-    let got = prometheus::render(&live, &reg.snapshot());
+    let got = prometheus::render(2_500_000_000, &reg.snapshot());
     let want = "\
 # HELP rescue_uptime_seconds Seconds since telemetry started.
 # TYPE rescue_uptime_seconds gauge
@@ -89,15 +53,9 @@ rescue_uptime_seconds 2.5
 # HELP rescue_live_atpg_vectors_total Capture vectors committed by ATPG.
 # TYPE rescue_live_atpg_vectors_total counter
 rescue_live_atpg_vectors_total 7
-# HELP rescue_live_atpg_vectors_per_sec Recent-window rate of the matching live counter.
-# TYPE rescue_live_atpg_vectors_per_sec gauge
-rescue_live_atpg_vectors_per_sec 3.5
 # HELP rescue_podem_backtracks_total Registry counter.
 # TYPE rescue_podem_backtracks_total counter
 rescue_podem_backtracks_total 42
-# HELP rescue_queue_depth Registry gauge.
-# TYPE rescue_queue_depth gauge
-rescue_queue_depth -3
 # HELP rescue_fault_weight Log2-bucket histogram.
 # TYPE rescue_fault_weight histogram
 rescue_fault_weight_bucket{le=\"1\"} 1
@@ -108,6 +66,40 @@ rescue_fault_weight_sum 1001
 rescue_fault_weight_count 3
 ";
     assert_eq!(got, want);
+}
+
+#[test]
+fn metrics_list_every_live_family_once_the_counters_exist() {
+    rescue_obs::live::counters();
+    let body = prometheus::render(0, &rescue_obs::metrics::global().snapshot());
+    for name in [
+        "atpg_faults_classified",
+        "atpg_faults_detected",
+        "atpg_vectors",
+        "fsim_gate_evals",
+        "fsim_faults_simulated",
+        "fsim_events_queued",
+        "fsim_blocks_loaded",
+        "pipesim_cycles",
+        "pipesim_committed",
+        "fuzz_cases",
+        "fuzz_divergences",
+        "lint_findings",
+    ] {
+        let family = format!("rescue_live_{name}_total");
+        assert!(
+            body.contains(&format!("\n# TYPE {family} counter\n")),
+            "{family} missing from {body}"
+        );
+        assert!(
+            !body.contains(&format!("# HELP {family} Registry counter.")),
+            "{family} has no help text of its own"
+        );
+        assert!(
+            body.contains(&format!("\n{family} ")),
+            "{family} has no sample"
+        );
+    }
 }
 
 /// Minimal Prometheus text-exposition validity check: every line is a
@@ -157,11 +149,10 @@ fn assert_valid_exposition(text: &str) {
 
 #[test]
 fn golden_exposition_passes_the_validity_checker() {
-    let live = LiveSnapshot::default();
     let reg = Registry::new();
     reg.counter("a").inc();
     reg.histogram("h").record(5);
-    assert_valid_exposition(&prometheus::render(&live, &reg.snapshot()));
+    assert_valid_exposition(&prometheus::render(0, &reg.snapshot()));
 }
 
 fn http_get(addr: SocketAddr, target: &str) -> (String, String) {
@@ -184,7 +175,7 @@ fn server_serves_metrics_snapshot_and_healthz() {
     rescue_obs::metrics::global()
         .counter("server.test.hits")
         .add(5);
-    rescue_obs::live::global().record(LiveCounter::LintFindings, 2);
+    rescue_obs::live::counters().lint_findings.add(2);
 
     let (head, body) = http_get(addr, "/healthz");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -232,14 +223,18 @@ fn http_get_safe(addr: SocketAddr, target: &str) -> Option<String> {
 
 #[test]
 fn snapshot_json_is_deterministic_and_sorted() {
-    let live = LiveSnapshot::default();
     let reg = Registry::new();
     reg.counter("zzz").inc();
     reg.counter("aaa").inc();
-    let a = server::snapshot_json("t", &live, &reg.snapshot());
-    let b = server::snapshot_json("t", &live, &reg.snapshot());
+    reg.counter("live.fuzz.cases").add(4);
+    let a = server::snapshot_json("t", 5, &reg.snapshot());
+    let b = server::snapshot_json("t", 5, &reg.snapshot());
     assert_eq!(a, b);
     let aaa = a.find("\"aaa\"").expect("aaa present");
     let zzz = a.find("\"zzz\"").expect("zzz present");
     assert!(aaa < zzz, "registry counters not sorted in {a}");
+    assert!(
+        a.contains("\"live\":{\"counters\":[{\"name\":\"fuzz.cases\",\"total\":4}]}"),
+        "live totals missing from {a}"
+    );
 }

@@ -120,6 +120,8 @@ struct Engine<'c, T: Iterator<Item = TraceInstr>> {
     last_commit_cycle: u64,
     /// Committed count at the last IPC-window boundary.
     window_committed_base: u64,
+    /// The `live.pipesim.*` counters, advanced once per IPC window.
+    live: &'static rescue_obs::EngineCounters,
     /// Why dispatch stalled in the last stepped cycle, if it did.
     last_stall: Option<StallCause>,
     /// Whether fetch sat out the last stepped cycle on a redirect.
@@ -191,6 +193,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             stats: SimResult::default(),
             last_commit_cycle: 0,
             window_committed_base: 0,
+            live: rescue_obs::live::counters(),
             last_stall: None,
             fetch_stalled: false,
             next_done: u64::MAX,
@@ -341,9 +344,8 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
         let window = self.stats.committed - self.window_committed_base;
         self.stats.ipc_windows.record(window);
         self.window_committed_base = self.stats.committed;
-        let hub = rescue_obs::live::global();
-        hub.record(rescue_obs::LiveCounter::PipesimCycles, IPC_WINDOW_CYCLES);
-        hub.record(rescue_obs::LiveCounter::PipesimCommitted, window);
+        self.live.pipesim_cycles.add(IPC_WINDOW_CYCLES);
+        self.live.pipesim_committed.add(window);
         // Counter tracks for the Perfetto timeline (no-ops unless the
         // tracer is enabled; cheap enough for the window boundary).
         if rescue_obs::global().enabled() {

@@ -57,9 +57,3 @@ pub mod server;
 pub use cache::{Design, LruCache, NetlistCounts, ServeCaches};
 pub use job::{run_job, JobConfig, JobKind};
 pub use server::{JobServer, ServeOptions};
-
-/// Enable the live telemetry hub (idempotent) — the server calls this
-/// on start so engine progress shows up on `/metrics` immediately.
-pub(crate) fn obs_enabled() {
-    rescue_obs::live::global().set_enabled(true);
-}

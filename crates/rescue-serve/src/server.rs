@@ -203,7 +203,6 @@ impl JobServer {
     }
 
     fn start_with(addr: &str, opts: ServeOptions, run: JobRunner) -> std::io::Result<JobServer> {
-        crate::obs_enabled();
         let state = Arc::new(State::new(&opts, run));
         let http_opts = HttpOptions {
             max_body: opts.max_body,
