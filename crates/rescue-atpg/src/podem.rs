@@ -619,6 +619,16 @@ impl PodemMemo {
         self.len() == 0
     }
 
+    /// Lookups served from the memo so far.
+    pub fn hits(&self) -> u64 {
+        self.hits.get()
+    }
+
+    /// Lookups that had to search so far.
+    pub fn misses(&self) -> u64 {
+        self.misses.get()
+    }
+
     fn lock(&self) -> MutexGuard<'_, HashMap<Fault, MemoEntry>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }

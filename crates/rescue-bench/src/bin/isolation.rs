@@ -11,7 +11,7 @@
 //! --serve-metrics ADDR (live /metrics endpoint during the run), and
 //! --progress-every N (JSONL progress frames in the trace sink).
 
-use rescue_core::model::{ModelParams, Variant};
+use rescue_core::model::ModelParams;
 use rescue_obs::Report;
 
 fn main() {
@@ -29,23 +29,21 @@ fn main() {
     };
     let threads = rescue_bench::threads_arg();
     let mut report = Report::new("isolation");
+    let t = rescue_core::experiments::table3(&params, threads);
     let mut curves = Vec::new();
-    for variant in [Variant::Rescue, Variant::Baseline] {
-        let e = rescue_core::experiments::isolation_with_threads(
-            &params, variant, per_stage, 42, threads,
-        );
+    for design in [&t.rescue, &t.baseline] {
+        let e = rescue_core::experiments::isolation(design, per_stage, 42, threads);
         print!("{}", rescue_core::render::isolation_text(&e));
         println!();
-        let tag = format!("{variant:?}").to_lowercase();
+        let tag = design.tag();
         report
-            .section(&tag)
+            .section(tag)
             .u64("injected", e.total_injected() as u64)
             .u64("isolated", e.total_isolated() as u64);
-        rescue_bench::coverage_report(&mut report, &tag, &e.coverage);
-        curves.push((tag, e.coverage));
+        let coverage = &design.run.metrics.coverage;
+        rescue_bench::coverage_report(&mut report, tag, coverage);
+        curves.push((tag, coverage));
     }
-    let tagged: Vec<(&str, &rescue_obs::CoverageCurve)> =
-        curves.iter().map(|(t, c)| (t.as_str(), c)).collect();
-    rescue_bench::coverage_outputs(&obs, &tagged);
+    rescue_bench::coverage_outputs(&obs, &curves);
     rescue_bench::obs_finish(&obs, &mut report);
 }

@@ -26,29 +26,14 @@ fn main() {
     let threads = rescue_bench::threads_arg();
 
     let mut report = rescue_bench::run_repeated("table3", &obs, |report, first| {
-        let t = rescue_core::experiments::table3_with_threads(&params, threads);
+        let t = rescue_core::experiments::table3(&params, threads);
         if first {
             print!("{}", rescue_core::render::table3_text(&t));
         }
-        rescue_bench::atpg_report(report, "baseline", &t.baseline_metrics);
-        rescue_bench::atpg_report(report, "rescue", &t.rescue_metrics);
-        for (prefix, stages) in [
-            ("baseline", &t.baseline_stage_coverage),
-            ("rescue", &t.rescue_stage_coverage),
-        ] {
-            let sec = report.section(&format!("{prefix}.coverage.stages"));
-            for (stage, n) in stages {
-                sec.u64(stage, *n);
-            }
-        }
+        rescue_bench::table3_report(report, "", &t);
         if first {
-            rescue_bench::coverage_outputs(
-                &obs,
-                &[
-                    ("baseline", &t.baseline_metrics.coverage),
-                    ("rescue", &t.rescue_metrics.coverage),
-                ],
-            );
+            let curves = t.designs().map(|d| (d.tag(), &d.run.metrics.coverage));
+            rescue_bench::coverage_outputs(&obs, &curves);
         }
     });
 

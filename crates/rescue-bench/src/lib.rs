@@ -51,7 +51,8 @@ pub mod diff;
 pub mod stats;
 
 use rescue_core::atpg::AtpgMetrics;
-use rescue_core::experiments::Fig9Point;
+use rescue_core::experiments::{AtpgDesign, Fig9Point, Table3};
+use rescue_core::netlist::{Fault, Levelized};
 use rescue_core::pipesim::{SimResult, IPC_WINDOW_CYCLES};
 use rescue_obs::{CoverageCurve, Report};
 
@@ -467,48 +468,60 @@ pub fn atpg_report(report: &mut Report, prefix: &str, m: &AtpgMetrics) {
         .f64("effective_parallelism", p.effective_parallelism());
 }
 
-/// The `fsim-kernel` microbench: a lane-width sweep {64, 256, 512} of
-/// the PPSFP kernel over every collapsed fault of the Rescue (largest)
-/// design against the same 512-pattern stimulus, an n-detect
-/// fault-dropping sweep, and the N-thread ATPG run both draw on.
+/// Fill the Table 3 report sections of both designs under
+/// `{prefix}{variant}` (for example `table3.rescue.podem` with prefix
+/// `table3.`): the per-phase ATPG sections of [`atpg_report`], then the
+/// stage-level coverage attribution.
+pub fn table3_report(report: &mut Report, prefix: &str, t: &Table3) {
+    for d in t.designs() {
+        atpg_report(report, &format!("{prefix}{}", d.tag()), &d.run.metrics);
+    }
+    for d in t.designs() {
+        let sec = report.section(&format!("{prefix}{}.coverage.stages", d.tag()));
+        for (stage, n) in d.stage_coverage() {
+            sec.u64(&stage, n);
+        }
+    }
+}
+
+/// Fill one `atpg.memo.<variant>` section per design with its PODEM
+/// memo's `hits` and `misses`. Misses are the searches of the design's
+/// Table 3 run; hits are the calls later reruns on it replayed, which is
+/// why their `podem` spans take milliseconds. Both gate exactly and are
+/// cumulative, so a memo that outlived its pass would read more hits in
+/// each later pass and fail the `--repeat` determinism gate.
+pub fn memo_report(report: &mut Report, designs: &[&AtpgDesign]) {
+    for d in designs {
+        report
+            .section(&format!("atpg.memo.{}", d.tag()))
+            .u64("hits", d.memo.hits())
+            .u64("misses", d.memo.misses());
+    }
+}
+
+/// The `fsim-kernel` microbench on the Rescue (largest) design: a
+/// lane-width sweep {64, 256, 512} of the PPSFP kernel over every
+/// collapsed fault against the same 512-pattern stimulus, drawn from the
+/// design's Table 3 run (its N-thread arm), and an n-detect
+/// fault-dropping sweep rerun through the design's PODEM memo.
 /// Deterministic counters (`detected`, `gate_evals`,
 /// `detect_agreement`, the dropping identity flags) gate exactly in
 /// `bench-diff`; the `_ms` / `_per_sec` keys and everything under
 /// `fsim_kernel.parallel` are informational wall-clock.
-pub fn fsim_kernel_report(
-    report: &mut Report,
-    params: &rescue_core::model::ModelParams,
-    threads: usize,
-) {
-    use rescue_core::atpg::{resolve_threads, Atpg, AtpgConfig, FaultSim};
-    use rescue_core::model::{build_pipeline, Variant};
-    use rescue_core::netlist::{scan::insert_scan, Fault, Levelized, PatternBlock};
+pub fn fsim_kernel_report(report: &mut Report, design: &AtpgDesign, threads: usize) {
+    use rescue_core::atpg::{resolve_threads, AtpgConfig, FaultSim};
+    use rescue_core::netlist::PatternBlock;
     use std::time::Instant;
 
     let _s = rescue_obs::span("fsim_kernel");
     let threads = resolve_threads(threads);
-    let model = build_pipeline(params, Variant::Rescue);
-    let scanned = insert_scan(&model.netlist).expect("model has state");
-    let lev = Levelized::new(&scanned.netlist);
-    let faults = scanned.netlist.collapse_faults();
-
-    let timed_run = |cfg: AtpgConfig| {
-        let t = Instant::now();
-        let r = Atpg::new(&scanned, cfg)
-            .expect("scan design is well-formed")
-            .run()
-            .expect("atpg run");
-        (r, t.elapsed().as_secs_f64())
-    };
-    let (run_nt, secs_nt) = timed_run(AtpgConfig {
-        threads,
-        ..AtpgConfig::default()
-    });
+    let (scanned, lev, faults) = (&design.scanned, &design.lev, &design.faults);
+    let run_nt = &design.run;
 
     // One shared 512-pattern stimulus (8 × 64-pattern blocks, the lcm
     // of every lane width): the run's own blocks, padded with seeded
     // SplitMix blocks if the run produced fewer than eight.
-    let mut group: Vec<PatternBlock> = run_nt.blocks(&scanned).into_iter().take(8).collect();
+    let mut group: Vec<PatternBlock> = run_nt.blocks(scanned).into_iter().take(8).collect();
     let mut pad = rescue_obs::SplitMix64::new(0x5eed_f51b_0000_0008);
     while group.len() < 8 {
         group.push(PatternBlock {
@@ -548,9 +561,9 @@ pub fn fsim_kernel_report(
     }
 
     let cells = [
-        (64, wide_pass::<1>(&lev, &faults, &group)),
-        (256, wide_pass::<4>(&lev, &faults, &group)),
-        (512, wide_pass::<8>(&lev, &faults, &group)),
+        (64, wide_pass::<1>(lev, faults, &group)),
+        (256, wide_pass::<4>(lev, faults, &group)),
+        (512, wide_pass::<8>(lev, faults, &group)),
     ];
     // Bit-for-bit agreement: every width must detect exactly the same
     // fault set.
@@ -569,7 +582,7 @@ pub fn fsim_kernel_report(
     // result — identity flags gate exactly — while its counters and
     // extra simulation work are reported per target.
     for n in [2u32, 4] {
-        let (run, secs) = timed_run(AtpgConfig {
+        let run = design.rerun(AtpgConfig {
             threads,
             drop_after: Some(n),
             ..AtpgConfig::default()
@@ -590,7 +603,7 @@ pub fn fsim_kernel_report(
                 "vectors_identical",
                 u64::from(run.vectors == run_nt.vectors),
             )
-            .f64("atpg_ms", secs * 1e3);
+            .f64("atpg_ms", run.metrics.timing.total_ns as f64 / 1e6);
     }
 
     // The headline rate is the fastest wide width's.
@@ -614,7 +627,7 @@ pub fn fsim_kernel_report(
     report
         .section("fsim_kernel.parallel")
         .u64("threads", threads as u64)
-        .f64("atpg_nt_ms", secs_nt * 1e3)
+        .f64("atpg_nt_ms", run_nt.metrics.timing.total_ns as f64 / 1e6)
         .f64("utilization", run_nt.metrics.parallel.utilization())
         .f64(
             "effective_parallelism",
@@ -622,36 +635,32 @@ pub fn fsim_kernel_report(
         );
 }
 
-/// The `obs.overhead` self-benchmark: the cost of live counters and
-/// spans, itself measured. Sweeps every collapsed fault of the Rescue
-/// design against one deterministic pattern block on the fault
-/// simulator in three arms — everything off; an add to the
-/// `live.fsim.gate_evals` counter per 64-fault chunk (strictly more
-/// counter traffic than the per-shard adds production code makes); and
+/// The `obs.overhead` self-benchmark: the cost of counters and spans,
+/// itself measured. Sweeps `faults` (every collapsed fault of one
+/// design) against one deterministic pattern block on the fault
+/// simulator over `lev` in three arms — everything off; an add to a
+/// private counter per 64-fault chunk (strictly more counter traffic
+/// than the per-shard adds production code makes to the `live.*`
+/// counters, and the same atomic work, without polluting them); and
 /// the counter plus the span aggregate with one `obs_sweep` span per
 /// chunk — and reports the throughputs plus their ratios. Best-of-3
 /// per arm, arms interleaved. Wall-clock data: the whole
 /// `obs.overhead` section is informational in `bench-diff`.
-pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::ModelParams) {
+pub fn obs_overhead_report(report: &mut Report, lev: &Levelized, faults: &[Fault]) {
     use rescue_core::atpg::FaultSim;
-    use rescue_core::model::{build_pipeline, Variant};
-    use rescue_core::netlist::{scan::insert_scan, Levelized, PatternBlock};
+    use rescue_core::netlist::PatternBlock;
     use std::time::Instant;
 
     let _s = rescue_obs::span("obs_overhead");
-    let model = build_pipeline(params, Variant::Rescue);
-    let scanned = insert_scan(&model.netlist).expect("model has state");
-    let lev = Levelized::new(&scanned.netlist);
-    let faults = scanned.netlist.collapse_faults();
     let block = PatternBlock {
-        inputs: vec![0x1234_5678_9abc_def0; scanned.netlist.inputs().len()],
-        state: vec![0x0ff0_f00f_aa55_55aa; scanned.netlist.num_dffs()],
+        inputs: vec![0x1234_5678_9abc_def0; lev.input_nets().len()],
+        state: vec![0x0ff0_f00f_aa55_55aa; lev.dff_q_nets().len()],
     };
 
-    let gate_evals = &rescue_obs::live::counters().fsim_gate_evals;
+    let gate_evals = rescue_obs::metrics::Counter::new();
     let prof = rescue_obs::profile::global();
     let prof_was_enabled = prof.enabled();
-    // Three arms, A/B/C: everything off, the live counter alone, and
+    // Three arms, A/B/C: everything off, the counter alone, and
     // the counter plus the span aggregate. The counter arm adds at
     // PPSFP-block granularity (one add per 64 faults) — still far more
     // often than the production path, which adds once per shard per
@@ -669,7 +678,7 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
     const ARM_GATE_EVALS: u64 = 2_000_000;
     let sweep = |count_on: bool, prof_on: bool| -> (u64, f64) {
         prof.set_enabled(prof_on);
-        let mut sim = FaultSim::with_levelized(&lev);
+        let mut sim = FaultSim::with_levelized(lev);
         sim.load_block(&block);
         let mut evals = 0u64;
         let t = Instant::now();
@@ -812,40 +821,27 @@ pub fn lint_report(
     designs
 }
 
-/// Measure the static-implication ATPG pre-pass on both model
-/// variants: run the full ATPG flow once with the pre-pass off and
-/// once with it on, and re-check the contract the `rescue-atpg` and
-/// `rescue-core` tests pin on every bench run. `vectors_identical`
-/// must stay 1 (the test set never moves), `unsound_diffs` must stay
-/// 0 (the only classification difference allowed is the sound
-/// `Aborted` → `Untestable` upgrade on proven faults, tallied in
-/// `upgraded_aborts`), and all counts are deterministic, gating
-/// exactly in `bench-diff`. Throughput and wall-clock keys carry the
-/// `_per_sec` / `_ms` suffixes so `bench-diff` treats them as
-/// informational.
-pub fn prepass_report(report: &mut Report, params: &rescue_core::model::ModelParams) {
-    use rescue_core::atpg::{Atpg, AtpgConfig, FaultClass};
-    use rescue_core::experiments::build_scanned;
-    use rescue_core::model::Variant;
+/// Measure the static-implication ATPG pre-pass on each design: its
+/// Table 3 run is the pre-pass-off arm, and the pre-pass-on arm reruns
+/// through the design's PODEM memo. Re-checks the contract the
+/// `rescue-atpg` and `rescue-core` tests pin on every bench run.
+/// `vectors_identical` must stay 1 (the test set never moves),
+/// `unsound_diffs` must stay 0 (the only classification difference
+/// allowed is the sound `Aborted` → `Untestable` upgrade on proven
+/// faults, tallied in `upgraded_aborts`), and all counts are
+/// deterministic, gating exactly in `bench-diff`. Throughput and
+/// wall-clock keys carry the `_per_sec` / `_ms` suffixes so
+/// `bench-diff` treats them as informational.
+pub fn prepass_report(report: &mut Report, designs: &[&AtpgDesign]) {
+    use rescue_core::atpg::{AtpgConfig, FaultClass};
 
     let _s = rescue_obs::span("prepass");
-    for variant in [Variant::Baseline, Variant::Rescue] {
-        let tag = format!("{variant:?}").to_lowercase();
-        let (_model, scanned) = build_scanned(params, variant);
-
-        let base_cfg = AtpgConfig::default();
-        let base = Atpg::new(&scanned, base_cfg.clone())
-            .expect("scan design")
-            .run()
-            .expect("atpg run");
-        let pre_cfg = AtpgConfig {
+    for design in designs {
+        let base = &design.run;
+        let pre = design.rerun(AtpgConfig {
             static_prepass: true,
-            ..base_cfg
-        };
-        let pre = Atpg::new(&scanned, pre_cfg)
-            .expect("scan design")
-            .run()
-            .expect("atpg run");
+            ..AtpgConfig::default()
+        });
 
         let mut upgraded = 0u64;
         let mut unsound = 0u64;
@@ -863,7 +859,7 @@ pub fn prepass_report(report: &mut Report, params: &rescue_core::model::ModelPar
         let prepass_s = pre.metrics.timing.prepass_ns as f64 / 1e9;
         let proven = pre.metrics.counts.prepass_proven;
         report
-            .section(&format!("atpg.prepass.{tag}"))
+            .section(&format!("atpg.prepass.{}", design.tag()))
             .u64("proven", proven)
             .u64(
                 "podem_calls_saved",

@@ -1,9 +1,9 @@
 //! One driver per paper table/figure.
 
-use rescue_atpg::{Atpg, AtpgConfig, AtpgMetrics, FaultClass, Isolator, ScanTestStats};
+use rescue_atpg::{Atpg, AtpgConfig, AtpgRun, FaultClass, Isolator, PodemMemo};
 use rescue_model::{build_pipeline, ModelParams, PipelineModel, Stage, Variant};
 use rescue_netlist::scan::{insert_scan, ScanNetlist};
-use rescue_netlist::Fault;
+use rescue_netlist::{Fault, Levelized};
 use rescue_obs::SplitMix64;
 use rescue_pipesim::{simulate, CoreConfig, Policy, SimConfig, SimResult};
 use rescue_workloads::{spec2000_profiles, BenchmarkProfile, TraceGenerator, TraceInstr};
@@ -92,84 +92,138 @@ pub fn table2() -> (f64, RescueAreas) {
 
 // ------------------------------------------------------------- Table 3
 
-/// Table 3: scan-chain data for both designs.
-#[derive(Clone, Debug)]
-pub struct Table3 {
-    /// Conventional design.
-    pub baseline: ScanTestStats,
-    /// Rescue design.
-    pub rescue: ScanTestStats,
-    /// ATPG engine counters, phase timing, and the per-vector coverage
-    /// curve, conventional design.
-    pub baseline_metrics: AtpgMetrics,
-    /// ATPG engine counters, phase timing, and coverage curve, Rescue
-    /// design.
-    pub rescue_metrics: AtpgMetrics,
-    /// Detected-fault attribution rolled up from ICI components to
-    /// pipeline stages, conventional design (stage name, faults).
-    pub baseline_stage_coverage: Vec<(String, u64)>,
-    /// Stage-level attribution, Rescue design.
-    pub rescue_stage_coverage: Vec<(String, u64)>,
-}
-
-/// Run scan insertion + full ATPG on both variants (paper Table 3) with
-/// the default worker-thread resolution (`RESCUE_THREADS`, then
-/// available parallelism). See [`table3_with_threads`].
-pub fn table3(params: &ModelParams) -> Table3 {
-    table3_with_threads(params, 0)
-}
-
-/// Run scan insertion + full ATPG on both variants (paper Table 3).
+/// One Table 3 design and its ATPG answer, computed once: the model, its
+/// scan view, the levelized view and collapsed faults ATPG runs on, the
+/// default-config run, and the PODEM memo that run filled.
 ///
-/// This is the heavyweight experiment (tens of seconds in release mode at
-/// the paper size); pass [`ModelParams::tiny`] for a fast smoke run.
-/// `threads` selects the fault-simulation worker count (`0` = resolve
-/// via `RESCUE_THREADS`, then available parallelism); every statistic is
-/// bit-identical for any value.
-pub fn table3_with_threads(params: &ModelParams, threads: usize) -> Table3 {
-    let _s = rescue_obs::span("table3");
-    let run = |variant, span: &'static str| {
-        let _s = rescue_obs::span(span);
-        let m = build_pipeline(params, variant);
-        let s = insert_scan(&m.netlist).expect("model has state");
+/// Every experiment that needs the Table 3 test set reads
+/// [`AtpgDesign::run`] instead of searching again, and every other
+/// configuration runs through [`AtpgDesign::rerun`], which replays the
+/// PODEM outcomes the default run already decided.
+#[derive(Debug)]
+pub struct AtpgDesign {
+    /// Which design this is.
+    pub variant: Variant,
+    /// The pipeline model (component → stage and map-out group maps).
+    pub model: PipelineModel,
+    /// The scan-inserted netlist.
+    pub scanned: ScanNetlist,
+    /// Levelized view of the scanned netlist.
+    pub lev: Levelized,
+    /// Collapsed fault list of the scanned netlist.
+    pub faults: Vec<Fault>,
+    /// PODEM outcomes of every run on this design so far.
+    pub memo: PodemMemo,
+    /// The default-config ATPG run: Table 3's vectors and classes.
+    pub run: AtpgRun,
+}
+
+impl AtpgDesign {
+    /// Build `variant`, insert scan, and run default-config ATPG on it
+    /// with `threads` fault-simulation workers (`0` = resolve via
+    /// `RESCUE_THREADS`, then available parallelism; every statistic is
+    /// bit-identical for any value). The work is spanned
+    /// `table3.<variant>`.
+    pub fn build(params: &ModelParams, variant: Variant, threads: usize) -> AtpgDesign {
+        let _s = rescue_obs::span(match variant {
+            Variant::Baseline => "table3.baseline",
+            Variant::Rescue => "table3.rescue",
+        });
+        let model = build_pipeline(params, variant);
+        let scanned = insert_scan(&model.netlist).expect("model has state");
+        let lev = Levelized::new(&scanned.netlist);
+        let faults = scanned.netlist.collapse_faults();
+        let memo = PodemMemo::default();
         let config = AtpgConfig {
             threads,
             ..AtpgConfig::default()
         };
-        let r = Atpg::new(&s, config)
-            .expect("scan design is well-formed")
-            .run()
-            .expect("atpg run");
-        let stages = stage_rollup(&m, &r.metrics.coverage);
-        (r.stats, r.metrics, stages)
-    };
-    let (baseline, baseline_metrics, baseline_stage_coverage) =
-        run(Variant::Baseline, "table3.baseline");
-    let (rescue, rescue_metrics, rescue_stage_coverage) = run(Variant::Rescue, "table3.rescue");
-    Table3 {
-        baseline,
-        rescue,
-        baseline_metrics,
-        rescue_metrics,
-        baseline_stage_coverage,
-        rescue_stage_coverage,
+        let run = run_atpg(&scanned, &lev, &faults, &memo, config);
+        AtpgDesign {
+            variant,
+            model,
+            scanned,
+            lev,
+            faults,
+            memo,
+            run,
+        }
+    }
+
+    /// Run ATPG under `config` on this design through its memo: a PODEM
+    /// call the memo can answer at `config`'s budget is replayed, with
+    /// counts, so the run is bit-identical to a fresh one.
+    pub fn rerun(&self, config: AtpgConfig) -> AtpgRun {
+        run_atpg(&self.scanned, &self.lev, &self.faults, &self.memo, config)
+    }
+
+    /// Lower-case design name (`baseline`, `rescue`) for report keys.
+    pub fn tag(&self) -> &'static str {
+        match self.variant {
+            Variant::Baseline => "baseline",
+            Variant::Rescue => "rescue",
+        }
+    }
+
+    /// The run's detected-fault attribution rolled up from ICI
+    /// components to pipeline stages (stage name, faults). Components
+    /// outside any stage (and primary-input faults) land in `"other"`.
+    pub fn stage_coverage(&self) -> Vec<(String, u64)> {
+        let m = &self.model;
+        let by_name: HashMap<&str, Stage> = m
+            .stage_of
+            .iter()
+            .map(|(&comp, &stage)| (m.netlist.component_name(comp), stage))
+            .collect();
+        self.run.metrics.coverage.rollup(|label| {
+            by_name
+                .get(label)
+                .map_or_else(|| "other".to_owned(), |s| format!("{s:?}"))
+        })
     }
 }
 
-/// Roll the coverage curve's per-component attribution up to pipeline
-/// stages using the model's component→stage map. Components outside any
-/// stage (and primary-input faults) land in `"other"`.
-pub fn stage_rollup(m: &PipelineModel, curve: &rescue_obs::CoverageCurve) -> Vec<(String, u64)> {
-    let by_name: HashMap<&str, Stage> = m
-        .stage_of
-        .iter()
-        .map(|(&comp, &stage)| (m.netlist.component_name(comp), stage))
-        .collect();
-    curve.rollup(|label| {
-        by_name
-            .get(label)
-            .map_or_else(|| "other".to_owned(), |s| format!("{s:?}"))
-    })
+fn run_atpg(
+    scanned: &ScanNetlist,
+    lev: &Levelized,
+    faults: &[Fault],
+    memo: &PodemMemo,
+    config: AtpgConfig,
+) -> AtpgRun {
+    Atpg::new(scanned, config)
+        .expect("scan design is well-formed")
+        .run_memoized(lev, faults, memo)
+        .expect("atpg run")
+}
+
+/// Table 3: scan-chain data for both designs, each with its ATPG answer.
+#[derive(Debug)]
+pub struct Table3 {
+    /// Conventional design.
+    pub baseline: AtpgDesign,
+    /// Rescue design.
+    pub rescue: AtpgDesign,
+}
+
+impl Table3 {
+    /// Both designs, baseline first.
+    pub fn designs(&self) -> [&AtpgDesign; 2] {
+        [&self.baseline, &self.rescue]
+    }
+}
+
+/// Build both designs and run full ATPG on each (paper Table 3), under
+/// one `table3` span.
+///
+/// This is the heavyweight experiment (minutes in release mode at the
+/// paper size); pass [`ModelParams::tiny`] for a fast smoke run.
+/// `threads` is as in [`AtpgDesign::build`].
+pub fn table3(params: &ModelParams, threads: usize) -> Table3 {
+    let _s = rescue_obs::span("table3");
+    Table3 {
+        baseline: AtpgDesign::build(params, Variant::Baseline, threads),
+        rescue: AtpgDesign::build(params, Variant::Rescue, threads),
+    }
 }
 
 // ----------------------------------------------- §6.1 isolation experiment
@@ -196,9 +250,6 @@ pub struct IsolationExperiment {
     pub variant: Variant,
     /// Per-stage outcomes.
     pub stages: Vec<StageIsolation>,
-    /// Coverage curve of the ATPG run whose vectors the experiment
-    /// replays (provenance for the injected-fault pools).
-    pub coverage: rescue_obs::CoverageCurve,
 }
 
 impl IsolationExperiment {
@@ -214,40 +265,20 @@ impl IsolationExperiment {
 }
 
 /// Inject `per_stage` random detected faults into each of the six §6.1
-/// stages and check that scan-out alone isolates each to its map-out
-/// group. Uses the default worker-thread resolution; see
-/// [`isolation_with_threads`].
+/// stages of `design` and check that replaying its Table 3 vectors
+/// isolates each to its map-out group from scan-out alone. `threads`
+/// selects the replay worker count (`0` = resolve via `RESCUE_THREADS`,
+/// then available parallelism); the outcome is bit-identical for any
+/// value.
 pub fn isolation(
-    params: &ModelParams,
-    variant: Variant,
-    per_stage: usize,
-    seed: u64,
-) -> IsolationExperiment {
-    isolation_with_threads(params, variant, per_stage, seed, 0)
-}
-
-/// [`isolation`] with an explicit fault-simulation worker count (`0` =
-/// resolve via `RESCUE_THREADS`, then available parallelism). The
-/// experiment outcome is bit-identical for any value.
-pub fn isolation_with_threads(
-    params: &ModelParams,
-    variant: Variant,
+    design: &AtpgDesign,
     per_stage: usize,
     seed: u64,
     threads: usize,
 ) -> IsolationExperiment {
     let _s = rescue_obs::span("isolation");
-    let m = build_pipeline(params, variant);
-    let scanned = insert_scan(&m.netlist).expect("model has state");
-    let config = AtpgConfig {
-        threads,
-        ..AtpgConfig::default()
-    };
-    let run = Atpg::new(&scanned, config)
-        .expect("scan design is well-formed")
-        .run()
-        .expect("atpg run");
-    let iso = Isolator::new(&scanned, &run.vectors);
+    let (m, scanned, run) = (&design.model, &design.scanned, &design.run);
+    let iso = Isolator::new(scanned, &run.vectors);
     let stages_wanted = [
         Stage::Fetch,
         Stage::Decode,
@@ -336,9 +367,8 @@ pub fn isolation_with_threads(
         });
     }
     IsolationExperiment {
-        variant,
+        variant: design.variant,
         stages,
-        coverage: run.metrics.coverage,
     }
 }
 
@@ -355,23 +385,18 @@ pub struct MultiFaultTrial {
 }
 
 /// The §3.1 corollary, experimentally: inject one fault into each of
-/// `k` distinct map-out groups **simultaneously** and check that one
-/// replay of the ordinary vector set implicates exactly the faulty
-/// groups.
+/// `k` distinct redundant map-out groups of `design` (the Rescue design,
+/// for the paper's claim) **simultaneously** and check that one replay
+/// of its Table 3 vectors implicates exactly the faulty groups.
 pub fn multi_fault_isolation(
-    params: &ModelParams,
+    design: &AtpgDesign,
     k: usize,
     trials: usize,
     seed: u64,
 ) -> Vec<MultiFaultTrial> {
     let _s = rescue_obs::span("isolation.multi_fault");
-    let m = build_pipeline(params, Variant::Rescue);
-    let scanned = insert_scan(&m.netlist).expect("model has state");
-    let run = Atpg::new(&scanned, AtpgConfig::default())
-        .expect("scan design is well-formed")
-        .run()
-        .expect("atpg run");
-    let iso = Isolator::new(&scanned, &run.vectors);
+    let (m, scanned, run) = (&design.model, &design.scanned, &design.run);
+    let iso = Isolator::new(scanned, &run.vectors);
     let mut rng = SplitMix64::new(seed);
 
     // Detected faults per redundant (non-chipkill) group.
@@ -416,13 +441,6 @@ pub fn multi_fault_isolation(
         });
     }
     out
-}
-
-/// Access to the built model + scan view for custom experiments.
-pub fn build_scanned(params: &ModelParams, variant: Variant) -> (PipelineModel, ScanNetlist) {
-    let m = build_pipeline(params, variant);
-    let s = insert_scan(&m.netlist).expect("model has state");
-    (m, s)
 }
 
 // ------------------------------------------------------------- Figure 8

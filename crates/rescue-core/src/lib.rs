@@ -8,8 +8,8 @@
 //! |---|---|
 //! | Table 1 (system parameters) | [`experiments::table1`] |
 //! | Table 2 (areas) | [`experiments::table2`] |
-//! | Table 3 (scan chain data) | [`experiments::table3`] |
-//! | §6.1 fault isolation (6000 faults) | [`experiments::isolation`] |
+//! | Table 3 (scan chain data) | [`experiments::table3`], one [`experiments::AtpgDesign`] per design |
+//! | §6.1 fault isolation (6000 faults) | [`experiments::isolation`], replaying a design's Table 3 vectors |
 //! | Figure 8 (IPC degradation) | [`experiments::fig8`] |
 //! | Figure 9 (YAT vs technology) | [`experiments::fig9`] |
 //!

@@ -34,44 +34,29 @@ pub fn table2_text(baseline_total: f64, rescue: &RescueAreas) -> String {
 
 /// Render Table 3.
 pub fn table3_text(t: &Table3) -> String {
+    let (b, r) = (&t.baseline.run.stats, &t.rescue.run.stats);
     let mut s = String::from("Table 3: Scan chain data\n");
     let _ = writeln!(s, "  {:10} {:>10} {:>10}", "", "Base", "Rescue");
-    let _ = writeln!(
-        s,
-        "  {:10} {:>10} {:>10}",
-        "faults", t.baseline.faults, t.rescue.faults
-    );
-    let _ = writeln!(
-        s,
-        "  {:10} {:>10} {:>10}",
-        "cells", t.baseline.cells, t.rescue.cells
-    );
-    let _ = writeln!(
-        s,
-        "  {:10} {:>10} {:>10}",
-        "chains", t.baseline.chains, t.rescue.chains
-    );
-    let _ = writeln!(
-        s,
-        "  {:10} {:>10} {:>10}",
-        "vectors", t.baseline.vectors, t.rescue.vectors
-    );
-    let _ = writeln!(
-        s,
-        "  {:10} {:>10} {:>10}",
-        "cycles", t.baseline.cycles, t.rescue.cycles
-    );
+    for (name, base, resc) in [
+        ("faults", b.faults as u64, r.faults as u64),
+        ("cells", b.cells as u64, r.cells as u64),
+        ("chains", b.chains as u64, r.chains as u64),
+        ("vectors", b.vectors as u64, r.vectors as u64),
+        ("cycles", b.cycles, r.cycles),
+    ] {
+        let _ = writeln!(s, "  {name:10} {base:>10} {resc:>10}");
+    }
     let _ = writeln!(
         s,
         "  {:10} {:>9.2}% {:>9.2}%",
         "coverage",
-        100.0 * t.baseline_metrics.coverage.final_coverage(),
-        100.0 * t.rescue_metrics.coverage.final_coverage()
+        100.0 * t.baseline.run.metrics.coverage.final_coverage(),
+        100.0 * t.rescue.run.metrics.coverage.final_coverage()
     );
     let _ = writeln!(
         s,
         "  test-time increase over baseline: {:+.1}%",
-        100.0 * (t.rescue.cycles as f64 / t.baseline.cycles as f64 - 1.0)
+        100.0 * (r.cycles as f64 / b.cycles as f64 - 1.0)
     );
     s
 }

@@ -4,7 +4,9 @@
 //! guarantee the bench-diff CI matrix (`--threads 1` vs `--threads 4`
 //! against one baseline) relies on.
 
-use rescue_core::experiments::{self, class_counts_of, Fig8Params, Fig9Params, Fig9Point};
+use rescue_core::experiments::{
+    self, class_counts_of, AtpgDesign, Fig8Params, Fig9Params, Fig9Point,
+};
 use rescue_model::{ModelParams, Variant};
 use rescue_pipesim::{simulate, CoreConfig, Policy, SimConfig};
 use rescue_workloads::{BenchmarkProfile, TraceGenerator};
@@ -15,63 +17,55 @@ use std::collections::HashMap;
 /// `RESCUE_THREADS`, which the CI matrix pins to 1, 2 and 8.
 const POOL_THREADS: [usize; 4] = [1, 2, 3, 0];
 
-/// Full Table 3 flow at 1, 2, and 8 fault-simulation threads: scan
-/// statistics, every ATPG counter, the per-vector coverage curve, and
-/// the stage attribution must all be byte-identical.
+/// Full Table 3 flow at 1, 2, and 8 fault-simulation threads, each an
+/// independent build and search: scan statistics, every ATPG counter,
+/// the per-vector coverage curve, and the stage attribution must all be
+/// byte-identical.
 #[test]
 fn table3_is_thread_count_invariant() {
     let p = ModelParams::tiny();
-    let base = experiments::table3_with_threads(&p, 1);
+    let base = experiments::table3(&p, 1);
     for threads in [2, 8] {
-        let t = experiments::table3_with_threads(&p, threads);
-        assert_eq!(base.baseline, t.baseline, "{threads} threads");
-        assert_eq!(base.rescue, t.rescue, "{threads} threads");
-        assert_eq!(
-            base.baseline_metrics.counts, t.baseline_metrics.counts,
-            "{threads} threads"
-        );
-        assert_eq!(
-            base.rescue_metrics.counts, t.rescue_metrics.counts,
-            "{threads} threads"
-        );
-        assert_eq!(
-            base.baseline_metrics.coverage.to_csv("baseline"),
-            t.baseline_metrics.coverage.to_csv("baseline"),
-            "{threads} threads"
-        );
-        assert_eq!(
-            base.rescue_metrics.coverage.to_csv("rescue"),
-            t.rescue_metrics.coverage.to_csv("rescue"),
-            "{threads} threads"
-        );
-        assert_eq!(base.baseline_stage_coverage, t.baseline_stage_coverage);
-        assert_eq!(base.rescue_stage_coverage, t.rescue_stage_coverage);
+        let t = experiments::table3(&p, threads);
+        for (a, b) in base.designs().into_iter().zip(t.designs()) {
+            let tag = a.tag();
+            assert_eq!(a.run.stats, b.run.stats, "{tag} at {threads} threads");
+            assert_eq!(
+                a.run.metrics.counts, b.run.metrics.counts,
+                "{tag} at {threads} threads"
+            );
+            assert_eq!(
+                a.run.metrics.coverage.to_csv(tag),
+                b.run.metrics.coverage.to_csv(tag),
+                "{tag} at {threads} threads"
+            );
+            assert_eq!(a.stage_coverage(), b.stage_coverage(), "{tag}");
+        }
     }
 }
 
-/// Full §6.1 isolation flow at 1, 2, and 8 threads: the per-stage
-/// isolation dictionary and the provenance coverage curve must match
-/// the serial run exactly. (Rescue only — the Baseline design drives
-/// the identical sharding code path; the per-fault dictionary itself is
-/// additionally pinned by `isolate_many_matches_sequential_isolation`
-/// in rescue-atpg's kernel_tests.)
+/// Full §6.1 isolation flow at 1, 2, and 8 threads, each on an
+/// independently built and searched design: the per-stage isolation
+/// dictionary and the provenance coverage curve must match the serial
+/// run exactly. (Rescue only — the Baseline design drives the identical
+/// sharding code path; the per-fault dictionary itself is additionally
+/// pinned by `isolate_many_matches_sequential_isolation` in
+/// rescue-atpg's kernel_tests.)
 #[test]
 fn isolation_is_thread_count_invariant() {
     let p = ModelParams::tiny();
     let variant = Variant::Rescue;
-    let base = experiments::isolation_with_threads(&p, variant, 10, 7, 1);
-    for threads in [2, 8] {
-        let e = experiments::isolation_with_threads(&p, variant, 10, 7, threads);
-        assert_eq!(
-            format!("{:?}", base.stages),
+    let run = |threads| {
+        let design = AtpgDesign::build(&p, variant, threads);
+        let e = experiments::isolation(&design, 10, 7, threads);
+        (
             format!("{:?}", e.stages),
-            "{variant:?} at {threads} threads"
-        );
-        assert_eq!(
-            base.coverage.to_csv("d"),
-            e.coverage.to_csv("d"),
-            "{variant:?} at {threads} threads"
-        );
+            design.run.metrics.coverage.to_csv("d"),
+        )
+    };
+    let base = run(1);
+    for threads in [2, 8] {
+        assert_eq!(base, run(threads), "{variant:?} at {threads} threads");
     }
 }
 

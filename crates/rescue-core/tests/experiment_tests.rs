@@ -1,10 +1,11 @@
 //! End-to-end experiment driver tests (reduced scale for CI speed).
 
-use rescue_core::experiments::{self, class_counts_of, Fig8Params, Fig9Params};
+use rescue_core::experiments::{self, class_counts_of, Fig8Params, Fig9Params, Table3};
 use rescue_core::render;
-use rescue_model::{ModelParams, Variant};
+use rescue_model::ModelParams;
 use rescue_pipesim::CoreConfig;
 use rescue_yield::{Scenario, TechNode};
+use std::sync::OnceLock;
 
 #[test]
 fn table1_renders() {
@@ -24,23 +25,31 @@ fn table2_matches_paper_shape() {
     assert!(text.contains("chipkill"));
 }
 
+/// The quick Table 3 designs, built and searched once for every test
+/// in this binary that reads them.
+fn quick_table3() -> &'static Table3 {
+    static T: OnceLock<Table3> = OnceLock::new();
+    T.get_or_init(|| experiments::table3(&ModelParams::tiny(), 0))
+}
+
 #[test]
 fn table3_tiny_shape() {
-    let t = experiments::table3(&ModelParams::tiny());
+    let t = quick_table3();
+    let (b, r) = (&t.baseline.run.stats, &t.rescue.run.stats);
     // Structural relations from the paper: Rescue has more cells, one
     // chain each, non-trivial vectors and cycles.
-    assert!(t.rescue.cells > t.baseline.cells);
-    assert_eq!(t.baseline.chains, 1);
-    assert_eq!(t.rescue.chains, 1);
-    assert!(t.baseline.vectors > 0 && t.rescue.vectors > 0);
-    assert!(t.rescue.cycles > t.rescue.vectors as u64);
-    let text = render::table3_text(&t);
+    assert!(r.cells > b.cells);
+    assert_eq!(b.chains, 1);
+    assert_eq!(r.chains, 1);
+    assert!(b.vectors > 0 && r.vectors > 0);
+    assert!(r.cycles > r.vectors as u64);
+    let text = render::table3_text(t);
     assert!(text.contains("vectors"));
 }
 
 #[test]
 fn isolation_tiny_rescue_is_unambiguous() {
-    let e = experiments::isolation(&ModelParams::tiny(), Variant::Rescue, 25, 3);
+    let e = experiments::isolation(&quick_table3().rescue, 25, 3, 0);
     assert_eq!(e.total_injected(), e.total_isolated(), "{:#?}", e);
     for st in &e.stages {
         assert_eq!(st.ambiguous, 0, "stage {:?} ambiguous", st.stage);
@@ -51,7 +60,7 @@ fn isolation_tiny_rescue_is_unambiguous() {
 
 #[test]
 fn isolation_tiny_baseline_is_ambiguous_somewhere() {
-    let e = experiments::isolation(&ModelParams::tiny(), Variant::Baseline, 25, 3);
+    let e = experiments::isolation(&quick_table3().baseline, 25, 3, 0);
     let total_ambiguous: usize = e.stages.iter().map(|s| s.ambiguous).sum();
     assert!(
         total_ambiguous > 0,

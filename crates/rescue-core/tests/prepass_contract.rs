@@ -16,34 +16,29 @@
 //!   upgrade count reconciles exactly with the untestable/aborted
 //!   totals.
 //!
+//! The pre-pass-on arm reruns through the design's PODEM memo, as the
+//! bench's `prepass_report` does; the fuzz `dropping` oracle pins that
+//! such a rerun equals a fresh run.
+//!
 //! The fully-decided regime — where even the classifications are
 //! byte-identical — is pinned at fixture scale by
 //! `static_prepass_is_a_pure_shortcut` in `rescue-atpg`, and per
 //! random circuit by the fuzz `redundancy` oracle.
 
-use rescue_core::atpg::{Atpg, AtpgConfig, FaultClass};
-use rescue_core::experiments::build_scanned;
+use rescue_core::atpg::{AtpgConfig, FaultClass};
+use rescue_core::experiments::AtpgDesign;
 use rescue_core::model::{ModelParams, Variant};
 
 #[test]
 fn prepass_contract() {
     let params = ModelParams::tiny();
     for variant in [Variant::Baseline, Variant::Rescue] {
-        let (_model, scanned) = build_scanned(&params, variant);
-        let base = Atpg::new(&scanned, AtpgConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
-        let pre = Atpg::new(
-            &scanned,
-            AtpgConfig {
-                static_prepass: true,
-                ..AtpgConfig::default()
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+        let design = AtpgDesign::build(&params, variant, 0);
+        let base = &design.run;
+        let pre = design.rerun(AtpgConfig {
+            static_prepass: true,
+            ..AtpgConfig::default()
+        });
 
         // The test set itself never moves.
         assert_eq!(pre.vectors, base.vectors, "{variant:?}: vectors moved");

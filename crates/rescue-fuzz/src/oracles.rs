@@ -328,8 +328,9 @@ pub fn wide(case: &CaseIr) -> Result<(), String> {
 /// (`lane_words = 8`) are pure bookkeeping/datapath knobs — a full ATPG
 /// run with either enabled must produce bit-identical classifications,
 /// vectors and coverage curves to the default run. And a PODEM memo is
-/// exact: runs sharing one across budgets and fill seeds must equal
-/// fresh runs, [`rescue_atpg::AtpgCounts`] included.
+/// exact: runs sharing one across budgets, fill seeds, the static
+/// pre-pass and n-detect dropping must equal fresh runs,
+/// [`rescue_atpg::AtpgCounts`] included.
 pub fn dropping(case: &CaseIr) -> Result<(), String> {
     let netlist = case.build()?;
     let scanned = insert_scan(&netlist).map_err(|e| format!("insert_scan: {e}"))?;
@@ -389,18 +390,42 @@ pub fn dropping(case: &CaseIr) -> Result<(), String> {
     }
 
     // One PODEM memo shared across runs with other budgets and fill
-    // seeds: each run, counters included, must equal a fresh run.
+    // seeds, then with the pre-pass and n-detect configs the bench
+    // reruns on a Table 3 design's memo: each run, counters included,
+    // must equal a fresh run.
     let lev = Levelized::new(&scanned.netlist);
     let faults = scanned.netlist.collapse_faults();
     let memo = PodemMemo::default();
-    for (i, max_backtracks) in [300, 5, 300, 10_000].into_iter().enumerate() {
-        let cfg = AtpgConfig {
-            podem: PodemConfig { max_backtracks },
-            fill_seed: 11 + i as u64,
-            ..AtpgConfig::default()
-        };
+    let budgets = [300, 5, 300, 10_000]
+        .into_iter()
+        .enumerate()
+        .map(|(i, max_backtracks)| {
+            let cfg = AtpgConfig {
+                podem: PodemConfig { max_backtracks },
+                fill_seed: 11 + i as u64,
+                ..AtpgConfig::default()
+            };
+            (format!("budget {max_backtracks}"), cfg)
+        });
+    let reruns = [
+        (
+            "static_prepass".to_owned(),
+            AtpgConfig {
+                static_prepass: true,
+                ..AtpgConfig::default()
+            },
+        ),
+        (
+            "drop_after=2".to_owned(),
+            AtpgConfig {
+                drop_after: Some(2),
+                ..AtpgConfig::default()
+            },
+        ),
+    ];
+    for (i, (what, cfg)) in budgets.chain(reruns).enumerate() {
         let atpg = Atpg::new(&scanned, cfg).map_err(|e| format!("Atpg::new: {e}"))?;
-        let label = format!("shared memo, run {i} at budget {max_backtracks}");
+        let label = format!("shared memo, run {i} ({what})");
         let fresh = atpg
             .run()
             .map_err(|e| format!("Atpg::run ({label}): {e}"))?;
