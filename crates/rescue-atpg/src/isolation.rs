@@ -11,6 +11,7 @@
 use crate::fsim::{FaultSim, Observation};
 use crate::tpg::{vectors_to_blocks, PatternVector};
 use rescue_netlist::{ComponentId, Fault, Levelized, ScanNetlist};
+use std::borrow::Cow;
 
 /// Result of isolating one injected fault.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,8 +46,9 @@ pub struct Isolator<'a> {
     scanned: &'a ScanNetlist,
     blocks: Vec<rescue_netlist::PatternBlock>,
     /// Levelized view shared by every replay simulator (and every
-    /// worker of [`Isolator::isolate_many`]).
-    lev: Levelized,
+    /// worker of [`Isolator::isolate_many`]): built here, or borrowed
+    /// from a caller that already holds the design's view.
+    lev: Cow<'a, Levelized>,
     /// Per scan position: the component labels of its capture cone.
     labels: Vec<Vec<ComponentId>>,
 }
@@ -54,10 +56,29 @@ pub struct Isolator<'a> {
 impl<'a> Isolator<'a> {
     /// Build an isolator from a scanned design and the ATPG vectors.
     pub fn new(scanned: &'a ScanNetlist, vectors: &[PatternVector]) -> Self {
+        Self::build(
+            scanned,
+            Cow::Owned(Levelized::new(&scanned.netlist)),
+            vectors,
+        )
+    }
+
+    /// [`Isolator::new`] over `lev`, a levelized view of
+    /// `scanned.netlist` the caller already holds, instead of building
+    /// another one.
+    pub fn with_levelized(
+        scanned: &'a ScanNetlist,
+        lev: &'a Levelized,
+        vectors: &[PatternVector],
+    ) -> Self {
+        Self::build(scanned, Cow::Borrowed(lev), vectors)
+    }
+
+    fn build(scanned: &'a ScanNetlist, lev: Cow<'a, Levelized>, vectors: &[PatternVector]) -> Self {
         Isolator {
             scanned,
             blocks: vectors_to_blocks(vectors, scanned),
-            lev: Levelized::new(&scanned.netlist),
+            lev,
             labels: scanned.capture_components(),
         }
     }
@@ -287,6 +308,15 @@ mod tests {
         let out = iso.isolate(rescue_netlist::Fault::net(x, StuckAt::Zero));
         assert!(out.detected());
         assert_eq!(out.max_ambiguity, 2);
+
+        // A borrowed levelized view isolates exactly as an owned one.
+        let lev = Levelized::new(&scanned.netlist);
+        let borrowed = Isolator::with_levelized(&scanned, &lev, &run.vectors);
+        assert_eq!(borrowed.labels(), iso.labels());
+        assert_eq!(
+            borrowed.isolate(rescue_netlist::Fault::net(x, StuckAt::Zero)),
+            out
+        );
     }
 
     /// A fault on the component boundary: LCY's OR gate reads LCX's

@@ -105,6 +105,7 @@ fn main() {
         // Both panels come from one simulated IPC table.
         let fig9_span = rescue_obs::span("fig9");
         let ipcs = experiments::fig9_ipcs(&p9);
+        rescue_bench::fig9_sims_report(report, &ipcs);
         for (section, title, scenario) in [
             (
                 "fig9.panel_a",

@@ -23,6 +23,7 @@ fn main() {
     // Both panels come from one simulated IPC table.
     let fig9_span = rescue_obs::span("fig9");
     let ipcs = fig9_ipcs(&p);
+    rescue_bench::fig9_sims_report(&mut report, &ipcs);
     for (i, (section, title, scenario)) in [
         (
             "panel_a",

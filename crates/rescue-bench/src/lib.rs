@@ -51,7 +51,7 @@ pub mod diff;
 pub mod stats;
 
 use rescue_core::atpg::AtpgMetrics;
-use rescue_core::experiments::{AtpgDesign, Fig9Point, Table3};
+use rescue_core::experiments::{AtpgDesign, Fig9Ipcs, Fig9Point, Table3};
 use rescue_core::netlist::{Fault, Levelized};
 use rescue_core::pipesim::{SimResult, IPC_WINDOW_CYCLES};
 use rescue_obs::{CoverageCurve, Report};
@@ -909,6 +909,15 @@ pub fn bench<F: FnMut()>(name: &str, samples: usize, iters_per_sample: usize, mu
     let med = per_call[per_call.len() / 2];
     let max = per_call.last().copied().unwrap_or(0);
     println!("{name:40} min {min:>12} ns  median {med:>12} ns  max {max:>12} ns");
+}
+
+/// Report how many simulations one Figure 9 IPC table needed:
+/// `fig9.sims.requested` points, `fig9.sims.simulated` distinct machines.
+pub fn fig9_sims_report(report: &mut Report, ipcs: &Fig9Ipcs) {
+    report
+        .section("fig9.sims")
+        .u64("requested", ipcs.requested() as u64)
+        .u64("simulated", ipcs.simulated() as u64);
 }
 
 /// Report one Figure 9 panel: its point count under `panel`, and each

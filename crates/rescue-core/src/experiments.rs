@@ -5,7 +5,7 @@ use rescue_model::{build_pipeline, ModelParams, PipelineModel, Stage, Variant};
 use rescue_netlist::scan::{insert_scan, ScanNetlist};
 use rescue_netlist::{Fault, Levelized};
 use rescue_obs::SplitMix64;
-use rescue_pipesim::{simulate, CoreConfig, Policy, SimConfig, SimResult};
+use rescue_pipesim::{simulate, CoreConfig, Policy, SimConfig, SimResult, TraceSummary};
 use rescue_workloads::{spec2000_profiles, BenchmarkProfile, TraceGenerator, TraceInstr};
 use rescue_yield::{
     relative_yat, relative_yat_self_healing, AreaModel, ClassCounts, RescueAreas, Scenario,
@@ -278,7 +278,7 @@ pub fn isolation(
 ) -> IsolationExperiment {
     let _s = rescue_obs::span("isolation");
     let (m, scanned, run) = (&design.model, &design.scanned, &design.run);
-    let iso = Isolator::new(scanned, &run.vectors);
+    let iso = Isolator::with_levelized(scanned, &design.lev, &run.vectors);
     let stages_wanted = [
         Stage::Fetch,
         Stage::Decode,
@@ -396,7 +396,7 @@ pub fn multi_fault_isolation(
 ) -> Vec<MultiFaultTrial> {
     let _s = rescue_obs::span("isolation.multi_fault");
     let (m, scanned, run) = (&design.model, &design.scanned, &design.run);
-    let iso = Isolator::new(scanned, &run.vectors);
+    let iso = Isolator::with_levelized(scanned, &design.lev, &run.vectors);
     let mut rng = SplitMix64::new(seed);
 
     // Detected faults per redundant (non-chipkill) group.
@@ -639,16 +639,37 @@ pub struct Fig9Point {
 #[derive(Clone, Debug)]
 pub struct Fig9Ipcs {
     per_node: Vec<Vec<(f64, HashMap<ClassCounts, f64>)>>,
+    requested: usize,
+    simulated: usize,
 }
 
-/// Simulate every (benchmark, node, configuration) point Figure 9 needs:
-/// the healthy baseline core and the 64 degraded Rescue cores.
+impl Fig9Ipcs {
+    /// The (benchmark, node, configuration) points the table holds an
+    /// IPC for.
+    pub fn requested(&self) -> usize {
+        self.requested
+    }
+
+    /// The simulations run to fill them: one per distinct machine.
+    pub fn simulated(&self) -> usize {
+        self.simulated
+    }
+}
+
+/// Find the IPC of every (benchmark, node, configuration) point Figure 9
+/// needs: the healthy baseline core and the 64 degraded Rescue cores.
 ///
-/// The simulations are one pool of items, ordered benchmark-major. Each
-/// worker keeps one trace buffer and regenerates it only when the item
-/// it claims belongs to another benchmark, so a benchmark's trace is
-/// generated about once per worker instead of once per simulation. No
-/// trace or IPC is kept past the call.
+/// Each distinct machine is simulated once. A benchmark's trace is
+/// summarized first ([`TraceSummary`]), and each degraded core is
+/// replaced by its [`CoreConfig::canonical_for`] that summary, so on a
+/// trace without FP instructions every FP-degraded core reads the IPC of
+/// its FP-healthy twin, which simulates identically.
+///
+/// The distinct simulations are one pool of items, ordered
+/// benchmark-major. Each worker keeps one trace buffer and regenerates it
+/// only when the item it claims belongs to another benchmark, so a
+/// benchmark's trace is generated about once per worker instead of once
+/// per simulation. No trace or IPC is kept past the call.
 pub fn fig9_ipcs(p: &Fig9Params) -> Fig9Ipcs {
     let _s = rescue_obs::span("fig9.simulate");
     let profiles = selected_profiles(&p.benchmarks);
@@ -667,25 +688,45 @@ pub fn fig9_ipcs(p: &Fig9Params) -> Fig9Ipcs {
     // holds at most `rob_entries` and the fetch queue at most 32; the
     // step fetches at most one fetch group (4) more. So n + ROB + 64
     // instructions always suffice, and a shorter trace panics below
-    // rather than ending the simulation early.
+    // rather than ending the simulation early. The summaries cover the
+    // same prefix, so they describe every instruction a simulation reads.
     let rob = configs.iter().flatten().map(|c| c.rob_entries).max();
     let trace_len = p.n_instr as usize + rob.unwrap_or(0) + 64;
+    // Every point's distinct item, benchmark-major like the points:
+    // `None` is the healthy baseline core, `Some` a canonical Rescue core.
     let sims_per_node = 1 + degraded.len();
-    let sims_per_bench = p.nodes.len() * sims_per_node;
+    let mut items: Vec<(usize, usize, Option<CoreConfig>)> = Vec::new();
+    let mut item_of = Vec::with_capacity(profiles.len() * p.nodes.len() * sims_per_node);
+    for (b, prof) in profiles.iter().enumerate() {
+        let summary = TraceSummary::of(TraceGenerator::new(prof, p.seed).take(trace_len));
+        for n in 0..p.nodes.len() {
+            item_of.push(items.len());
+            items.push((b, n, None));
+            let mut seen = HashMap::new();
+            for core in &degraded {
+                let canonical = core.canonical_for(&summary);
+                item_of.push(*seen.entry(canonical).or_insert_with(|| {
+                    items.push((b, n, Some(canonical)));
+                    items.len() - 1
+                }));
+            }
+        }
+    }
     let ipcs = pool(
         p.threads,
-        profiles.len() * sims_per_bench,
+        items.len(),
         || (usize::MAX, Vec::with_capacity(trace_len)),
         |(bench, trace), i| {
-            if *bench != i / sims_per_bench {
-                *bench = i / sims_per_bench;
+            let (b, n, core) = items[i];
+            if *bench != b {
+                *bench = b;
                 trace.clear();
-                trace.extend(TraceGenerator::new(&profiles[*bench], p.seed).take(trace_len));
+                trace.extend(TraceGenerator::new(&profiles[b], p.seed).take(trace_len));
             }
-            let [base_cfg, resc_cfg] = &configs[i % sims_per_bench / sims_per_node];
-            let (cfg, core) = match i % sims_per_node {
-                0 => (base_cfg, CoreConfig::healthy()),
-                c => (resc_cfg, degraded[c - 1]),
+            let [base_cfg, resc_cfg] = &configs[n];
+            let (cfg, core) = match core {
+                None => (base_cfg, CoreConfig::healthy()),
+                Some(core) => (resc_cfg, core),
             };
             let ran_out = || -> Option<TraceInstr> {
                 panic!("fig9 trace of {trace_len} instructions ran out")
@@ -694,6 +735,13 @@ pub fn fig9_ipcs(p: &Fig9Params) -> Fig9Ipcs {
             simulate(cfg, &core, instrs, p.n_instr).ipc()
         },
     );
+    rescue_obs::global().event(
+        "fig9.sims",
+        &[
+            ("requested", &item_of.len().to_string()),
+            ("simulated", &items.len().to_string()),
+        ],
+    );
     let per_node = (0..p.nodes.len())
         .map(|n| {
             (0..profiles.len())
@@ -701,15 +749,19 @@ pub fn fig9_ipcs(p: &Fig9Params) -> Fig9Ipcs {
                     let at = (b * p.nodes.len() + n) * sims_per_node;
                     let map = degraded
                         .iter()
-                        .zip(&ipcs[at + 1..at + sims_per_node])
-                        .map(|(core, &ipc)| (class_counts_of(core), ipc))
+                        .zip(&item_of[at + 1..at + sims_per_node])
+                        .map(|(core, &item)| (class_counts_of(core), ipcs[item]))
                         .collect();
-                    (ipcs[at], map)
+                    (ipcs[item_of[at]], map)
                 })
                 .collect()
         })
         .collect();
-    Fig9Ipcs { per_node }
+    Fig9Ipcs {
+        per_node,
+        requested: item_of.len(),
+        simulated: items.len(),
+    }
 }
 
 /// Compute one panel of Figure 9 under `scenario` from the simulated

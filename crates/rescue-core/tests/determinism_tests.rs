@@ -197,6 +197,9 @@ fn fig9_pool_matches_the_per_simulation_reference() {
     for threads in POOL_THREADS {
         let p = fig9_params(threads);
         let ipcs = experiments::fig9_ipcs(&p);
+        // mcf emits no FP instruction: each node simulates its baseline
+        // core and 16 canonical Rescue cores instead of 64.
+        assert_eq!((ipcs.requested(), ipcs.simulated()), (260, 130 + 2 * 17));
         for (sc, want) in scenarios.iter().zip(&want) {
             assert_eq!(
                 &point_bits(&experiments::fig9(sc, &p)),

@@ -3,8 +3,10 @@
 use rescue_core::experiments::{self, class_counts_of, Fig8Params, Fig9Params, Table3};
 use rescue_core::render;
 use rescue_model::ModelParams;
-use rescue_pipesim::CoreConfig;
+use rescue_pipesim::{simulate, CoreConfig, Policy, SimConfig, TraceSummary};
+use rescue_workloads::{spec2000_profiles, TraceGenerator, TraceInstr};
 use rescue_yield::{Scenario, TechNode};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 #[test]
@@ -104,6 +106,77 @@ fn fig9_reduced_run_shows_rescue_advantage_growth() {
 
 fn fig9_points(p: &Fig9Params) -> Vec<rescue_core::experiments::Fig9Point> {
     experiments::fig9(&Scenario::pwp_stagnates_at_90nm(), p)
+}
+
+/// Differential check of [`CoreConfig::canonical_for`], the rule fig9
+/// simulates each distinct machine by. On the trace prefix fig9 feeds a
+/// Rescue simulation of every `n_instr`, at every node: each FP-free
+/// profile's 48 FP-degraded cores give the full `SimResult` of their
+/// canonical twin, and on every FP-emitting profile the rule is the
+/// identity. One thread per profile.
+fn check_canonical_cores(n_instrs: &[u64], nodes: &[TechNode]) {
+    let degraded = CoreConfig::all_degraded();
+    std::thread::scope(|scope| {
+        for prof in spec2000_profiles() {
+            let degraded = &degraded;
+            scope.spawn(move || {
+                for &n_instr in n_instrs {
+                    // fig9's bound: n + ROB + 64 instructions suffice.
+                    let len = n_instr as usize + SimConfig::paper(Policy::Rescue).rob_entries + 64;
+                    let trace: Vec<TraceInstr> = TraceGenerator::new(&prof, 7).take(len).collect();
+                    let summary = TraceSummary::of(trace.iter().copied());
+                    let name = prof.name;
+                    assert_eq!(summary.has_fp(), prof.f_fp_of_compute > 0.0, "{name}");
+                    if summary.has_fp() {
+                        for core in degraded {
+                            assert_eq!(core.canonical_for(&summary), *core, "{name}");
+                        }
+                        continue;
+                    }
+                    for &node in nodes {
+                        let cfg = SimConfig::paper(Policy::Rescue)
+                            .scaled_to_halvings(node.halvings().round() as u32);
+                        let sim = |core: &CoreConfig| {
+                            let r = simulate(&cfg, core, trace.iter().copied(), n_instr);
+                            assert!(r.committed >= n_instr, "{name}: the prefix ran out");
+                            r
+                        };
+                        let mut twins = HashMap::new();
+                        let mut fp_degraded = 0;
+                        for core in degraded {
+                            let canonical = core.canonical_for(&summary);
+                            if canonical == *core {
+                                continue;
+                            }
+                            fp_degraded += 1;
+                            let want = twins.entry(canonical).or_insert_with(|| sim(&canonical));
+                            assert_eq!(
+                                &sim(core),
+                                want,
+                                "{name}, {core:?}, {}nm, {n_instr} instructions",
+                                node.0
+                            );
+                        }
+                        assert_eq!(fp_degraded, 48, "{name}");
+                    }
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn fig9_canonical_cores_simulate_like_their_twins() {
+    check_canonical_cores(&[500], &[TechNode::NM90, TechNode::NM18]);
+}
+
+/// The same check at the fig_sweep, quick and paper sizes over all four
+/// Figure 9 nodes (release only:
+/// `cargo test --release -p rescue-core -- --ignored fig9_canonical`).
+#[test]
+#[ignore = "release-mode differential at full Figure 9 sizes"]
+fn fig9_canonical_cores_at_figure9_sizes() {
+    check_canonical_cores(&[2_000, 5_000, 30_000], &TechNode::figure9_nodes());
 }
 
 #[test]

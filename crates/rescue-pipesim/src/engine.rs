@@ -77,6 +77,63 @@ pub fn simulate(
     eng.run(n_instr)
 }
 
+/// The instruction classes a trace holds, as far as they decide which
+/// core resources a simulation over it can reach: the input to
+/// [`CoreConfig::canonical_for`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceSummary {
+    has_fp: bool,
+}
+
+impl TraceSummary {
+    /// Summarize `trace`, which must be every instruction a simulation
+    /// may fetch (the whole prefix it is fed, not a sample).
+    pub fn of(trace: impl IntoIterator<Item = TraceInstr>) -> Self {
+        TraceSummary {
+            has_fp: trace.into_iter().any(|i| i.kind.is_fp()),
+        }
+    }
+
+    /// Whether any instruction is floating point.
+    pub fn has_fp(&self) -> bool {
+        self.has_fp
+    }
+}
+
+impl CoreConfig {
+    /// The core that simulates exactly like this one over any trace
+    /// `summary` describes, with every resource such a trace cannot
+    /// reach at full strength. Cores with the same canonical core give
+    /// equal [`SimResult`]s, so a sweep simulates only one of them.
+    ///
+    /// With no FP instruction the FP side is canonicalized: dispatch
+    /// routes only `is_fp()` instructions to the FP queue, so the FP
+    /// queue stays empty for the whole run, and every read of the FP
+    /// fields then acts on an empty queue:
+    ///
+    /// * `fp_iq_halves` (and the FP capacity derived from it) is read by
+    ///   Rescue selection, where both halves pick nothing and an empty
+    ///   pick never overcommits; by compaction, which has nothing to
+    ///   move; and by dispatch, only for FP instructions. Compaction's
+    ///   one-time `old_free_prev` update on a two-half queue at most
+    ///   marks a cycle busy, and idle-cycle skipping is exact either way.
+    /// * `fp_width`, `fp_add` and `fp_mul` of [`CoreConfig::resources`]
+    ///   are read by selection from the FP queue, and by the budget check
+    ///   of integer picks, whose usage has every FP field at zero.
+    ///
+    /// The rule reads instruction classes only, never statistics.
+    pub fn canonical_for(&self, summary: &TraceSummary) -> CoreConfig {
+        if summary.has_fp {
+            return *self;
+        }
+        CoreConfig {
+            fp_iq_halves: 2,
+            fp_be_groups: 2,
+            ..*self
+        }
+    }
+}
+
 struct Engine<'c, T: Iterator<Item = TraceInstr>> {
     cfg: &'c SimConfig,
     core: &'c CoreConfig,
