@@ -3,7 +3,7 @@
 //! Always writes the combined machine-readable report to
 //! `BENCH_metrics.json` in the current directory (`--metrics-json PATH`
 //! overrides the destination); `--metrics` also renders it — plus the
-//! phase-attribution flame summary — to stderr and `--trace-json
+//! phase-attribution flame summary — to stderr and `--trace-perfetto
 //! <path>` streams the spans. `--threads N` picks the fault-simulation
 //! worker count (results are bit-identical for any value); the report
 //! ends with the informational `fsim_kernel` lane-width sweep and the
@@ -13,8 +13,8 @@
 //! fails any exactly gated value that varied, so a repeated run doubles
 //! as a run-to-run determinism check. `--serve-metrics ADDR` exposes live progress
 //! at `http://ADDR/metrics` while the run is in flight, and
-//! `--progress-every N` mirrors the same counters as JSONL progress
-//! frames into the trace sink.
+//! `--progress-every N` mirrors the same counters as progress
+//! frames into the trace.
 
 use rescue_core::experiments::{self, Fig8Params, Fig9Params};
 use rescue_core::model::ModelParams;

@@ -15,8 +15,8 @@
 //! * Divergences are shrunk and written to `--repro-dir` (default
 //!   `tests/regressions`); the process exits 1 so CI fails loudly.
 //! * `--serve-metrics ADDR` exposes live case/divergence counters at
-//!   `http://ADDR/metrics`; `--progress-every N` mirrors them as JSONL
-//!   progress frames in the trace sink.
+//!   `http://ADDR/metrics`; `--progress-every N` mirrors them as
+//!   progress frames in the trace.
 //! * `--replay FILE` re-runs one committed repro instead of fuzzing.
 //!
 //! Per-oracle counters land in `BENCH_metrics.json` under `fuzz.*`

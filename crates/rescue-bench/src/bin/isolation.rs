@@ -5,11 +5,11 @@
 //!
 //! Flags: --quick (tiny model), --faults-per-stage N (default 1000, the
 //! paper's count), --threads N (fault-simulation workers; results are
-//! bit-identical for any value), --metrics, --trace-json <path>,
-//! --trace-perfetto <path>, --coverage-csv / --coverage-json <path>
-//! (coverage curves of the underlying ATPG runs, tagged by design),
-//! --serve-metrics ADDR (live /metrics endpoint during the run), and
-//! --progress-every N (JSONL progress frames in the trace sink).
+//! bit-identical for any value), --metrics, --trace-perfetto <path>,
+//! --coverage-csv / --coverage-json <path> (coverage curves of the
+//! underlying ATPG runs, tagged by design), --serve-metrics ADDR (live
+//! /metrics endpoint during the run), and --progress-every N (progress
+//! frames in the trace).
 
 use rescue_core::model::ModelParams;
 use rescue_obs::Report;

@@ -12,7 +12,7 @@
 //! --metrics-json PATH writes the machine-readable report. An unknown
 //! flag (say --quik) exits 2. --serve-metrics ADDR exposes live
 //! ATPG/fault-sim progress at http://ADDR/metrics during the run;
-//! --progress-every N mirrors it as JSONL frames in the trace sink.
+//! --progress-every N mirrors it as progress frames in the trace.
 
 use rescue_core::model::ModelParams;
 

@@ -20,11 +20,11 @@
 //!
 //! * `--metrics` — print an engine-counter and span-timing report to
 //!   stderr when the run finishes,
-//! * `--trace-json <path>` — stream spans/events as JSON Lines to
-//!   `path` while the run executes,
-//! * `--trace-perfetto <path>` — write a Chrome trace-event JSON
-//!   document at exit, loadable in `chrome://tracing` /
-//!   [ui.perfetto.dev](https://ui.perfetto.dev),
+//! * `--trace-perfetto <path>` — stream spans, events and counter
+//!   samples to `path` as Chrome trace-event JSON while the run
+//!   executes, loadable in `chrome://tracing` /
+//!   [ui.perfetto.dev](https://ui.perfetto.dev); a run that dies
+//!   leaves a prefix that parses once `]` is appended,
 //! * `--coverage-csv <path>` / `--coverage-json <path>` — (binaries
 //!   that run ATPG: `table3`, `isolation`, `all`) write the per-vector
 //!   coverage curve with per-component attribution,
@@ -35,7 +35,8 @@
 //!   `GET /healthz` for the whole run,
 //! * `--progress-every <n>` — enable live progress collection and emit
 //!   one progress frame per `n` loop units (ATPG targets, fuzz cases)
-//!   to the trace sink / Perfetto counter tracks when tracing is armed.
+//!   to the trace as a `progress` instant plus counter tracks when
+//!   `--trace-perfetto` is given.
 //!
 //! Every output path is probed at argument-parse time: an unwritable
 //! destination aborts with exit code 2 *before* the run, not after it.
@@ -114,9 +115,7 @@ pub fn threads_arg() -> usize {
 pub struct ObsFlags {
     /// `--metrics`: render the report to stderr at exit.
     pub metrics: bool,
-    /// `--trace-json <path>`: JSONL span sink.
-    pub trace_json: Option<String>,
-    /// `--trace-perfetto <path>`: trace-event JSON written at exit.
+    /// `--trace-perfetto <path>`: the trace-event stream.
     pub trace_perfetto: Option<String>,
     /// `--coverage-csv <path>`: coverage curve as CSV (ATPG binaries).
     pub coverage_csv: Option<String>,
@@ -140,7 +139,6 @@ pub struct ObsFlags {
 /// The flags [`obs_init`] parses for every binary, value-taking or not.
 const SHARED_FLAGS: &[&str] = &[
     "--metrics",
-    "--trace-json",
     "--trace-perfetto",
     "--coverage-csv",
     "--coverage-json",
@@ -200,7 +198,6 @@ pub fn obs_init(own: &[&str]) -> ObsFlags {
     }
     let flags = ObsFlags {
         metrics: arg_flag("--metrics"),
-        trace_json: arg_str("--trace-json"),
         trace_perfetto: arg_str("--trace-perfetto"),
         coverage_csv: arg_str("--coverage-csv"),
         coverage_json: arg_str("--coverage-json"),
@@ -218,26 +215,22 @@ pub fn obs_init(own: &[&str]) -> ObsFlags {
     if let Some(path) = &flags.metrics_json {
         probe_output_file(path);
     }
-    if let Some(path) = &flags.trace_json {
-        if let Err(e) = rescue_obs::global().set_sink_path(path) {
+    if let Some(path) = &flags.trace_perfetto {
+        // The process is named after the binary, like its report.
+        let title = std::env::args()
+            .next()
+            .and_then(|a| Some(std::path::Path::new(&a).file_stem()?.to_str()?.to_owned()))
+            .unwrap_or_else(|| "rescue".into());
+        if let Err(e) = rescue_obs::global().open_sink(path, &title) {
             eprintln!("error: cannot open trace sink {path}: {e}");
             std::process::exit(2);
         }
     }
-    for path in [
-        &flags.trace_perfetto,
-        &flags.coverage_csv,
-        &flags.coverage_json,
-    ]
-    .into_iter()
-    .flatten()
+    for path in [&flags.coverage_csv, &flags.coverage_json]
+        .into_iter()
+        .flatten()
     {
         probe_output_file(path);
-    }
-    if flags.trace_perfetto.is_some() {
-        // Keep records in memory so the trace-event document can be
-        // rendered at exit.
-        rescue_obs::global().set_record(true);
     }
     rescue_obs::live::set_progress_every(flags.progress_every);
     if let Some(addr) = &flags.serve_metrics {
@@ -261,8 +254,8 @@ pub fn obs_init(own: &[&str]) -> ObsFlags {
 /// Finish a run: fold live-telemetry totals into the report, attach
 /// the span summary and the `profile.*` self-time tree (unless
 /// [`run_repeated`] already did), print the report and the flame
-/// summary to stderr when `--metrics` was given, flush the trace sink,
-/// write the Perfetto document when `--trace-perfetto` was given, and
+/// summary to stderr when `--metrics` was given, close the
+/// `--trace-perfetto` stream (exit 1 if any of its writes failed), and
 /// shut the telemetry server down.
 pub fn obs_finish(flags: &ObsFlags, report: &mut Report) {
     if flags.serve_metrics.is_some() || flags.progress_every > 0 {
@@ -281,15 +274,14 @@ pub fn obs_finish(flags: &ObsFlags, report: &mut Report) {
             );
         }
     }
-    rescue_obs::global().flush();
     if let Some(path) = &flags.trace_perfetto {
-        let records = rescue_obs::global().take_records();
-        let doc = rescue_obs::perfetto::render(&report.title, &records);
-        if let Err(e) = std::fs::write(path, &doc) {
-            eprintln!("error: cannot write perfetto trace {path}: {e}");
-            std::process::exit(1);
+        match rescue_obs::global().close_sink() {
+            Ok(events) => eprintln!("wrote perfetto trace {path} ({events} events)"),
+            Err(e) => {
+                eprintln!("error: cannot write perfetto trace {path}: {e}");
+                std::process::exit(1);
+            }
         }
-        eprintln!("wrote perfetto trace {path} ({} records)", records.len());
     }
     // Last, so /metrics stays scrapable while the report is assembled.
     if let Some(mut server) = SERVER.lock().expect("server slot poisoned").take() {

@@ -4,13 +4,13 @@
 //! thread-count-invariant), the tree invariant (the sum of direct
 //! children's total time never exceeds the parent's total) holds on
 //! live data, not just synthetic spans, and the ATPG phase timers, the
-//! tree and the recorded timeline are one measurement.
+//! tree and the trace file's timeline are one measurement.
 
 use rescue_core::atpg::{Atpg, AtpgConfig, AtpgRun};
 use rescue_core::model::{build_pipeline, ModelParams, Variant};
 use rescue_core::netlist::scan::insert_scan;
+use rescue_obs::json::{self, JsonValue};
 use rescue_obs::profile::{self, PathStat, ProfileNode};
-use rescue_obs::TraceRecord;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
@@ -18,15 +18,22 @@ use std::sync::Mutex;
 /// take turns.
 static AGGREGATE: Mutex<()> = Mutex::new(());
 
-/// Run one tiny-model ATPG at `threads` workers with the aggregate and
-/// timeline recording on; return the run, the profile rows and the
-/// recorded timeline.
-fn traced_atpg(threads: usize) -> (AtpgRun, Vec<(String, PathStat)>, Vec<TraceRecord>) {
+/// Run one tiny-model ATPG at `threads` workers with the aggregate on
+/// and a trace sink open on the global tracer; return the run, the
+/// profile rows and the trace file's events.
+fn traced_atpg(threads: usize) -> (AtpgRun, Vec<(String, PathStat)>, Vec<JsonValue>) {
     let prof = profile::global();
     profile::flush_thread();
     prof.reset();
     prof.set_enabled(true);
-    rescue_obs::global().set_record(true);
+    let path = std::env::temp_dir().join(format!(
+        "rescue-profile-report-{threads}-{}.json",
+        std::process::id()
+    ));
+    let path = path.to_str().expect("utf-8 temp path").to_owned();
+    rescue_obs::global()
+        .open_sink(&path, "profile_report")
+        .expect("trace sink opens");
 
     let model = build_pipeline(&ModelParams::tiny(), Variant::Rescue);
     let scanned = insert_scan(&model.netlist).expect("model has state");
@@ -41,9 +48,17 @@ fn traced_atpg(threads: usize) -> (AtpgRun, Vec<(String, PathStat)>, Vec<TraceRe
     assert!(run.stats.vectors > 0);
 
     prof.set_enabled(false);
-    rescue_obs::global().set_record(false);
+    rescue_obs::global()
+        .close_sink()
+        .expect("trace sink closes");
     profile::flush_thread();
-    (run, prof.take(), rescue_obs::global().take_records())
+    let text = std::fs::read_to_string(&path).expect("trace file readable");
+    let _ = std::fs::remove_file(&path);
+    let events = match json::parse(&text).expect("trace file is JSON") {
+        JsonValue::Arr(events) => events,
+        other => panic!("trace file is not an array: {other:?}"),
+    };
+    (run, prof.take(), events)
 }
 
 fn profiled_atpg(threads: usize) -> Vec<ProfileNode> {
@@ -124,7 +139,7 @@ fn profile_paths_and_phase_counts_do_not_depend_on_threads() {
 #[test]
 fn atpg_timing_profile_and_timeline_are_one_measurement() {
     let _g = AGGREGATE.lock().unwrap_or_else(|p| p.into_inner());
-    let (run, rows, records) = traced_atpg(2);
+    let (run, rows, events) = traced_atpg(2);
     let node_total = |path: &str| -> u64 {
         rows.iter()
             .find(|(p, _)| p == path)
@@ -141,9 +156,10 @@ fn atpg_timing_profile_and_timeline_are_one_measurement() {
     assert_eq!(t.total_ns, node_total("atpg.run"));
 
     let mut recorded: BTreeMap<String, u64> = BTreeMap::new();
-    for r in records {
-        if let TraceRecord::Span { name, .. } = r {
-            *recorded.entry(name).or_default() += 1;
+    for e in &events {
+        if e.get("ph").and_then(JsonValue::as_str) == Some("X") {
+            let name = e.get("name").and_then(JsonValue::as_str).expect("name");
+            *recorded.entry(name.to_owned()).or_default() += 1;
         }
     }
     let summarized: BTreeMap<String, u64> = profile::summarize(&rows)

@@ -11,16 +11,15 @@
 //! range" — that the rules treat as untrusted input.
 //!
 //! Well-formed circuits enter through the lossless conversions
-//! [`LintNetlist::from_netlist`] / [`from_scan`](LintNetlist::from_scan)
-//! / [`from_multi_scan`](LintNetlist::from_multi_scan); pathological
-//! ones are constructed literally in tests.
+//! [`LintNetlist::from_netlist`] / [`from_scan`](LintNetlist::from_scan);
+//! pathological ones are constructed literally in tests.
 //!
 //! Only the design rules read this view. The value analyses (SCOAP,
 //! static implication) need a validated netlist and run on its
 //! [`rescue_netlist::Levelized`] view instead, so a raw view linted with
 //! [`crate::lint`] gets the rules only.
 
-use rescue_netlist::scan::{MultiScanNetlist, ScanChain, ScanNetlist};
+use rescue_netlist::scan::{ScanChain, ScanNetlist};
 use rescue_netlist::{GateKind, Netlist};
 
 /// Sentinel net index meaning "not connected".
@@ -192,13 +191,6 @@ impl LintNetlist {
         lint.chains = vec![convert_chain(&scan.chain)];
         lint
     }
-
-    /// View of a multi-chain scan netlist, all chains included.
-    pub fn from_multi_scan(scan: &MultiScanNetlist) -> LintNetlist {
-        let mut lint = LintNetlist::from_netlist(&scan.netlist);
-        lint.chains = scan.chains.iter().map(convert_chain).collect();
-        lint
-    }
 }
 
 fn convert_chain(chain: &ScanChain) -> LintChain {
@@ -213,7 +205,7 @@ fn convert_chain(chain: &ScanChain) -> LintChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescue_netlist::scan::{insert_scan, insert_scan_chains};
+    use rescue_netlist::scan::insert_scan;
     use rescue_netlist::NetlistBuilder;
 
     fn sample() -> Netlist {
@@ -257,9 +249,5 @@ mod tests {
         assert_eq!(l.chains.len(), 1);
         assert_eq!(l.chains[0].order.len(), 2);
         assert_eq!(l.net_name(l.chains[0].scan_in), "scan_in");
-
-        let m = insert_scan_chains(&n, 2).unwrap();
-        let lm = LintNetlist::from_multi_scan(&m);
-        assert_eq!(lm.chains.len(), 2);
     }
 }

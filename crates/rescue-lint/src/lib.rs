@@ -22,9 +22,8 @@
 //!   ids are translated back to the original `NetId` at the report
 //!   boundary.
 //!
-//! Entry points: [`lint_netlist`] / [`lint_scan`] / [`lint_multi_scan`]
-//! run both halves on the validated types; [`lint`] runs the rules on a
-//! raw view.
+//! Entry points: [`lint_netlist`] / [`lint_scan`] run both halves on
+//! the validated types; [`lint`] runs the rules on a raw view.
 //!
 //! ```
 //! use rescue_netlist::NetlistBuilder;
@@ -55,7 +54,7 @@ pub use implication::{ImplicationEngine, ImplicationStats, ProofSite};
 pub use ir::{LintChain, LintDff, LintDriver, LintGate, LintNetlist, NO_NET};
 pub use scoap::{ScoapAnalysis, SCOAP_INF};
 
-use rescue_netlist::scan::{MultiScanNetlist, ScanNetlist};
+use rescue_netlist::scan::ScanNetlist;
 use rescue_netlist::{Levelized, Netlist};
 use std::collections::HashSet;
 
@@ -87,11 +86,6 @@ pub fn lint_netlist(netlist: &Netlist) -> LintReport {
 /// rules.
 pub fn lint_scan(scan: &ScanNetlist) -> LintReport {
     lint_validated(&scan.netlist, &LintNetlist::from_scan(scan))
-}
-
-/// Lint a multi-chain scan netlist, including the scan-integrity rules.
-pub fn lint_multi_scan(scan: &MultiScanNetlist) -> LintReport {
-    lint_validated(&scan.netlist, &LintNetlist::from_multi_scan(scan))
 }
 
 /// The rules over `view` (the wiring view of `netlist`), then — when no
@@ -143,7 +137,7 @@ fn lint_validated(netlist: &Netlist, view: &LintNetlist) -> LintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescue_netlist::scan::{insert_scan, insert_scan_chains};
+    use rescue_netlist::scan::insert_scan;
     use rescue_netlist::{GateKind, NetId, NetlistBuilder};
     use rescue_obs::SplitMix64;
 
@@ -174,15 +168,6 @@ mod tests {
             0,
             "{}",
             rs.render_text("scan", 50)
-        );
-
-        let m = insert_scan_chains(&n, 2).unwrap();
-        let rm = lint_multi_scan(&m);
-        assert_eq!(
-            rm.count(Severity::Error),
-            0,
-            "{}",
-            rm.render_text("multi", 50)
         );
     }
 

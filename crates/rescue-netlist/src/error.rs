@@ -44,14 +44,6 @@ pub enum BuildError {
     UnknownComponent(String),
     /// Scan insertion was requested on a netlist without flip-flops.
     NoState,
-    /// Scan-chain partitioning was requested with an impossible shape
-    /// (zero chains, or more chains than flip-flops).
-    BadChainCount {
-        /// Flip-flops available.
-        dffs: usize,
-        /// Chains requested.
-        chains: usize,
-    },
 }
 
 impl fmt::Display for BuildError {
@@ -86,12 +78,6 @@ impl fmt::Display for BuildError {
             }
             BuildError::NoState => {
                 write!(f, "cannot insert scan into a netlist without flip-flops")
-            }
-            BuildError::BadChainCount { dffs, chains } => {
-                write!(
-                    f,
-                    "cannot split {dffs} flip-flops into {chains} scan chains"
-                )
             }
         }
     }

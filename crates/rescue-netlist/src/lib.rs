@@ -63,7 +63,7 @@ pub use fault::{Fault, FaultSite, StuckAt};
 pub use hash::{fnv1a64, Fnv64};
 pub use levelized::Levelized;
 pub use netlist::{ComponentId, Dff, DffId, Driver, Gate, GateId, GateKind, NetId, Netlist};
-pub use scan::{MultiScanNetlist, ScanChain, ScanNetlist};
+pub use scan::{ScanChain, ScanNetlist};
 pub use sim::{PatternBlock, SimOutput, WideBlock};
 pub use threeval::V3;
 pub use verilog::{to_verilog, VerilogOptions};

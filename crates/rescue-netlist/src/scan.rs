@@ -176,135 +176,6 @@ pub fn insert_scan(netlist: &Netlist) -> Result<ScanNetlist, BuildError> {
     })
 }
 
-/// A netlist with `n` balanced scan chains (shared `scan_enable`,
-/// per-chain `scan_in<i>` / `scan_out<i>` pins).
-///
-/// Splitting the state across parallel chains divides scan-in/scan-out
-/// latency by the chain count — the standard lever for test time once a
-/// single chain grows long. Fault-isolation labels work per chain
-/// exactly as in the single-chain case.
-#[derive(Clone, Debug)]
-pub struct MultiScanNetlist {
-    /// The transformed circuit.
-    pub netlist: Netlist,
-    /// The inserted chains, in order.
-    pub chains: Vec<ScanChain>,
-}
-
-impl MultiScanNetlist {
-    /// Cycles to apply `vectors` single-capture tests: chains shift in
-    /// parallel, so the longest chain sets the pace.
-    pub fn test_cycles(&self, vectors: usize) -> u64 {
-        if vectors == 0 {
-            return 0;
-        }
-        let longest = self.chains.iter().map(ScanChain::len).max().unwrap_or(0);
-        (vectors as u64 + 1) * longest as u64 + vectors as u64
-    }
-
-    /// Chain index and position of a flip-flop.
-    pub fn locate(&self, dff: DffId) -> Option<(usize, usize)> {
-        for (ci, chain) in self.chains.iter().enumerate() {
-            if let Some(p) = chain.position(dff) {
-                return Some((ci, p));
-            }
-        }
-        None
-    }
-}
-
-/// Insert up to `n_chains` balanced full-scan chains.
-///
-/// Flip-flops are divided into contiguous runs (declaration order, so
-/// chains stay component-local like a layout tool would route them).
-/// When the flop count does not divide evenly, ceil-sized chunks can
-/// exhaust the flops before `n_chains` chains are formed, so the result
-/// may hold fewer chains than requested — check
-/// [`MultiScanNetlist::chains`]`.len()`.
-///
-/// # Errors
-/// Returns [`BuildError::BadChainCount`] if `n_chains == 0` or the
-/// netlist has fewer flip-flops than requested chains (including none
-/// at all).
-pub fn insert_scan_chains(
-    netlist: &Netlist,
-    n_chains: usize,
-) -> Result<MultiScanNetlist, BuildError> {
-    if n_chains == 0 || netlist.num_dffs() < n_chains {
-        return Err(BuildError::BadChainCount {
-            dffs: netlist.num_dffs(),
-            chains: n_chains,
-        });
-    }
-    let mut nets: Vec<NetInfo> = netlist.nets.clone();
-    let mut gates: Vec<Gate> = netlist.gates.clone();
-    let mut dffs: Vec<Dff> = netlist.dffs.clone();
-    let mut inputs: Vec<NetId> = netlist.inputs.clone();
-    let mut outputs = netlist.outputs.clone();
-    let components = netlist.components.clone();
-
-    let new_net = |nets: &mut Vec<NetInfo>, name: String, driver: Driver| {
-        let id = NetId(nets.len() as u32);
-        nets.push(NetInfo { name, driver });
-        id
-    };
-
-    let scan_enable = new_net(
-        &mut nets,
-        "scan_enable".to_owned(),
-        Driver::Input(inputs.len() as u32),
-    );
-    inputs.push(scan_enable);
-
-    let total = dffs.len();
-    let per = total.div_ceil(n_chains);
-    let mut chains = Vec::with_capacity(n_chains);
-    for ci in 0..n_chains {
-        let lo = ci * per;
-        let hi = ((ci + 1) * per).min(total);
-        if lo >= hi {
-            break;
-        }
-        let scan_in = new_net(
-            &mut nets,
-            format!("scan_in{ci}"),
-            Driver::Input(inputs.len() as u32),
-        );
-        inputs.push(scan_in);
-        let order: Vec<DffId> = (lo as u32..hi as u32).map(DffId).collect();
-        let mut prev_q = scan_in;
-        for &d in &order {
-            let dff = &mut dffs[d.index()];
-            let gid = GateId(gates.len() as u32);
-            let mux_out = new_net(
-                &mut nets,
-                format!("{}_scanmux", dff.name),
-                Driver::Gate(gid),
-            );
-            gates.push(Gate {
-                kind: GateKind::Mux,
-                inputs: vec![scan_enable, dff.d, prev_q],
-                output: mux_out,
-                component: dff.component,
-                scan_path: true,
-            });
-            dff.d = mux_out;
-            prev_q = dff.q;
-        }
-        let scan_out = prev_q;
-        outputs.push((format!("scan_out{ci}"), scan_out));
-        chains.push(ScanChain {
-            order,
-            scan_in,
-            scan_enable,
-            scan_out,
-        });
-    }
-
-    let netlist = elaborate(nets, gates, dffs, inputs, outputs, components)?;
-    Ok(MultiScanNetlist { netlist, chains })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,49 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_chain_balances_and_shortens_test() {
-        // 5 flops over 2 chains -> 3 + 2.
-        let mut b = NetlistBuilder::new();
-        b.enter_component("lc");
-        let a = b.input("a");
-        let mut prev = a;
-        for i in 0..5 {
-            prev = b.dff(prev, &format!("r{i}"));
-        }
-        b.output(prev, "out");
-        let n = b.finish().unwrap();
-        let single = insert_scan(&n).unwrap();
-        let multi = insert_scan_chains(&n, 2).unwrap();
-        assert_eq!(multi.chains.len(), 2);
-        assert_eq!(multi.chains[0].len(), 3);
-        assert_eq!(multi.chains[1].len(), 2);
-        // Two scan-in pins + shared enable; two scan-out ports.
-        assert_eq!(multi.netlist.inputs().len(), n.inputs().len() + 3);
-        assert_eq!(multi.netlist.outputs().len(), n.outputs().len() + 2);
-        // Parallel shifting beats the single chain for any vector count.
-        assert!(multi.test_cycles(100) < single.chain.test_cycles(100));
-        // Every flop is on exactly one chain.
-        for d in 0..5 {
-            assert!(multi.locate(DffId::from_index(d)).is_some());
-        }
-    }
-
-    #[test]
-    fn multi_chain_functional_mode_matches_original() {
-        let n = two_ff_circuit();
-        let m = insert_scan_chains(&n, 2).unwrap();
-        let orig = n.simulate(&PatternBlock {
-            inputs: vec![0b1010],
-            state: vec![0b0011, 0b0101],
-        });
-        let scanned = m.netlist.simulate(&PatternBlock {
-            inputs: vec![0b1010, 0, 0, 0], // a, scan_en, scan_in0, scan_in1
-            state: vec![0b0011, 0b0101],
-        });
-        assert_eq!(orig.next_state(&n), scanned.next_state(&m.netlist));
-    }
-
-    #[test]
     fn scanning_a_stateless_circuit_is_an_error() {
         let mut b = NetlistBuilder::new();
         b.enter_component("lc");
@@ -424,23 +252,6 @@ mod tests {
         b.output(x, "o");
         let n = b.finish().unwrap();
         assert_eq!(insert_scan(&n).unwrap_err(), BuildError::NoState);
-        assert_eq!(
-            insert_scan_chains(&n, 1).unwrap_err(),
-            BuildError::BadChainCount { dffs: 0, chains: 1 }
-        );
-    }
-
-    #[test]
-    fn bad_chain_counts_are_errors() {
-        let n = two_ff_circuit();
-        assert_eq!(
-            insert_scan_chains(&n, 0).unwrap_err(),
-            BuildError::BadChainCount { dffs: 2, chains: 0 }
-        );
-        assert_eq!(
-            insert_scan_chains(&n, 3).unwrap_err(),
-            BuildError::BadChainCount { dffs: 2, chains: 3 }
-        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Minimal hand-rolled JSON serialization and parsing (the sandbox is
 //! offline, so no serde). Serialization covers what the tracer and
 //! report need: objects, arrays, strings, integers, floats, booleans.
-//! Parsing ([`parse`]) covers full JSON and backs the Perfetto
-//! converter and the `bench-diff` regression gate, which both consume
-//! documents this module emitted.
+//! Parsing ([`parse`]) covers full JSON, nested at most [`MAX_DEPTH`]
+//! deep, and backs the `bench-diff` regression gate and the job
+//! daemon's config parsing.
 
 use std::fmt::Write as _;
 
@@ -238,12 +238,18 @@ impl JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so the cap keeps a hostile document from
+/// overflowing the stack of the (default-sized) thread parsing it.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, nothing
-/// else). Returns a byte-offset error message on malformed input.
+/// else). Returns a byte-offset error message on malformed input, and
+/// an error naming the limit on nesting deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<JsonValue, String> {
     let b = s.as_bytes();
     let mut i = 0usize;
-    let v = p_value(b, &mut i)?;
+    let v = p_value(b, &mut i, 0)?;
     p_ws(b, &mut i);
     if i != b.len() {
         return Err(format!("trailing bytes at offset {i}"));
@@ -257,11 +263,14 @@ fn p_ws(b: &[u8], i: &mut usize) {
     }
 }
 
-fn p_value(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
+fn p_value(b: &[u8], i: &mut usize, depth: usize) -> Result<JsonValue, String> {
     p_ws(b, i);
     match b.get(*i) {
-        Some(b'{') => p_object(b, i),
-        Some(b'[') => p_array(b, i),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {i}"
+        )),
+        Some(b'{') => p_object(b, i, depth + 1),
+        Some(b'[') => p_array(b, i, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(p_string(b, i)?)),
         Some(b't') => p_lit(b, i, "true", JsonValue::Bool(true)),
         Some(b'f') => p_lit(b, i, "false", JsonValue::Bool(false)),
@@ -377,7 +386,7 @@ fn p_hex4(b: &[u8], i: &mut usize) -> Result<u32, String> {
         .map_err(|e| e.to_string())
 }
 
-fn p_array(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
+fn p_array(b: &[u8], i: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *i += 1; // consume [
     let mut items = Vec::new();
     p_ws(b, i);
@@ -386,7 +395,7 @@ fn p_array(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(p_value(b, i)?);
+        items.push(p_value(b, i, depth)?);
         p_ws(b, i);
         match b.get(*i) {
             Some(b',') => *i += 1,
@@ -399,7 +408,7 @@ fn p_array(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn p_object(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
+fn p_object(b: &[u8], i: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *i += 1; // consume {
     let mut fields = Vec::new();
     p_ws(b, i);
@@ -415,7 +424,7 @@ fn p_object(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected : at offset {i}"));
         }
         *i += 1;
-        fields.push((k, p_value(b, i)?));
+        fields.push((k, p_value(b, i, depth)?));
         p_ws(b, i);
         match b.get(*i) {
             Some(b',') => *i += 1,
@@ -506,6 +515,26 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over)
+            .unwrap_err()
+            .contains("nesting deeper than 128"));
+        // 100k levels on a fresh default-stack thread, like a served
+        // connection's: uncapped recursion aborts the process here.
+        std::thread::spawn(|| {
+            for doc in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+                let err = parse(&doc).unwrap_err();
+                assert!(err.contains("nesting deeper than"), "{err}");
+            }
+        })
+        .join()
+        .expect("deep documents return Err");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   histograms that the telemetry endpoints serve;
 //! * [`trace`] — [`span`], the one timing primitive: a guard that
 //!   reads the clock once at open and once at close and hands that
-//!   elapsed value to the profile tree, the timeline (an optional JSONL
-//!   sink and in-memory records for Perfetto) and the caller. A process
+//!   elapsed value to the profile tree, the timeline (an optional sink
+//!   streaming Chrome trace-event JSON to disk) and the caller. A process
 //!   global ([`trace::global`]) lets deep engine code open spans without
 //!   threading a handle through every API;
 //! * [`report`] — a [`report::Report`] builder that renders a
@@ -22,16 +22,15 @@
 //!   [`coverage::CoverageRecorder`] turns first-detection events into a
 //!   deterministic [`coverage::CoverageCurve`] with per-component
 //!   attribution, serializable as CSV and JSON;
-//! * [`perfetto`] — converts traces (live records or `--trace-json`
-//!   JSONL) into Chrome trace-event JSON for `chrome://tracing` /
-//!   [ui.perfetto.dev](https://ui.perfetto.dev), including counter
-//!   tracks;
+//! * `perfetto` — the trace-event encoding the sink writes: spans,
+//!   instants and counter tracks for `chrome://tracing` /
+//!   [ui.perfetto.dev](https://ui.perfetto.dev);
 //! * [`json`] — the hand-rolled JSON serializer and parser behind the
-//!   sinks, the Perfetto converter, and `bench-diff` (the build
-//!   environment is offline, so no serde);
+//!   sink, the reports, `bench-diff` and the job daemon's configs (the
+//!   build environment is offline, so no serde);
 //! * [`live`] — the twelve `live.*` engine-progress counters, held in
 //!   the global registry, and the [`live::ProgressMeter`] that mirrors
-//!   progress as JSONL frames and Perfetto counter tracks;
+//!   progress as `progress` instants and counter tracks in the trace;
 //! * [`profile`] — the span aggregate: closed spans fold into a
 //!   per-thread path tree, merged across worker threads, rendered as
 //!   `profile.*` report sections, a text flame summary, and the
@@ -72,7 +71,7 @@ pub mod http;
 pub mod json;
 pub mod live;
 pub mod metrics;
-pub mod perfetto;
+mod perfetto;
 pub mod profile;
 pub mod prometheus;
 pub mod report;
@@ -86,4 +85,4 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use report::{Report, RobustStats};
 pub use rng::SplitMix64;
 pub use server::TelemetryServer;
-pub use trace::{counter, global, span, span_root, SpanGuard, SpanStat, TraceRecord, Tracer};
+pub use trace::{counter, global, span, span_root, SpanGuard, SpanStat, Tracer};

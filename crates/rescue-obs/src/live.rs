@@ -1,6 +1,6 @@
 //! Live progress counters: the engine-progress surface behind the
 //! `--serve-metrics` HTTP endpoint ([`crate::server`]) and the
-//! `--progress-every` JSONL progress frames.
+//! `--progress-every` progress frames in the trace.
 //!
 //! Long engine loops (PODEM over the collapsed fault list, sharded
 //! fault simulation, pipeline simulation, fuzz campaigns) count their
@@ -112,11 +112,11 @@ pub fn set_progress_every(every: u64) {
 /// Periodic progress-frame emitter for one engine loop.
 ///
 /// Created with a label and armed by the global `--progress-every`
-/// period; every `period` ticked units it emits one `progress` event to
-/// the trace sink (a JSONL progress frame carrying the label and the
+/// period; every `period` ticked units it emits one `progress` instant
+/// to the trace sink (a progress frame carrying the label and the
 /// cumulative unit count) plus `progress.<label>` / `live.<counter>`
-/// counter samples, which the Perfetto export renders as counter
-/// tracks. While the period is 0 a tick is a single integer add.
+/// counter samples, which Perfetto renders as counter tracks. While the
+/// period is 0 a tick is a single integer add.
 ///
 /// Call [`ProgressMeter::finish`] (or just drop the meter) when the
 /// loop ends: a final completion frame is emitted so the last partial

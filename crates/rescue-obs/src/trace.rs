@@ -1,5 +1,5 @@
 //! The one timing primitive, [`span`], and the timeline it feeds: a
-//! JSONL sink and an in-memory record buffer for Perfetto export.
+//! trace sink streaming Chrome trace-event JSON to disk.
 //!
 //! A span guard reads the clock once when it opens and once when it
 //! closes, and hands that single elapsed value to every consumer:
@@ -7,9 +7,8 @@
 //! * the per-thread path tree of [`crate::profile`] (the `profile.*`
 //!   report sections, the flame summary and the per-name [`SpanStat`]
 //!   summary), when the aggregate is on;
-//! * the timeline — one JSON object per line in the sink, and a
-//!   [`TraceRecord`] when recording — when a sink is attached or
-//!   recording is on;
+//! * the timeline — one complete (`"X"`) trace event in the sink — when
+//!   a sink is open;
 //! * the caller, through [`SpanGuard::finish`], so engine phase
 //!   timers (`AtpgTiming`, fault-sim busy time) are the same
 //!   measurement the profile and the trace show.
@@ -17,44 +16,78 @@
 //! Whether a span records is decided when it opens. Timestamps are
 //! nanoseconds since the tracer's creation (monotonic, from
 //! [`Instant`]), so a trace is self-consistent even though it carries
-//! no wall-clock times. Every record also carries a small per-thread
-//! id so the Figure 9 thread fan-out renders as separate tracks, and a
-//! nesting depth: the height of the thread's span stack.
+//! no wall-clock times. Every event also carries a small per-thread id
+//! so the Figure 9 thread fan-out renders as separate tracks; a span
+//! carries its nesting depth, the height of the thread's span stack.
 //!
 //! Besides spans there are point [`Tracer::event`]s and numeric
-//! [`Tracer::counter`] samples; counters become counter tracks in the
-//! Perfetto export ([`crate::perfetto`]).
+//! [`Tracer::counter`] samples, which Perfetto renders as instants and
+//! counter tracks; the `perfetto` module encodes all three.
+//!
+//! The sink writes events as they happen, so a trace costs the sink's
+//! 64 KiB buffer, not memory per event. The file is a JSON Array Format
+//! document: `[`, the `process_name` metadata event, then one event per
+//! line, each after the first led by its separating comma, and `]` when
+//! the sink closes ([`Tracer::close_sink`]). Flushes are line-aligned
+//! (every 32 events, from the panic hook, and on drop), so the file of
+//! a run that dies is a prefix that parses as JSON once a torn last
+//! line is dropped and `]` appended — the format makes the closing `]`
+//! optional for exactly this case.
 //!
 //! Deep engine code opens spans on the process-global tracer
 //! ([`global`] / [`span`]) so experiment drivers don't have to thread a
-//! handle through every API. With the aggregate off and no sink or
-//! recording, a span costs two clock reads and two atomic loads.
+//! handle through every API. With the aggregate off and no sink open, a
+//! span costs two clock reads and two atomic loads.
 
-use crate::json::JsonObj;
 use std::cell::Cell;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 use std::time::Instant;
 
-/// Flush the JSONL sink every this many lines, so a run that dies
+/// Flush the sink every this many events, so a run that dies
 /// mid-flight (panic, kill, OOM) still leaves a parseable trace file
-/// missing at most the newest few records.
-const FLUSH_EVERY_LINES: u64 = 32;
+/// missing at most the newest few events.
+const FLUSH_EVERY_EVENTS: u64 = 32;
 
 /// Sink buffer capacity. Large enough that `BufWriter` never fills up
 /// between explicit line-boundary flushes, so a flush can never land
-/// mid-line and every flushed prefix of the file is valid JSONL.
+/// mid-line and every flushed prefix of the file ends on a whole event.
 const SINK_BUF_BYTES: usize = 64 * 1024;
 
-/// A JSONL sink: the buffered writer plus a line counter driving the
-/// periodic line-aligned flush.
+/// An open trace file: the buffered writer, the events written (which
+/// drive the periodic flush and the separating commas), and the first
+/// I/O error, reported when the sink closes.
 #[derive(Debug)]
 struct Sink {
     w: BufWriter<File>,
-    lines: u64,
+    events: u64,
+    error: Option<std::io::Error>,
+}
+
+impl Sink {
+    fn write(&mut self, event: &str) {
+        if self.error.is_some() {
+            return;
+        }
+        let sep = if self.events == 0 { "" } else { "," };
+        // One write per line: a buffer flush can never split an event.
+        if let Err(e) = self.w.write_all(format!("{sep}{event}\n").as_bytes()) {
+            self.error = Some(e);
+        }
+        self.events += 1;
+        if self.events.is_multiple_of(FLUSH_EVERY_EVENTS) {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Err(e) = self.w.flush() {
+            self.error.get_or_insert(e);
+        }
+    }
 }
 
 thread_local! {
@@ -62,8 +95,8 @@ thread_local! {
 }
 
 /// Monotonically increasing thread ids, assigned on first trace use per
-/// thread. Id 1 is whichever thread traces first (the main thread in
-/// practice); 0 is never assigned.
+/// thread. Id 1 is whichever thread traces first, which need not be the
+/// main thread (in `fig9` a simulation worker is); 0 is never assigned.
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 fn thread_id() -> u64 {
@@ -92,66 +125,21 @@ pub struct SpanStat {
     pub max_ns: u64,
 }
 
-/// One recorded trace entry, kept in memory when recording is enabled
-/// (see [`Tracer::set_record`]). This is the input to the Perfetto
-/// converter.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceRecord {
-    /// A closed span.
-    Span {
-        /// Span name.
-        name: String,
-        /// Start, nanoseconds since the tracer epoch.
-        ts_ns: u64,
-        /// Duration in nanoseconds.
-        dur_ns: u64,
-        /// Nesting depth at open.
-        depth: u64,
-        /// Originating thread.
-        tid: u64,
-    },
-    /// A point event.
-    Event {
-        /// Event name.
-        name: String,
-        /// Timestamp, nanoseconds since the tracer epoch.
-        ts_ns: u64,
-        /// Originating thread.
-        tid: u64,
-        /// Free-form string fields.
-        fields: Vec<(String, String)>,
-    },
-    /// A numeric counter sample (one point on a counter track).
-    Counter {
-        /// Counter (track) name.
-        name: String,
-        /// Timestamp, nanoseconds since the tracer epoch.
-        ts_ns: u64,
-        /// Sampled value.
-        value: f64,
-        /// Originating thread.
-        tid: u64,
-    },
-}
-
-/// The timeline: a JSONL sink and/or an in-memory record buffer. See
-/// the module docs.
+/// The timeline: an optional trace sink. See the module docs.
 #[derive(Debug)]
 pub struct Tracer {
-    /// Sink attached or recording on.
+    /// Whether a sink is open.
     timeline: AtomicBool,
-    recording: AtomicBool,
     epoch: Instant,
     sink: Mutex<Option<Sink>>,
-    records: Mutex<Vec<TraceRecord>>,
 }
 
 impl Drop for Tracer {
     fn drop(&mut self) {
-        // Local tracers (tests, tools) flush their sink on the way out;
+        // Local tracers (tests, tools) close their sink on the way out;
         // the process-global tracer is covered by the panic hook and
         // the periodic flush instead, since statics never drop.
-        self.flush();
+        let _ = self.close_sink();
     }
 }
 
@@ -162,59 +150,75 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A new tracer with no sink and recording off.
+    /// A new tracer with no sink.
     pub fn new() -> Self {
         Tracer {
             timeline: AtomicBool::new(false),
-            recording: AtomicBool::new(false),
             epoch: Instant::now(),
             sink: Mutex::new(None),
-            records: Mutex::new(Vec::new()),
         }
     }
 
-    /// Whether the timeline is on: a sink is attached or recording is
-    /// on.
+    /// Whether the timeline is on (a sink is open).
     pub fn enabled(&self) -> bool {
         self.timeline.load(Ordering::Relaxed)
     }
 
-    /// Keep every span/event/counter in memory (for [`take_records`] /
-    /// Perfetto export) in addition to any JSONL sink.
+    /// Open a trace sink at `path` (truncates), replacing any open one,
+    /// and write the `[` and the `process_name` metadata event naming
+    /// the process `title` (flushed at once, so even a run killed
+    /// before its first periodic flush leaves a parseable file).
     ///
-    /// [`take_records`]: Tracer::take_records
-    pub fn set_record(&self, on: bool) {
-        self.recording.store(on, Ordering::Relaxed);
-        let sink = self.sink.lock().expect("tracer sink poisoned").is_some();
-        self.timeline.store(on || sink, Ordering::Relaxed);
-    }
-
-    /// Whether in-memory recording is on.
-    pub fn recording(&self) -> bool {
-        self.recording.load(Ordering::Relaxed)
-    }
-
-    /// Drain the in-memory record buffer.
-    pub fn take_records(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut *self.records.lock().expect("tracer records poisoned"))
-    }
-
-    /// Attach a JSONL sink at `path` (truncates).
-    ///
-    /// Attaching a sink to the process-global tracer also installs (a
+    /// Only creating the file can fail here; a later write error is
+    /// kept and returned by [`close_sink`](Tracer::close_sink).
+    /// Opening a sink on the process-global tracer also installs (a
     /// chained) panic hook that flushes it, so a panicking run still
     /// leaves a parseable trace file.
-    pub fn set_sink_path(&self, path: &str) -> std::io::Result<()> {
-        let f = File::create(path)?;
-        *self.sink.lock().expect("tracer sink poisoned") = Some(Sink {
-            w: BufWriter::with_capacity(SINK_BUF_BYTES, f),
-            lines: 0,
-        });
+    pub fn open_sink(&self, path: &str, title: &str) -> std::io::Result<()> {
+        let mut sink = Sink {
+            w: BufWriter::with_capacity(SINK_BUF_BYTES, File::create(path)?),
+            events: 0,
+            error: None,
+        };
+        if let Err(e) = sink.w.write_all(b"[\n") {
+            sink.error = Some(e);
+        }
+        sink.write(&crate::perfetto::process_name(title));
+        sink.flush();
+        *self.lock_sink() = Some(sink);
         self.timeline.store(true, Ordering::Relaxed);
         if std::ptr::eq(self, global()) {
             install_panic_flush();
         }
         Ok(())
+    }
+
+    /// Close the sink: write the closing `]`, flush, and return the
+    /// number of events written (metadata included), or the first I/O
+    /// error the sink met. `Ok(0)` when no sink was open.
+    pub fn close_sink(&self) -> std::io::Result<u64> {
+        self.timeline.store(false, Ordering::Relaxed);
+        let Some(mut s) = self.lock_sink().take() else {
+            return Ok(0);
+        };
+        if s.error.is_none() {
+            if let Err(e) = s.w.write_all(b"]\n") {
+                s.error = Some(e);
+            }
+        }
+        s.flush();
+        match s.error {
+            Some(e) => Err(e),
+            None => Ok(s.events),
+        }
+    }
+
+    /// The sink slot. Every update under the lock leaves the sink
+    /// usable (at worst a torn last line, which readers drop), so a
+    /// guard poisoned by a panicking thread is recovered rather than
+    /// turned into a second panic in the panic hook or at exit.
+    fn lock_sink(&self) -> MutexGuard<'_, Option<Sink>> {
+        self.sink.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Nanoseconds since the tracer was created.
@@ -262,31 +266,13 @@ impl Tracer {
 
     /// Emit a point event with optional string fields.
     pub fn event(&self, name: &str, fields: &[(&str, &str)]) {
-        if !self.enabled() {
-            return;
-        }
-        let ts_ns = self.now_ns();
-        let tid = thread_id();
-        let mut o = JsonObj::new();
-        o.str("type", "event")
-            .str("name", name)
-            .u64("ts_ns", ts_ns)
-            .u64("depth", crate::profile::depth())
-            .u64("tid", tid);
-        for (k, v) in fields {
-            o.str(k, v);
-        }
-        self.write_line(&o.finish());
-        if self.recording() {
-            self.push_record(TraceRecord::Event {
-                name: name.to_owned(),
-                ts_ns,
-                tid,
-                fields: fields
-                    .iter()
-                    .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                    .collect(),
-            });
+        if self.enabled() {
+            self.write(&crate::perfetto::instant(
+                name,
+                self.now_ns(),
+                thread_id(),
+                fields,
+            ));
         }
     }
 
@@ -294,78 +280,27 @@ impl Tracer {
     /// time. Cheap no-op (one atomic load) while the timeline is off,
     /// so engines may call it from inner loops.
     pub fn counter(&self, name: &str, value: f64) {
-        if !self.enabled() {
-            return;
-        }
-        let ts_ns = self.now_ns();
-        let tid = thread_id();
-        let mut o = JsonObj::new();
-        o.str("type", "counter")
-            .str("name", name)
-            .u64("ts_ns", ts_ns)
-            .f64("value", value)
-            .u64("tid", tid);
-        self.write_line(&o.finish());
-        if self.recording() {
-            self.push_record(TraceRecord::Counter {
-                name: name.to_owned(),
-                ts_ns,
+        if self.enabled() {
+            self.write(&crate::perfetto::counter(
+                name,
+                self.now_ns(),
                 value,
-                tid,
-            });
+                thread_id(),
+            ));
         }
     }
 
-    fn push_record(&self, r: TraceRecord) {
-        self.records
-            .lock()
-            .expect("tracer records poisoned")
-            .push(r);
-    }
-
-    fn write_span(&self, name: &str, ts_ns: u64, dur_ns: u64, depth: u64) {
-        let tid = thread_id();
-        let mut o = JsonObj::new();
-        o.str("type", "span")
-            .str("name", name)
-            .u64("ts_ns", ts_ns)
-            .u64("dur_ns", dur_ns)
-            .u64("depth", depth)
-            .u64("tid", tid);
-        self.write_line(&o.finish());
-        if self.recording() {
-            self.push_record(TraceRecord::Span {
-                name: name.to_owned(),
-                ts_ns,
-                dur_ns,
-                depth,
-                tid,
-            });
+    fn write(&self, event: &str) {
+        if let Some(s) = self.lock_sink().as_mut() {
+            s.write(event);
         }
     }
 
-    fn write_line(&self, line: &str) {
-        let mut sink = self.sink.lock().expect("tracer sink poisoned");
-        if let Some(s) = sink.as_mut() {
-            let _ = writeln!(s.w, "{line}");
-            s.lines += 1;
-            if s.lines.is_multiple_of(FLUSH_EVERY_LINES) {
-                let _ = s.w.flush();
-            }
-        }
-    }
-
-    /// Flush the sink (call before exiting).
-    pub fn flush(&self) {
-        // A poisoned mutex here means the panic hook is flushing after
-        // a panic inside the sink critical section; recover the guard
-        // rather than double-panic.
-        let mut guard = match self.sink.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(s) = guard.as_mut() {
-            let _ = s.w.flush();
+    /// Flush the sink without closing it (other threads may still be
+    /// writing when the panic hook calls this).
+    fn flush(&self) {
+        if let Some(s) = self.lock_sink().as_mut() {
+            s.flush();
         }
     }
 }
@@ -402,7 +337,9 @@ impl SpanGuard<'_> {
             crate::profile::exit(dur_ns, self.aggregate);
             if self.timeline {
                 let ts_ns = self.tracer.ns_at(self.start);
-                self.tracer.write_span(self.name, ts_ns, dur_ns, depth);
+                let tid = thread_id();
+                let event = crate::perfetto::span(self.name, ts_ns, dur_ns, depth, tid);
+                self.tracer.write(&event);
             }
         }
         dur_ns
@@ -417,14 +354,14 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// The process-global tracer (no sink, recording off).
+/// The process-global tracer (no sink until one is opened).
 pub fn global() -> &'static Tracer {
     static GLOBAL: OnceLock<Tracer> = OnceLock::new();
     GLOBAL.get_or_init(Tracer::new)
 }
 
 /// Chain a panic hook (once) that flushes the global tracer's sink, so
-/// partial runs still yield parseable JSONL.
+/// partial runs still leave a parseable trace prefix.
 fn install_panic_flush() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
@@ -454,8 +391,8 @@ pub fn span_root(name: &'static str) -> SpanGuard<'static> {
     global().span_root(name)
 }
 
-/// Sample a counter on the global tracer (no-op while the timeline is
-/// off).
+/// Sample a counter on the global tracer (no-op while no sink is
+/// open).
 pub fn counter(name: &str, value: f64) {
     global().counter(name, value);
 }

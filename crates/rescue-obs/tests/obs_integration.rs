@@ -1,5 +1,6 @@
-//! Integration tests for the tracer: span nesting, the JSONL sink
-//! (one parseable object per line), and the report's JSON document.
+//! Integration tests for the tracer: span nesting, the trace sink
+//! (one parseable event object per line), and the report's JSON
+//! document.
 //!
 //! The sandbox has no serde, so validation uses a minimal recursive
 //! descent JSON parser defined at the bottom of this file.
@@ -64,53 +65,76 @@ fn span_nesting_depths_and_summary() {
 
 #[test]
 fn jsonl_sink_one_object_per_line() {
-    let path = std::env::temp_dir().join(format!("rescue_obs_trace_{}.jsonl", std::process::id()));
+    let path = std::env::temp_dir().join(format!("rescue_obs_trace_{}.json", std::process::id()));
     let path_s = path.to_str().unwrap();
 
     let t = Tracer::new();
-    t.set_sink_path(path_s).unwrap();
+    t.open_sink(path_s, "sink").unwrap();
     {
         let _a = t.span("phase.one");
         let _b = t.span("phase.\"two\"\n"); // name needing escapes
         t.event("checkpoint", &[("k", "v"), ("newline", "a\nb")]);
     }
-    t.flush();
+    t.close_sink().unwrap();
 
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
+    // `[`, one event per line (the metadata event, the event, two
+    // spans), each after the first led by its comma, then `]`.
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 3, "event + two spans: {text:?}");
-    for line in &lines {
-        let v = json::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
-        let obj = match v {
-            json::Value::Object(o) => o,
-            other => panic!("line is not an object: {other:?}"),
-        };
-        let ty = obj.iter().find(|(k, _)| k == "type").expect("type field");
-        match &ty.1 {
-            json::Value::Str(s) if s == "span" => {
-                for field in ["name", "ts_ns", "dur_ns", "depth"] {
-                    assert!(obj.iter().any(|(k, _)| k == field), "missing {field}");
-                }
+    assert_eq!(lines.len(), 6, "{text:?}");
+    assert_eq!((lines[0], lines[5]), ("[", "]"));
+    let objects: Vec<Vec<(String, json::Value)>> = lines[1..5]
+        .iter()
+        .enumerate()
+        .map(|(i, line)| {
+            let body = if i == 0 {
+                *line
+            } else {
+                line.strip_prefix(',').expect("comma")
+            };
+            match json::parse(body).unwrap_or_else(|e| panic!("bad line {line:?}: {e}")) {
+                json::Value::Object(o) => o,
+                other => panic!("line is not an object: {other:?}"),
             }
-            json::Value::Str(s) if s == "event" => {
-                assert!(obj.iter().any(|(k, _)| k == "newline"));
-            }
-            other => panic!("unexpected type {other:?}"),
+        })
+        .collect();
+    let field = |o: &[(String, json::Value)], k: &str| {
+        o.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone())
+    };
+    let ph = |o: &[(String, json::Value)]| match field(o, "ph") {
+        Some(json::Value::Str(s)) => s,
+        other => panic!("no ph: {other:?}"),
+    };
+    let phases: Vec<String> = objects.iter().map(|o| ph(o)).collect();
+    assert_eq!(phases, ["M", "i", "X", "X"]);
+    let args = |o: &[(String, json::Value)]| match field(o, "args") {
+        Some(json::Value::Object(a)) => a,
+        other => panic!("no args: {other:?}"),
+    };
+    assert_eq!(
+        field(&args(&objects[1]), "newline"),
+        Some(json::Value::Str("a\nb".into()))
+    );
+    // Spans close inner-first, so the first span is the inner one at
+    // depth 1 and the second the outer at depth 0.
+    assert_eq!(
+        field(&objects[2], "name"),
+        Some(json::Value::Str("phase.\"two\"\n".into()))
+    );
+    assert_eq!(
+        field(&args(&objects[2]), "depth"),
+        Some(json::Value::Num(1.0))
+    );
+    assert_eq!(
+        field(&args(&objects[3]), "depth"),
+        Some(json::Value::Num(0.0))
+    );
+    for o in &objects[1..] {
+        for k in ["name", "ph", "ts", "pid", "tid"] {
+            assert!(field(o, k).is_some(), "missing {k}");
         }
     }
-    // Spans close inner-first, so line 2 (after the event) is the inner
-    // span at depth 1 and line 3 the outer at depth 0.
-    let depth_of = |line: &str| match json::parse(line).unwrap() {
-        json::Value::Object(o) => o
-            .into_iter()
-            .find(|(k, _)| k == "depth")
-            .map(|(_, v)| v)
-            .unwrap(),
-        _ => unreachable!(),
-    };
-    assert_eq!(depth_of(lines[1]), json::Value::Num(1.0));
-    assert_eq!(depth_of(lines[2]), json::Value::Num(0.0));
 }
 
 #[test]

@@ -1,20 +1,29 @@
-//! Crash-resilience tests for the trace JSONL sink: a run that dies
-//! mid-span must still leave a parseable trace file. Kept in its own
-//! integration binary because one test attaches a sink (and a panic
-//! hook) to the process-global tracer.
+//! Crash-resilience tests for the trace sink: a run that dies mid-span
+//! must still leave a file that parses as a trace-event array once the
+//! optional closing `]` is appended, and a sink that cannot write must
+//! say so. Kept in its own integration binary because one test opens a
+//! sink (and a panic hook) on the process-global tracer.
 
-use rescue_obs::{json, Tracer};
+use rescue_obs::json::{self, JsonValue};
+use rescue_obs::Tracer;
 use std::path::PathBuf;
 
 fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("rescue-trace-{tag}-{}.jsonl", std::process::id()))
+    std::env::temp_dir().join(format!("rescue-trace-{tag}-{}.json", std::process::id()))
 }
 
-fn parse_lines(path: &PathBuf) -> Vec<json::JsonValue> {
-    let text = std::fs::read_to_string(path).expect("trace file readable");
-    text.lines()
-        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}")))
-        .collect()
+/// The events of a trace file that may still be open or cut short: drop
+/// a torn last line, close the array if the sink did not, and parse.
+fn parse_prefix(path: &PathBuf) -> Vec<JsonValue> {
+    let mut text = std::fs::read_to_string(path).expect("trace file readable");
+    text.truncate(text.rfind('\n').map_or(0, |i| i + 1));
+    if !text.ends_with("]\n") {
+        text.push(']');
+    }
+    match json::parse(&text) {
+        Ok(JsonValue::Arr(events)) => events,
+        other => panic!("trace prefix is not an array: {other:?}\n{text}"),
+    }
 }
 
 #[test]
@@ -22,15 +31,17 @@ fn dropping_a_tracer_flushes_its_sink() {
     let path = temp_path("drop");
     {
         let t = Tracer::new();
-        t.set_sink_path(path.to_str().unwrap()).expect("sink");
+        t.open_sink(path.to_str().unwrap(), "drop").expect("sink");
         // Fewer events than the periodic-flush threshold: only the drop
-        // flush can get these to disk.
+        // can get these to disk.
         t.event("begin", &[("k", "v")]);
         t.counter("c", 1.5);
         let _s = t.span("work");
     }
-    let lines = parse_lines(&path);
-    assert_eq!(lines.len(), 3);
+    // The drop closed the array: the file parses as it stands.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let events = json::parse(&text).expect("closed trace parses");
+    assert_eq!(events.as_arr().map(<[_]>::len), Some(4), "{text}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -38,14 +49,15 @@ fn dropping_a_tracer_flushes_its_sink() {
 fn periodic_flush_yields_parseable_prefix_without_any_explicit_flush() {
     let path = temp_path("periodic");
     let t = Tracer::new();
-    t.set_sink_path(path.to_str().unwrap()).expect("sink");
+    t.open_sink(path.to_str().unwrap(), "periodic")
+        .expect("sink");
     for i in 0..100 {
         t.event("tick", &[("i", &i.to_string())]);
     }
-    // No flush, no drop: the every-32-lines policy must have pushed at
-    // least 96 complete lines to disk already.
-    let lines = parse_lines(&path);
-    assert!(lines.len() >= 96, "only {} lines flushed", lines.len());
+    // No flush, no drop: the every-32-events policy must have pushed
+    // the metadata event and at least 95 ticks to disk already.
+    let events = parse_prefix(&path);
+    assert!(events.len() >= 96, "only {} events flushed", events.len());
     drop(t);
     let _ = std::fs::remove_file(&path);
 }
@@ -54,9 +66,9 @@ fn periodic_flush_yields_parseable_prefix_without_any_explicit_flush() {
 fn killing_a_run_mid_span_leaves_parseable_jsonl() {
     let path = temp_path("panic");
     let tracer = rescue_obs::trace::global();
-    tracer.set_sink_path(path.to_str().unwrap()).expect("sink");
-    // Quiet the default "thread panicked" stderr noise while keeping
-    // the flush hook (which chains whatever hook is current) active.
+    tracer
+        .open_sink(path.to_str().unwrap(), "panic")
+        .expect("sink");
     let result = std::thread::Builder::new()
         .name("doomed".to_owned())
         .spawn(|| {
@@ -70,17 +82,24 @@ fn killing_a_run_mid_span_leaves_parseable_jsonl() {
         .expect("spawn")
         .join();
     assert!(result.is_err(), "the doomed thread must panic");
-    // The panic hook flushed the buffered lines; every line on disk is
-    // complete JSON even though the run died inside an open span.
-    let lines = parse_lines(&path);
-    assert!(
-        lines.len() >= 5,
-        "only {} lines survived the crash",
-        lines.len()
-    );
-    let has_progress = lines
+    // The panic hook flushed the buffered events; the file is an open
+    // array of whole events even though the run died inside a span.
+    let events = parse_prefix(&path);
+    let progress = events
         .iter()
-        .any(|v| matches!(v.get("name"), Some(json::JsonValue::Str(s)) if s == "progress"));
-    assert!(has_progress, "progress events missing from crash trace");
+        .filter(|v| v.get("name").and_then(JsonValue::as_str) == Some("progress"))
+        .count();
+    assert_eq!(progress, 5, "progress events missing from crash trace");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_sink_that_cannot_write_reports_the_error() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let t = Tracer::new();
+    t.open_sink("/dev/full", "full").expect("/dev/full opens");
+    t.event("lost", &[]);
+    t.close_sink().expect_err("writes to /dev/full fail");
 }

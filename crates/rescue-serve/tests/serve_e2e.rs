@@ -256,6 +256,13 @@ fn malformed_jobs_get_4xx_and_the_server_survives() {
     assert!(status.contains("400"), "{status}");
     assert!(body.contains("\"type\":\"error\""), "{body}");
 
+    // A deeply nested config: refused with the parser's depth limit on
+    // the connection thread, which an unbounded recursion would
+    // overflow; the next request below is still served.
+    let (status, body) = post_job(addr, &"[".repeat(100_000), "input a\n");
+    assert!(status.contains("400"), "{status}");
+    assert!(body.contains("nesting deeper than 128"), "{body}");
+
     // Over an admission cap: refused before any work, naming the field.
     let (status, body) = post_job(
         addr,
