@@ -75,6 +75,7 @@ fn main() {
                 .u64("isolated", e.total_isolated() as u64);
         }
 
+        let stages_before = rescue_core::pipesim::stage_totals();
         let f8 = experiments::fig8(&Fig8Params {
             n_instr: if quick { 10_000 } else { 100_000 },
             threads,
@@ -126,6 +127,7 @@ fn main() {
             rescue_bench::fig9_report(report, section, &points);
         }
         drop(fig9_span);
+        rescue_bench::pipesim_stages_report(report, &stages_before);
 
         // Static DFT lint over both variants (pre- and post-scan): the
         // diagnostic counts gate exactly in bench-diff, the SCOAP

@@ -15,6 +15,7 @@ fn main() {
         threads: rescue_bench::threads_arg(),
         ..Default::default()
     };
+    let stages_before = rescue_core::pipesim::stage_totals();
     let rows = fig8(&p);
     if rescue_bench::arg_flag("--csv") {
         print!("{}", rescue_core::render::fig8_csv(&rows));
@@ -34,5 +35,6 @@ fn main() {
             &row.rescue_result,
         );
     }
+    rescue_bench::pipesim_stages_report(&mut report, &stages_before);
     rescue_bench::obs_finish(&obs, &mut report);
 }

@@ -21,6 +21,7 @@ fn main() {
     let csv = rescue_bench::arg_flag("--csv");
     let mut report = Report::new("fig9");
     // Both panels come from one simulated IPC table.
+    let stages_before = rescue_core::pipesim::stage_totals();
     let fig9_span = rescue_obs::span("fig9");
     let ipcs = fig9_ipcs(&p);
     rescue_bench::fig9_sims_report(&mut report, &ipcs);
@@ -51,5 +52,6 @@ fn main() {
         rescue_bench::fig9_report(&mut report, section, &points);
     }
     drop(fig9_span);
+    rescue_bench::pipesim_stages_report(&mut report, &stages_before);
     rescue_bench::obs_finish(&obs, &mut report);
 }

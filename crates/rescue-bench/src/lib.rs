@@ -931,6 +931,22 @@ pub fn fig9_report(report: &mut Report, panel: &str, points: &[Fig9Point]) {
     }
 }
 
+/// Fill the `pipesim.stages` section with the pipeline-simulation
+/// stage work done since `before`, a
+/// [`stage_totals`](rescue_core::pipesim::stage_totals) reading: one row
+/// per [`STAGE_COUNTERS`](rescue_core::pipesim::STAGE_COUNTERS) name.
+/// Every simulation counts the same work on any thread count, so the
+/// rows gate exactly.
+pub fn pipesim_stages_report(
+    report: &mut Report,
+    before: &[(&str, u64); rescue_core::pipesim::STAGE_COUNTERS.len()],
+) {
+    let sec = report.section("pipesim.stages");
+    for ((name, now), (_, then)) in rescue_core::pipesim::stage_totals().iter().zip(before) {
+        sec.u64(name, now - then);
+    }
+}
+
 /// Fill one report section from a pipeline [`SimResult`]: IPC, stall
 /// causes, squash/replay counts, and the windowed-IPC distribution.
 pub fn sim_report(report: &mut Report, name: &str, r: &SimResult) {

@@ -14,6 +14,7 @@ use crate::config::{CoreConfig, Policy, Resources, SimConfig};
 use crate::result::{SimResult, IPC_WINDOW_CYCLES};
 use rescue_workloads::{InstrKind, TraceInstr};
 use std::collections::VecDeque;
+use std::sync::{Arc, OnceLock};
 
 /// Result not yet available.
 const NOT_READY: u64 = u64::MAX;
@@ -59,6 +60,69 @@ impl Queue {
     fn occupancy(&self) -> usize {
         self.old.len() + self.new.len() + self.buf.len()
     }
+}
+
+/// The per-stage work counters, in [`StageWork`] field order: each is
+/// the registry counter `pipesim.stages.<name>`.
+pub const STAGE_COUNTERS: [&str; 5] = [
+    "select_scanned",
+    "released",
+    "compaction_moves",
+    "rob_scanned_done",
+    "rob_scanned_next_event",
+];
+
+/// Work done by one engine's stages, counted in plain integers and
+/// added to the `pipesim.stages.*` registry counters at every IPC-window
+/// close and at the end of the run.
+#[derive(Clone, Copy, Debug, Default)]
+struct StageWork {
+    /// Queue entries selection examined.
+    select_scanned: u64,
+    /// Issue-queue slots released.
+    released: u64,
+    /// Entries moved between queue halves and the compaction buffer.
+    compaction_moves: u64,
+    /// ROB entries the Done promotion walked.
+    rob_scanned_done: u64,
+    /// ROB entries idle skipping walked.
+    rob_scanned_next_event: u64,
+}
+
+impl StageWork {
+    /// Add the counts to the registry counters and start again at zero.
+    fn flush(&mut self) {
+        let counts = [
+            self.select_scanned,
+            self.released,
+            self.compaction_moves,
+            self.rob_scanned_done,
+            self.rob_scanned_next_event,
+        ];
+        for (counter, n) in stage_counters().iter().zip(counts) {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+        *self = StageWork::default();
+    }
+}
+
+fn stage_counters() -> &'static [Arc<rescue_obs::metrics::Counter>; STAGE_COUNTERS.len()] {
+    static COUNTERS: OnceLock<[Arc<rescue_obs::metrics::Counter>; STAGE_COUNTERS.len()]> =
+        OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        STAGE_COUNTERS
+            .map(|name| rescue_obs::metrics::global().counter(&format!("pipesim.stages.{name}")))
+    })
+}
+
+/// The `pipesim.stages.*` totals of every simulation this process has
+/// finished (and the whole IPC windows of those still running), in
+/// [`STAGE_COUNTERS`] order.
+pub fn stage_totals() -> [(&'static str, u64); STAGE_COUNTERS.len()] {
+    let counters = stage_counters();
+    std::array::from_fn(|i| (STAGE_COUNTERS[i], counters[i].get()))
 }
 
 /// Run `cfg`/`core` over `trace` until `n_instr` instructions commit.
@@ -179,6 +243,8 @@ struct Engine<'c, T: Iterator<Item = TraceInstr>> {
     window_committed_base: u64,
     /// The `live.pipesim.*` counters, advanced once per IPC window.
     live: &'static rescue_obs::EngineCounters,
+    /// Stage work since the last flush to the `pipesim.stages.*` counters.
+    work: StageWork,
     /// Why dispatch stalled in the last stepped cycle, if it did.
     last_stall: Option<StallCause>,
     /// Whether fetch sat out the last stepped cycle on a redirect.
@@ -251,6 +317,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             last_commit_cycle: 0,
             window_committed_base: 0,
             live: rescue_obs::live::counters(),
+            work: StageWork::default(),
             last_stall: None,
             fetch_stalled: false,
             next_done: u64::MAX,
@@ -287,6 +354,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             );
         }
         self.stats.cycles = self.cycle;
+        self.work.flush();
         self.stats.clone()
     }
 
@@ -327,6 +395,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     /// watchdog limit so a deadlock still panics at the same cycle.
     fn skip_idle_cycles(&mut self) {
         let now = self.cycle;
+        self.work.rob_scanned_next_event += self.rob.len() as u64;
         let next = self
             .next_event(now)
             .min(self.last_commit_cycle + WATCHDOG_CYCLES);
@@ -403,6 +472,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
         self.window_committed_base = self.stats.committed;
         self.live.pipesim_cycles.add(IPC_WINDOW_CYCLES);
         self.live.pipesim_committed.add(window);
+        self.work.flush();
         // Counter tracks for the Perfetto timeline (no-ops unless the
         // tracer is enabled; cheap enough for the window boundary).
         if rescue_obs::global().enabled() {
@@ -635,7 +705,19 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     /// Every kind an int-queue entry can hold consumes `int_width`, and
     /// every fp-queue kind consumes `fp_width`, so once the queue's width
     /// is used up no later entry fits and the scan stops.
-    fn pick_from(&self, parts: &[QueuePart], used: &mut Resources, picks: &mut Vec<u64>) {
+    fn pick_from(&mut self, parts: &[QueuePart], used: &mut Resources, picks: &mut Vec<u64>) {
+        let mut scanned = 0;
+        self.pick_from_scan(parts, used, picks, &mut scanned);
+        self.work.select_scanned += scanned;
+    }
+
+    fn pick_from_scan(
+        &self,
+        parts: &[QueuePart],
+        used: &mut Resources,
+        picks: &mut Vec<u64>,
+        scanned: &mut u64,
+    ) {
         let width_used = |used: &Resources| match parts[0] {
             QueuePart::IntOld | QueuePart::IntNew => used.int_width >= self.budget.int_width,
             QueuePart::FpOld | QueuePart::FpNew => used.fp_width >= self.budget.fp_width,
@@ -645,6 +727,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 if width_used(used) && !self.eager() {
                     return;
                 }
+                *scanned += 1;
                 let s = self.slot(id);
                 if s.state != State::InQueue || !self.sources_ready(id) {
                     continue;
@@ -686,6 +769,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
         let mut changed = false;
         if cycle >= self.next_done || self.eager() {
             let mut next_done = u64::MAX;
+            self.work.rob_scanned_done += self.rob.len() as u64;
             for slot in self.rob.iter_mut() {
                 if slot.state == State::Issued {
                     if slot.done_cycle <= cycle {
@@ -702,6 +786,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             let rob = &mut self.rob;
             let base = self.rob_base;
             let mut next_safe = u64::MAX;
+            let mut released = 0;
             for dq in [
                 &mut self.intq.old,
                 &mut self.intq.new,
@@ -717,6 +802,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                     if cycle >= safe_at {
                         s.in_queue = false;
                         changed = true;
+                        released += 1;
                         false
                     } else {
                         next_safe = next_safe.min(safe_at);
@@ -735,6 +821,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 }
             }
             self.next_safe = next_safe;
+            self.work.released += released;
         }
         changed
     }
@@ -754,6 +841,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     // ---- Stage 4: compaction.
     fn compact(&mut self) -> bool {
         let mut changed = false;
+        let mut moves = 0;
         match self.cfg.policy {
             Policy::Baseline => {
                 // Single-cycle inter-segment compaction: the queue behaves
@@ -764,6 +852,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                         let id = q.new.pop_front().expect("non-empty");
                         q.old.push_back(id);
                         changed = true;
+                        moves += 1;
                     }
                 }
             }
@@ -782,6 +871,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                         let id = q.buf.pop_front().expect("non-empty");
                         q.old.push_back(id);
                         changed = true;
+                        moves += 1;
                     }
                     // New half forwards entries toward the buffer based on
                     // *last* cycle's free-slot count (cycle-split request).
@@ -791,6 +881,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                         q.buf.push_back(id);
                         quota -= 1;
                         changed = true;
+                        moves += 1;
                     }
                     let old_free = half - q.old.len().min(half);
                     changed |= old_free != q.old_free_prev;
@@ -816,6 +907,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 }
             }
         }
+        self.work.compaction_moves += moves;
         changed
     }
 
@@ -1139,6 +1231,162 @@ mod tests {
     }
 
     const RECORDED_DIGEST: u64 = 0xc160_46fe_4476_84d3;
+
+    /// Shapes of synthetic trace that drive the engine's event paths
+    /// harder than the SPEC profiles do.
+    #[derive(Clone, Copy, Debug)]
+    enum Stress {
+        /// Bursts of L1-missing loads with dependent consumers: miss
+        /// squashes land on entries in every queue part, the compaction
+        /// buffer included.
+        MissStorm,
+        /// Every instruction waits on the one before it, through
+        /// long-latency int, fp and load producers.
+        Chains,
+        /// Bursts of mispredicted branches between dependent ALU work.
+        MispredictBursts,
+        /// Every kind, random dependences, misses and mispredicts.
+        Mixed,
+    }
+
+    const STRESS: [Stress; 4] = [
+        Stress::MissStorm,
+        Stress::Chains,
+        Stress::MispredictBursts,
+        Stress::Mixed,
+    ];
+
+    /// An endless `shape` trace drawn from `seed`. No dependence reaches
+    /// back before the first instruction.
+    fn stress_trace(shape: Stress, seed: u64) -> impl Iterator<Item = TraceInstr> {
+        use InstrKind::*;
+        let mut rng = SplitMix64::new(seed);
+        (0u64..).map(move |i| {
+            let mut t = TraceInstr::simple_alu();
+            let dep = |rng: &mut SplitMix64, max: usize| {
+                let d = 1 + rng.below(max) as u64;
+                (d <= i).then_some(d as u16)
+            };
+            match shape {
+                Stress::MissStorm => {
+                    if i % 64 < 24 && rng.gen_bool(0.7) {
+                        t.kind = Load;
+                        t.l1_miss = rng.gen_bool(0.9);
+                        t.l2_miss = t.l1_miss && rng.gen_bool(0.3);
+                        t.src_deps[0] = dep(&mut rng, 40).filter(|_| rng.gen_bool(0.3));
+                    } else {
+                        t.kind = [IntAlu, IntAlu, FpAdd, Store][rng.below(4)];
+                        t.src_deps = [dep(&mut rng, 4), dep(&mut rng, 12)];
+                    }
+                }
+                Stress::Chains => {
+                    t.kind = [IntAlu, IntMul, FpAdd, FpMul, Load, IntAlu][rng.below(6)];
+                    t.l1_miss = t.kind == Load && rng.gen_bool(0.2);
+                    t.src_deps = [
+                        dep(&mut rng, 1),
+                        dep(&mut rng, 200).filter(|_| rng.next_bool()),
+                    ];
+                }
+                Stress::MispredictBursts => {
+                    if i % 96 < 32 && i % 3 == 0 {
+                        t.kind = Branch;
+                        t.mispredict = rng.gen_bool(0.6);
+                    } else {
+                        t.kind = [IntAlu, IntAlu, IntMul, Load][rng.below(4)];
+                    }
+                    t.src_deps = [dep(&mut rng, 6), None];
+                }
+                Stress::Mixed => {
+                    t.kind = [IntAlu, IntMul, FpAdd, FpMul, Load, Store, Branch][rng.below(7)];
+                    t.l1_miss = t.kind == Load && rng.gen_bool(0.4);
+                    t.l2_miss = t.l1_miss && rng.gen_bool(0.5);
+                    t.mispredict = t.kind == Branch && rng.gen_bool(0.1);
+                    t.src_deps = [
+                        dep(&mut rng, 16),
+                        dep(&mut rng, 64).filter(|_| rng.next_bool()),
+                    ];
+                }
+            }
+            t
+        })
+    }
+
+    /// FNV-1a over the `Debug` rendering of the result of every stress
+    /// case at `n_instr` instructions and `halvings`: both policies, every
+    /// shape, healthy, single-half and degraded cores, and on Rescue every
+    /// [`ReplayPolicy`] with compaction buffers of 1, 4 and 8 entries.
+    fn stress_digest(n_instr: u64, halvings: &[u32]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let cores = [
+            CoreConfig::healthy(),
+            single_half(false),
+            single_half(true),
+            CoreConfig::all_degraded()[45],
+            CoreConfig::all_degraded()[22],
+        ];
+        let replays = [
+            ReplayPolicy::SmallerHalf,
+            ReplayPolicy::NewHalf,
+            ReplayPolicy::LargerHalf,
+        ];
+        let mut case = 0;
+        for &halving in halvings {
+            for (s, &shape) in STRESS.iter().enumerate() {
+                let mut cfgs = Vec::new();
+                for core in &cores {
+                    cfgs.push((SimConfig::paper(Policy::Baseline), *core));
+                }
+                for combo in 0..9 {
+                    let mut cfg = SimConfig::paper(Policy::Rescue);
+                    cfg.replay_policy = replays[combo % 3];
+                    cfg.compaction_buffer = [1, 4, 8][combo / 3];
+                    cfgs.push((cfg, cores[(s + combo) % cores.len()]));
+                }
+                for (cfg, core) in cfgs {
+                    let cfg = cfg.scaled_to_halvings(halving);
+                    let r = simulate(&cfg, &core, stress_trace(shape, 7 + case), n_instr);
+                    assert!(r.committed >= n_instr, "{shape:?} {core:?}");
+                    case += 1;
+                    for b in format!("{r:?}").bytes() {
+                        h ^= u64::from(b);
+                        h = h.wrapping_mul(0x1000_0000_01b3);
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    /// The stress matrix at 1,500 instructions on the 90 and 18 nm
+    /// latencies. The digest was recorded on the engine that rescanned
+    /// its window every cycle, before wakeup, Done promotion and slot
+    /// release became event driven.
+    #[test]
+    fn stress_results_match_the_recorded_digest() {
+        let h = stress_digest(1_500, &[0, 5]);
+        assert_eq!(h, STRESS_DIGEST, "got {h:#018x}");
+    }
+
+    const STRESS_DIGEST: u64 = 0x5dc0_95c7_2c91_289d;
+
+    /// The stress matrix at Figure 9's simulation sizes (2k, 5k and 30k
+    /// instructions) on the latencies of its four nodes (90, 65, 32 and
+    /// 18 nm are 0, 1, 3 and 5 area halvings), recorded like
+    /// [`STRESS_DIGEST`]. Run it with `--release -- --ignored`.
+    #[test]
+    #[ignore = "minutes in a debug build; run with --release -- --ignored"]
+    fn stress_results_at_figure9_sizes_match_the_recorded_digest() {
+        let got: Vec<u64> = [2_000, 5_000, 30_000]
+            .map(|n| stress_digest(n, &[0, 1, 3, 5]))
+            .to_vec();
+        assert_eq!(got, STRESS_DIGESTS_FIG9, "got {got:#018x?}");
+    }
+
+    const STRESS_DIGESTS_FIG9: [u64; 3] = [
+        0x1d6f_490a_7e34_8b7a,
+        0x8014_54e6_9cf1_46a8,
+        0x7aa0_41ce_8d18_b1e2,
+    ];
 
     #[test]
     fn skipping_drains_a_finite_trace_like_stepping() {

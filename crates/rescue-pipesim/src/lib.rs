@@ -37,5 +37,5 @@ mod engine;
 mod result;
 
 pub use config::{CoreConfig, Policy, ReplayPolicy, Resources, SimConfig};
-pub use engine::{simulate, TraceSummary};
+pub use engine::{simulate, stage_totals, TraceSummary, STAGE_COUNTERS};
 pub use result::{SimResult, IPC_WINDOW_CYCLES};
