@@ -8,8 +8,8 @@ use rescue_obs::SplitMix64;
 use rescue_pipesim::{simulate, CoreConfig, Policy, SimConfig, SimResult, TraceSummary};
 use rescue_workloads::{spec2000_profiles, BenchmarkProfile, TraceGenerator, TraceInstr};
 use rescue_yield::{
-    relative_yat, relative_yat_self_healing, AreaModel, ClassCounts, RescueAreas, Scenario,
-    TechNode, YatInputs, YatPoint,
+    relative_yat_batch, AreaModel, ClassCounts, RescueAreas, Scenario, TechNode, YatInputs,
+    YatPoint,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -777,19 +777,33 @@ pub fn fig9_panel(scenario: &Scenario, ipcs: &Fig9Ipcs, p: &Fig9Params) -> Vec<F
     let mut out = Vec::new();
     for (&node, per_bench) in p.nodes.iter().zip(&ipcs.per_node) {
         let _s = rescue_obs::span("fig9.node");
+        let lookups: Vec<_> = per_bench
+            .iter()
+            .map(|(_, map)| move |c: ClassCounts| -> f64 { map[&c] })
+            .collect();
+        let inputs: Vec<YatInputs<'_>> = per_bench
+            .iter()
+            .zip(&lookups)
+            .map(|((base_ipc, _), f)| YatInputs {
+                ipc_baseline: *base_ipc,
+                ipc_rescue: f,
+            })
+            .collect();
         for &growth in &p.growths {
+            // Every benchmark's point in one pass over the quadrature,
+            // each bit-identical to its own `relative_yat` call.
+            let points = relative_yat_batch(scenario, node, growth, &inputs, false);
+            let healed = if p.include_self_healing {
+                relative_yat_batch(scenario, node, growth, &inputs, true)
+            } else {
+                Vec::new()
+            };
             // Average the relative YAT across benchmarks.
             let mut acc: Option<YatPoint> = None;
             let mut acc_heal = 0.0;
-            for (base_ipc, map) in per_bench {
-                let f = |c: ClassCounts| -> f64 { map[&c] };
-                let inputs = YatInputs {
-                    ipc_baseline: *base_ipc,
-                    ipc_rescue: &f,
-                };
-                let pt = relative_yat(scenario, node, growth, &inputs);
-                if p.include_self_healing {
-                    acc_heal += relative_yat_self_healing(scenario, node, growth, &inputs).rescue;
+            for (i, &pt) in points.iter().enumerate() {
+                if let Some(h) = healed.get(i) {
+                    acc_heal += h.rescue;
                 }
                 acc = Some(match acc {
                     None => pt,

@@ -13,6 +13,19 @@
 /// Accurate to ~1e-8 for smooth integrands with α = 2 (the density decays
 /// like `x e^{-2x}`; mass beyond the cutoff is negligible).
 pub fn gamma_mixture_integrate(alpha: f64, f: impl Fn(f64) -> f64) -> f64 {
+    gamma_mixture_integrate_many(alpha, 1, |x, out| out[0] = f(x))[0]
+}
+
+/// Integrate `k` integrands at once: `f(x, out)` writes the value of
+/// each at `x` into `out[..k]`. Every integral adds the same terms in
+/// the same order as [`gamma_mixture_integrate`] of that integrand alone,
+/// so each result is bit-identical to it, while work shared by the
+/// integrands is done once per quadrature node.
+pub fn gamma_mixture_integrate_many(
+    alpha: f64,
+    k: usize,
+    mut f: impl FnMut(f64, &mut [f64]),
+) -> Vec<f64> {
     let pdf = |x: f64| -> f64 {
         // Gamma(shape α, scale 1/α), mean 1.
         let ln = alpha * alpha.ln() + (alpha - 1.0) * x.ln() - alpha * x - ln_gamma(alpha);
@@ -22,7 +35,8 @@ pub fn gamma_mixture_integrate(alpha: f64, f: impl Fn(f64) -> f64) -> f64 {
     let cutoff = 12.0f64.max(40.0 / alpha);
     let n = 2000usize; // even
     let h = cutoff / n as f64;
-    let mut sum = 0.0;
+    let mut sums = vec![0.0; k];
+    let mut vals = vec![0.0; k];
     for i in 0..=n {
         let x = i as f64 * h;
         let w = if i == 0 || i == n {
@@ -33,9 +47,15 @@ pub fn gamma_mixture_integrate(alpha: f64, f: impl Fn(f64) -> f64) -> f64 {
             2.0
         };
         let p = if x == 0.0 { 0.0 } else { pdf(x) };
-        sum += w * p * f(x);
+        f(x, &mut vals);
+        for (sum, &v) in sums.iter_mut().zip(&vals) {
+            *sum += w * p * v;
+        }
     }
-    sum * h / 3.0
+    for sum in &mut sums {
+        *sum = *sum * h / 3.0;
+    }
+    sums
 }
 
 /// Log-gamma via the Lanczos approximation (sufficient accuracy for the

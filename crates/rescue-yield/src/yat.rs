@@ -2,7 +2,7 @@
 //! distribution with per-configuration IPC.
 
 use crate::area::{AreaModel, RescueAreas};
-use crate::mixture::{gamma_mixture_integrate, ConfigProb};
+use crate::mixture::{gamma_mixture_integrate, gamma_mixture_integrate_many, ConfigProb};
 use crate::tech::{Scenario, TechNode};
 
 /// Number of redundant resource classes.
@@ -64,7 +64,7 @@ pub fn relative_yat(
     growth: f64,
     inputs: &YatInputs<'_>,
 ) -> YatPoint {
-    relative_yat_with_areas(scenario, node, growth, inputs, false)
+    relative_yat_batch(scenario, node, growth, std::slice::from_ref(inputs), false)[0]
 }
 
 /// [`relative_yat`] with the §7 self-healing-array extension applied to
@@ -76,16 +76,22 @@ pub fn relative_yat_self_healing(
     growth: f64,
     inputs: &YatInputs<'_>,
 ) -> YatPoint {
-    relative_yat_with_areas(scenario, node, growth, inputs, true)
+    relative_yat_batch(scenario, node, growth, std::slice::from_ref(inputs), true)[0]
 }
 
-fn relative_yat_with_areas(
+/// [`relative_yat`] (or, with `self_healing`,
+/// [`relative_yat_self_healing`]) of every IPC input at one point, each
+/// bit-identical to the one-input call. The quadratures of the `none`
+/// and `core_sparing` series and, at every quadrature node, the
+/// configuration probabilities do not depend on the IPCs, so they are
+/// computed once for all inputs.
+pub fn relative_yat_batch(
     scenario: &Scenario,
     node: TechNode,
     growth: f64,
-    inputs: &YatInputs<'_>,
+    inputs: &[YatInputs<'_>],
     self_healing: bool,
-) -> YatPoint {
+) -> Vec<YatPoint> {
     let cores = scenario.cores_per_chip(node, growth);
     let density = scenario.fault_density(node);
     let shrink = scenario.core_shrink(node, growth);
@@ -106,8 +112,10 @@ fn relative_yat_with_areas(
 
     let configs = all_class_counts();
     // Pre-fetch IPCs once.
-    let ipcs: Vec<f64> = configs.iter().map(|&c| (inputs.ipc_rescue)(c)).collect();
-    let ipc_b = inputs.ipc_baseline;
+    let ipcs: Vec<Vec<f64>> = inputs
+        .iter()
+        .map(|input| configs.iter().map(|&c| (input.ipc_rescue)(c)).collect())
+        .collect();
 
     let alpha = scenario.alpha;
     let n = cores as f64;
@@ -121,7 +129,8 @@ fn relative_yat_with_areas(
 
     // --- Rescue: per-core expected IPC across configurations, normalized
     // by the baseline IPC.
-    let rescue_rel = gamma_mixture_integrate(alpha, |x| {
+    let mut probs = [0.0; 64];
+    let rescue_rel = gamma_mixture_integrate_many(alpha, inputs.len(), |x, out| {
         let kill_ok = (-(lam_chipkill) * x).exp();
         // Every config draws each class's survival probability from
         // these twelve values: evaluate them once per point, not once
@@ -130,23 +139,30 @@ fn relative_yat_with_areas(
         let survive: [[f64; 2]; NUM_CLASSES] = std::array::from_fn(|i| {
             [1, 2].map(|k| ConfigProb::groups_survive(lam_group[i] * x, k))
         });
-        let mut e = 0.0;
-        for (cfg, &ipc) in configs.iter().zip(&ipcs) {
-            let mut p = kill_ok;
+        for (p, cfg) in probs.iter_mut().zip(&configs) {
+            *p = kill_ok;
             for (s, &k) in survive.iter().zip(cfg) {
-                p *= s[usize::from(k) - 1];
+                *p *= s[usize::from(k) - 1];
             }
-            e += p * ipc;
         }
-        e / ipc_b
+        for ((v, input), ipcs) in out.iter_mut().zip(inputs).zip(&ipcs) {
+            let mut e = 0.0;
+            for (&p, &ipc) in probs.iter().zip(ipcs) {
+                e += p * ipc;
+            }
+            *v = e / input.ipc_baseline;
+        }
     });
 
-    YatPoint {
-        cores,
-        none,
-        core_sparing,
-        rescue: rescue_rel,
-    }
+    rescue_rel
+        .into_iter()
+        .map(|rescue| YatPoint {
+            cores,
+            none,
+            core_sparing,
+            rescue,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -177,6 +193,107 @@ mod tests {
 
     fn flat_inputs(rescue_ipc: f64) -> (f64, Box<dyn Fn(ClassCounts) -> f64>) {
         (1.0, Box::new(move |_| rescue_ipc))
+    }
+
+    /// The Rescue series of one input the way it was computed before
+    /// inputs were batched: one quadrature whose integrand multiplies out
+    /// every configuration's probability and weighs it by its IPC.
+    fn unbatched_rescue(
+        scenario: &Scenario,
+        node: TechNode,
+        growth: f64,
+        input: &YatInputs<'_>,
+        self_healing: bool,
+    ) -> f64 {
+        let density = scenario.fault_density(node);
+        let shrink = scenario.core_shrink(node, growth);
+        let baseline = AreaModel::baseline();
+        let rescue = if self_healing {
+            baseline.rescue_with_self_healing_arrays()
+        } else {
+            baseline.rescue()
+        };
+        let lam_chipkill = rescue.chipkill_mm2 * shrink * density;
+        let lam_group: Vec<f64> = (0..NUM_CLASSES)
+            .map(|i| rescue.group_mm2(i) * shrink * density)
+            .collect();
+        let configs = all_class_counts();
+        let ipcs: Vec<f64> = configs.iter().map(|&c| (input.ipc_rescue)(c)).collect();
+        gamma_mixture_integrate(scenario.alpha, |x| {
+            let kill_ok = (-(lam_chipkill) * x).exp();
+            let survive: [[f64; 2]; NUM_CLASSES] = std::array::from_fn(|i| {
+                [1, 2].map(|k| ConfigProb::groups_survive(lam_group[i] * x, k))
+            });
+            let mut e = 0.0;
+            for (cfg, &ipc) in configs.iter().zip(&ipcs) {
+                let mut p = kill_ok;
+                for (s, &k) in survive.iter().zip(cfg) {
+                    p *= s[usize::from(k) - 1];
+                }
+                e += p * ipc;
+            }
+            e / input.ipc_baseline
+        })
+    }
+
+    /// Over seeded random IPC maps, every batched point equals the
+    /// one-input call, and its Rescue value the unbatched quadrature, to
+    /// the bit.
+    #[test]
+    fn batched_points_equal_the_one_input_calls_bit_for_bit() {
+        let mut rng = crate::MonteRng::new(0x5eed);
+        let maps: Vec<(f64, Vec<f64>)> = (0..5)
+            .map(|_| {
+                let base = 0.5 + 2.0 * rng.uniform();
+                (base, (0..64).map(|_| 0.2 + 2.0 * rng.uniform()).collect())
+            })
+            .collect();
+        let lookups: Vec<Box<dyn Fn(ClassCounts) -> f64>> = maps
+            .iter()
+            .map(|(_, ipcs)| {
+                let ipcs = ipcs.clone();
+                let configs = all_class_counts();
+                Box::new(move |c: ClassCounts| ipcs[configs.iter().position(|&k| k == c).unwrap()])
+                    as Box<dyn Fn(ClassCounts) -> f64>
+            })
+            .collect();
+        let inputs: Vec<YatInputs<'_>> = maps
+            .iter()
+            .zip(&lookups)
+            .map(|((base, _), f)| YatInputs {
+                ipc_baseline: *base,
+                ipc_rescue: f.as_ref(),
+            })
+            .collect();
+        for sc in [
+            Scenario::pwp_stagnates_at_90nm(),
+            Scenario::pwp_stagnates_at_65nm(),
+        ] {
+            for node in TechNode::figure9_nodes() {
+                for growth in [1.0, 1.3] {
+                    for healing in [false, true] {
+                        let batch = relative_yat_batch(&sc, node, growth, &inputs, healing);
+                        for (got, input) in batch.iter().zip(&inputs) {
+                            let want = if healing {
+                                relative_yat_self_healing(&sc, node, growth, input)
+                            } else {
+                                relative_yat(&sc, node, growth, input)
+                            };
+                            let unbatched = unbatched_rescue(&sc, node, growth, input, healing);
+                            assert_eq!(got.rescue.to_bits(), unbatched.to_bits());
+                            assert_eq!(got.cores, want.cores);
+                            for (g, w) in [
+                                (got.none, want.none),
+                                (got.core_sparing, want.core_sparing),
+                                (got.rescue, want.rescue),
+                            ] {
+                                assert_eq!(g.to_bits(), w.to_bits());
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
