@@ -51,13 +51,11 @@
 #![warn(missing_docs)]
 
 mod analysis;
-mod dot;
 mod examples;
 mod graph;
 mod transform;
 
 pub use analysis::{IsolationReport, Violation};
-pub use dot::to_dot;
 pub use examples::{figure3a, figure4a, issue_stage_graph};
 pub use graph::{EdgeId, EdgeKind, EdgeRef, LcEdge, LcGraph, LcId, LcNode};
 pub use transform::{PrivatizeError, RotateError, TransformLog, TransformStep};
