@@ -1,19 +1,38 @@
 //! The cycle-stepped simulation engine.
 //!
-//! A cycle in which no stage changes any state is not repeated one cycle
-//! at a time: the engine jumps to the next cycle at which a time-guarded
-//! condition can change and accounts for the skipped cycles exactly as
-//! stepping them would (`Engine::skip_idle_cycles`).
+//! Each stepped cycle does work in proportion to what happens in it, not
+//! to the window size:
 //!
-//! Within a stepped cycle, the Done promotion and the replay-shadow
-//! release skip their walks until the cycle reaches a lower bound on the
-//! next entry they could change (`Engine::next_done`, `Engine::next_safe`),
-//! and selection stops scanning a queue once its issue width is used.
+//! * Issue queues the entry's replay-shadow end, tagged with its issue
+//!   cycle (`Engine::shadow_ends`; every shadow is equally long, so the
+//!   queue is in cycle order). The slot release pops the ends that are
+//!   due; one whose entry was squashed (or squashed and reissued) since
+//!   is stale and dropped. An entry forwarded into the compaction buffer
+//!   inside its shadow is released once it reaches the old half. A
+//!   queue half drops a released id only once it reaches the front, so a
+//!   release shifts nothing.
+//! * An issued instruction is done once its `done_cycle` has passed;
+//!   retire reads that off the ROB head, so finishing needs no event.
+//! * Every producer keeps the list of its consumers, built at dispatch.
+//!   A change of its ready time recomputes theirs; a consumer whose
+//!   ready time lies ahead waits on a wakeup heap (`Engine::wakes`).
+//!   Each queue keeps its ready entries in a bit set over the ids, and
+//!   selection walks its set bits in id order, so it stays oldest first.
+//! * Compaction flips an entry between `InQueue` and `InBuffer` as it
+//!   moves, and a miss squash that hits a buffer resident puts it
+//!   straight back to `InBuffer`.
+//! * A cycle in which no stage changes any state is not repeated one
+//!   cycle at a time: the engine jumps to the earliest pending shadow
+//!   end, wakeup, miss detection, fetch resumption or ROB-head finish and
+//!   accounts for the skipped cycles exactly as stepping them would
+//!   (`Engine::skip_idle_cycles`).
 
 use crate::config::{CoreConfig, Policy, Resources, SimConfig};
 use crate::result::{SimResult, IPC_WINDOW_CYCLES};
 use rescue_workloads::{InstrKind, TraceInstr};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Result not yet available.
@@ -22,54 +41,14 @@ const NOT_READY: u64 = u64::MAX;
 /// Cycles without a commit after which the run is declared deadlocked.
 const WATCHDOG_CYCLES: u64 = 1_000_000;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum State {
-    /// Waiting in an issue-queue half.
-    InQueue,
-    /// In the Rescue inter-segment compaction buffer (wakeable, not
-    /// selectable).
-    InBuffer,
-    /// Issued; occupies its queue slot until the replay shadow passes.
-    Issued,
-    /// Execution finished.
-    Done,
-}
-
-#[derive(Clone, Debug)]
-struct Slot {
-    instr: TraceInstr,
-    state: State,
-    issue_cycle: u64,
-    done_cycle: u64,
-    /// Still occupies an issue-queue slot (or the compaction buffer).
-    in_queue: bool,
-}
-
-/// One issue queue (int or fp) with its Rescue segmentation.
-#[derive(Debug, Default)]
-struct Queue {
-    old: VecDeque<u64>,
-    new: VecDeque<u64>,
-    buf: VecDeque<u64>,
-    /// Old-half free slots visible to the new half (one cycle delayed —
-    /// the cycle-split compaction request).
-    old_free_prev: usize,
-}
-
-impl Queue {
-    fn occupancy(&self) -> usize {
-        self.old.len() + self.new.len() + self.buf.len()
-    }
-}
-
 /// The per-stage work counters, in [`StageWork`] field order: each is
 /// the registry counter `pipesim.stages.<name>`.
 pub const STAGE_COUNTERS: [&str; 5] = [
     "select_scanned",
+    "woken",
+    "events",
     "released",
     "compaction_moves",
-    "rob_scanned_done",
-    "rob_scanned_next_event",
 ];
 
 /// Work done by one engine's stages, counted in plain integers and
@@ -77,16 +56,16 @@ pub const STAGE_COUNTERS: [&str; 5] = [
 /// close and at the end of the run.
 #[derive(Clone, Copy, Debug, Default)]
 struct StageWork {
-    /// Queue entries selection examined.
+    /// Ready-list entries selection examined.
     select_scanned: u64,
+    /// Entries that joined a ready set.
+    woken: u64,
+    /// Shadow-end and wakeup events popped, stale ones included.
+    events: u64,
     /// Issue-queue slots released.
     released: u64,
     /// Entries moved between queue halves and the compaction buffer.
     compaction_moves: u64,
-    /// ROB entries the Done promotion walked.
-    rob_scanned_done: u64,
-    /// ROB entries idle skipping walked.
-    rob_scanned_next_event: u64,
 }
 
 impl StageWork {
@@ -94,10 +73,10 @@ impl StageWork {
     fn flush(&mut self) {
         let counts = [
             self.select_scanned,
+            self.woken,
+            self.events,
             self.released,
             self.compaction_moves,
-            self.rob_scanned_done,
-            self.rob_scanned_next_event,
         ];
         for (counter, n) in stage_counters().iter().zip(counts) {
             if n > 0 {
@@ -123,6 +102,272 @@ fn stage_counters() -> &'static [Arc<rescue_obs::metrics::Counter>; STAGE_COUNTE
 pub fn stage_totals() -> [(&'static str, u64); STAGE_COUNTERS.len()] {
     let counters = stage_counters();
     std::array::from_fn(|i| (STAGE_COUNTERS[i], counters[i].get()))
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum State {
+    /// Waiting in an issue-queue half.
+    InQueue,
+    /// In the Rescue inter-segment compaction buffer (wakeable, not
+    /// selectable).
+    InBuffer,
+    /// Issued: done once `done_cycle` has passed, and holding its queue
+    /// slot until the replay shadow passes.
+    Issued,
+}
+
+/// Where an entry sits in its issue queue.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Loc {
+    Old,
+    Buf,
+    New,
+    /// Its slot was released.
+    Gone,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    instr: TraceInstr,
+    state: State,
+    issue_cycle: u64,
+    done_cycle: u64,
+    loc: Loc,
+    /// The latest ready time of its sources (`NOT_READY` while one has
+    /// none).
+    ready_time: u64,
+}
+
+impl Slot {
+    /// Selectable once its sources are ready.
+    fn selectable(&self) -> bool {
+        self.state == State::InQueue && matches!(self.loc, Loc::Old | Loc::New)
+    }
+}
+
+/// The reorder buffer: ids `base..base + len`, their slots in a ring
+/// indexed by id, at least `rob_entries` long so live ids never share a
+/// slot.
+#[derive(Debug)]
+struct Rob {
+    slots: Vec<Slot>,
+    mask: u64,
+    /// The oldest id held, the next to retire.
+    base: u64,
+    len: usize,
+}
+
+impl Rob {
+    /// An empty ROB over a ring of `ring` ids, a power of two.
+    fn new(ring: usize) -> Self {
+        let unused = Slot {
+            instr: TraceInstr::simple_alu(),
+            state: State::InQueue,
+            issue_cycle: 0,
+            done_cycle: u64::MAX,
+            loc: Loc::Gone,
+            ready_time: NOT_READY,
+        };
+        Rob {
+            slots: vec![unused; ring],
+            mask: ring as u64 - 1,
+            base: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The id the next dispatched instruction gets.
+    fn end(&self) -> u64 {
+        self.base + self.len as u64
+    }
+
+    fn front(&self) -> Option<&Slot> {
+        self.get(self.base)
+    }
+
+    fn pop_front(&mut self) -> Slot {
+        let slot = *self.slot(self.base);
+        self.base += 1;
+        self.len -= 1;
+        slot
+    }
+
+    fn push_back(&mut self, slot: Slot) {
+        debug_assert!(self.len < self.slots.len());
+        let at = (self.end() & self.mask) as usize;
+        self.slots[at] = slot;
+        self.len += 1;
+    }
+
+    /// The slot of `id` if it is still in the ROB.
+    fn get(&self, id: u64) -> Option<&Slot> {
+        (id >= self.base && id < self.end()).then(|| self.slot(id))
+    }
+
+    /// The slot of `id`, which is in the ROB.
+    fn slot(&self, id: u64) -> &Slot {
+        debug_assert!(id >= self.base && id < self.end());
+        &self.slots[(id & self.mask) as usize]
+    }
+
+    fn slot_mut(&mut self, id: u64) -> &mut Slot {
+        debug_assert!(id >= self.base && id < self.end());
+        &mut self.slots[(id & self.mask) as usize]
+    }
+}
+
+/// A set of in-flight instruction ids: one bit per slot of a ring at
+/// least `rob_entries` long, so live ids never share a bit.
+#[derive(Debug)]
+struct IdSet {
+    words: Vec<u64>,
+    mask: u64,
+}
+
+impl IdSet {
+    /// An empty set over a ring of `ring` ids, a power of two of at
+    /// least 64.
+    fn new(ring: usize) -> Self {
+        IdSet {
+            words: vec![0; ring / 64],
+            mask: ring as u64 - 1,
+        }
+    }
+
+    fn bit(&self, id: u64) -> (usize, u64) {
+        let at = id & self.mask;
+        ((at / 64) as usize, 1 << (at % 64))
+    }
+
+    /// Add `id`; false if it was already in.
+    fn insert(&mut self, id: u64) -> bool {
+        let (w, b) = self.bit(id);
+        let added = self.words[w] & b == 0;
+        self.words[w] |= b;
+        added
+    }
+
+    fn remove(&mut self, id: u64) {
+        let (w, b) = self.bit(id);
+        self.words[w] &= !b;
+    }
+
+    /// The members in `ids`, in increasing order. `ids` must lie within
+    /// one ring length.
+    fn members(&self, ids: Range<u64>) -> impl Iterator<Item = u64> + '_ {
+        let Range { start: mut id, end } = ids;
+        std::iter::from_fn(move || {
+            while id < end {
+                let at = id & self.mask;
+                let ahead = self.words[(at / 64) as usize] >> (at % 64);
+                if ahead == 0 {
+                    id += 64 - at % 64;
+                } else {
+                    id += u64::from(ahead.trailing_zeros());
+                    if id >= end {
+                        break;
+                    }
+                    id += 1;
+                    return Some(id - 1);
+                }
+            }
+            None
+        })
+    }
+}
+
+/// One issue queue (int or fp) with its Rescue segmentation.
+#[derive(Debug)]
+struct Queue {
+    old: Part,
+    new: Part,
+    buf: Part,
+    /// Old-half free slots visible to the new half (one cycle delayed —
+    /// the cycle-split compaction request).
+    old_free_prev: usize,
+    /// The selectable entries whose sources are ready. Old ids precede
+    /// buffer ids, which precede new ids, so the entries below the new
+    /// half's front are the old half's.
+    ready: IdSet,
+}
+
+impl Queue {
+    fn new(ring: usize) -> Self {
+        Queue {
+            old: Part::default(),
+            new: Part::default(),
+            buf: Part::default(),
+            old_free_prev: 0,
+            ready: IdSet::new(ring),
+        }
+    }
+
+    fn occupancy(&self) -> usize {
+        self.old.len() + self.new.len() + self.buf.len()
+    }
+
+    /// The old and the new half's ids, of the live ids `live`.
+    fn halves(&self, live: Range<u64>) -> (Range<u64>, Range<u64>) {
+        let new_front = self.new.ids.front().map_or(live.end, |&id| id);
+        (live.start..new_front, new_front..live.end)
+    }
+
+    fn half_of(&mut self, loc: Loc) -> &mut Part {
+        match loc {
+            Loc::Old => &mut self.old,
+            Loc::New => &mut self.new,
+            Loc::Buf | Loc::Gone => unreachable!("not a queue half"),
+        }
+    }
+}
+
+/// A queue half or the compaction buffer: its entries' ids, in id order.
+/// A released entry stays in place until it reaches the front, so a
+/// release shifts nothing; the front is always an entry still held.
+#[derive(Debug, Default)]
+struct Part {
+    ids: VecDeque<u64>,
+    /// How many of `ids` are still held.
+    held: usize,
+}
+
+impl Part {
+    fn len(&self) -> usize {
+        self.held
+    }
+
+    fn push_back(&mut self, id: u64) {
+        self.ids.push_back(id);
+        self.held += 1;
+    }
+
+    /// Take the oldest entry out; `gone` tells the released ids.
+    fn pop_front(&mut self, gone: impl Fn(u64) -> bool) -> Option<u64> {
+        let id = self.ids.pop_front()?;
+        self.held -= 1;
+        self.trim(gone);
+        Some(id)
+    }
+
+    /// One entry was released (and marked `gone`).
+    fn release(&mut self, gone: impl Fn(u64) -> bool) {
+        self.held -= 1;
+        self.trim(gone);
+    }
+
+    fn trim(&mut self, gone: impl Fn(u64) -> bool) {
+        while self.ids.front().is_some_and(|&id| gone(id)) {
+            self.ids.pop_front();
+        }
+    }
 }
 
 /// Run `cfg`/`core` over `trace` until `n_instr` instructions commit.
@@ -205,19 +450,30 @@ struct Engine<'c, T: Iterator<Item = TraceInstr>> {
     trace_done: bool,
 
     cycle: u64,
-    rob: VecDeque<Slot>,
-    rob_base: u64,
+    rob: Rob,
     next_id: u64,
 
     /// Producer readiness cycle, indexed by instruction id masked with
     /// `ready_mask`. Only ids in the ROB are ever read or written (every
-    /// source read is guarded by `p >= rob_base`), and the ring is at
+    /// source read is guarded by `p >= rob.base`), and the ring is at
     /// least `rob_entries` long, so live ids never share a slot.
     ready_at: Vec<u64>,
     ready_mask: usize,
+    /// The consumers of each producer, indexed like `ready_at`: filled
+    /// at the consumers' dispatch, cleared when the slot is reused. A
+    /// consumer retires after its producers, so every listed id is live
+    /// while its producer is.
+    consumers: Vec<Vec<u64>>,
     intq: Queue,
     fpq: Queue,
     lsq_count: usize,
+
+    /// Pending replay-shadow ends (cycle, id, the issue cycle it belongs
+    /// to), in cycle order: every issue's shadow lasts equally long.
+    shadow_ends: VecDeque<(u64, u64, u64)>,
+    /// Pending wakeups (ready time, id) of selectable entries whose
+    /// sources are not ready yet, earliest first.
+    wakes: BinaryHeap<Reverse<(u64, u64)>>,
 
     fetchq: VecDeque<(u64, TraceInstr)>,
     fetch_stall: bool,
@@ -249,21 +505,9 @@ struct Engine<'c, T: Iterator<Item = TraceInstr>> {
     last_stall: Option<StallCause>,
     /// Whether fetch sat out the last stepped cycle on a redirect.
     fetch_stalled: bool,
-    /// Lower bound on every Issued entry's `done_cycle`: no entry can be
-    /// promoted to Done before this cycle.
-    next_done: u64,
-    /// Lower bound on the cycle at which an Issued or Done entry still
-    /// in a queue half or a compaction buffer leaves the replay shadow:
-    /// no queue slot can be released before this cycle.
-    next_safe: u64,
     /// Selection's pick buffers for the old and new halves, reused every
     /// cycle (the baseline's combined selection uses the first).
     picks: [Vec<u64>; 2],
-    /// Walk and scan every entry every cycle, ignoring `next_done`,
-    /// `next_safe` and the issue-width early exit (the reference the
-    /// bounds are tested against).
-    #[cfg(test)]
-    eager: bool,
     /// Step every cycle, never jumping over idle ones (the reference the
     /// skip is tested against).
     #[cfg(test)]
@@ -285,21 +529,23 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     fn new(cfg: &'c SimConfig, core: &'c CoreConfig, trace: T) -> Self {
         let (int_cap, fp_cap, lsq_cap) = core.capacities(cfg);
         let (hold_extra, squash_window) = (cfg.hold_extra, cfg.squash_window);
-        let ready_ring = cfg.rob_entries.next_power_of_two();
+        let ready_ring = cfg.rob_entries.next_power_of_two().max(64);
         Engine {
             cfg,
             core,
             trace,
             trace_done: false,
             cycle: 0,
-            rob: VecDeque::with_capacity(cfg.rob_entries),
-            rob_base: 0,
+            rob: Rob::new(ready_ring),
             next_id: 0,
             ready_at: vec![NOT_READY; ready_ring],
             ready_mask: ready_ring - 1,
-            intq: Queue::default(),
-            fpq: Queue::default(),
+            consumers: vec![Vec::new(); ready_ring],
+            intq: Queue::new(ready_ring),
+            fpq: Queue::new(ready_ring),
             lsq_count: 0,
+            shadow_ends: VecDeque::new(),
+            wakes: BinaryHeap::new(),
             fetchq: VecDeque::with_capacity(32),
             fetch_stall: false,
             fetch_resume_at: 0,
@@ -320,11 +566,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             work: StageWork::default(),
             last_stall: None,
             fetch_stalled: false,
-            next_done: u64::MAX,
-            next_safe: u64::MAX,
             picks: [Vec::new(), Vec::new()],
-            #[cfg(test)]
-            eager: false,
             #[cfg(test)]
             step_every_cycle: false,
             #[cfg(test)]
@@ -333,11 +575,26 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     }
 
     fn slot(&self, id: u64) -> &Slot {
-        &self.rob[(id - self.rob_base) as usize]
+        self.rob.slot(id)
     }
 
     fn slot_mut(&mut self, id: u64) -> &mut Slot {
-        &mut self.rob[(id - self.rob_base) as usize]
+        self.rob.slot_mut(id)
+    }
+
+    fn queue_mut(&mut self, fp: bool) -> &mut Queue {
+        if fp {
+            &mut self.fpq
+        } else {
+            &mut self.intq
+        }
+    }
+
+    /// The `fp` queue, and whether an id it lists was released.
+    fn queue_and_gone(&mut self, fp: bool) -> (&mut Queue, impl Fn(u64) -> bool + '_) {
+        let rob = &self.rob;
+        let q = if fp { &mut self.fpq } else { &mut self.intq };
+        (q, move |id| id < rob.base || rob.slot(id).loc == Loc::Gone)
     }
 
     fn run(&mut self, n_instr: u64) -> SimResult {
@@ -370,7 +627,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
         let busy = self.retire()
             | self.handle_miss_detections()
             | self.select_and_issue()
-            | self.remove_safe_entries()
+            | self.release_due()
             | self.compact()
             | self.dispatch()
             | self.fetch();
@@ -388,14 +645,13 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     ///
     /// A cycle in which no stage changed any state leaves the engine as
     /// it found it, so every following cycle repeats it until a
-    /// time-guarded condition flips: a source becomes ready, an issued
-    /// instruction finishes or leaves the replay shadow, a miss is
+    /// time-guarded condition flips: an entry's sources become ready, an
+    /// issued instruction finishes or leaves the replay shadow, a miss is
     /// detected, or fetch resumes after a redirect. Each skipped cycle is
     /// accounted exactly as stepping it would be. The jump stops at the
     /// watchdog limit so a deadlock still panics at the same cycle.
     fn skip_idle_cycles(&mut self) {
         let now = self.cycle;
-        self.work.rob_scanned_next_event += self.rob.len() as u64;
         let next = self
             .next_event(now)
             .min(self.last_commit_cycle + WATCHDOG_CYCLES);
@@ -416,44 +672,25 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     }
 
     /// The earliest cycle `>= now` at which a time-guarded condition of
-    /// some stage can change (`u64::MAX` if none can).
+    /// some stage can change (`u64::MAX` if none can). Stale events can
+    /// only make it earlier, which costs an idle step, never a missed
+    /// change. Of the ROB only the head matters: retire waits for it.
     fn next_event(&self, now: u64) -> u64 {
-        let mut next = u64::MAX;
-        let mut at = |t: u64| {
-            if t >= now && t < next {
-                next = t;
-            }
+        let retire_at = match self.rob.front() {
+            Some(h) if h.state == State::Issued && h.loc == Loc::Gone => h.done_cycle + 1,
+            _ => u64::MAX,
         };
-        let shadow = self.cfg.l1_latency + self.hold_extra;
-        for (id, s) in (self.rob_base..).zip(&self.rob) {
-            match s.state {
-                State::Issued | State::Done => {
-                    at(s.done_cycle);
-                    if s.in_queue {
-                        at(s.issue_cycle + shadow);
-                    }
-                }
-                State::InQueue => {
-                    // Today a source's ready time is also its producer's
-                    // `done_cycle` or miss-check time; watching it directly
-                    // keeps the skip exact if a bypass ever differs.
-                    for dep in s.instr.src_deps.into_iter().flatten() {
-                        match id.checked_sub(dep as u64) {
-                            Some(p) if p >= self.rob_base => {
-                                at(self.ready_at[p as usize & self.ready_mask]);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                State::InBuffer => {}
-            }
-        }
-        if let Some(&(when, _)) = self.miss_checks.front() {
-            at(when);
-        }
-        at(self.fetch_resume_at);
-        next
+        [
+            retire_at,
+            self.shadow_ends.front().map_or(u64::MAX, |&(at, _, _)| at),
+            self.wakes.peek().map_or(u64::MAX, |w| w.0 .0),
+            self.miss_checks.front().map_or(u64::MAX, |&(when, _)| when),
+            self.fetch_resume_at,
+        ]
+        .into_iter()
+        .filter(|&t| t >= now)
+        .min()
+        .unwrap_or(u64::MAX)
     }
 
     /// Move the clock `k` cycles forward, closing every IPC window whose
@@ -485,22 +722,86 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
         }
     }
 
+    // ---- Wakeup: ready times and ready sets.
+
+    /// The latest ready time of `id`'s sources.
+    fn sources_ready_time(&self, id: u64) -> u64 {
+        let mut t = 0;
+        for dep in self.slot(id).instr.src_deps.into_iter().flatten() {
+            match id.checked_sub(dep as u64) {
+                None => return NOT_READY,
+                // A retired producer's result was ready when it retired.
+                Some(p) if p < self.rob.base => {}
+                Some(p) => t = t.max(self.ready_at[p as usize & self.ready_mask]),
+            }
+        }
+        t
+    }
+
+    /// Set producer `p`'s ready time and recompute its consumers'.
+    fn set_ready_at(&mut self, p: u64, at: u64) {
+        let ring = p as usize & self.ready_mask;
+        self.ready_at[ring] = at;
+        let consumers = std::mem::take(&mut self.consumers[ring]);
+        for &c in &consumers {
+            let t = self.sources_ready_time(c);
+            self.slot_mut(c).ready_time = t;
+            self.place(c);
+        }
+        self.consumers[ring] = consumers;
+    }
+
+    /// Put `id` on its queue's ready set or take it off, as its state,
+    /// place and ready time now say; a selectable entry whose sources
+    /// become ready later gets a wakeup at that time.
+    fn place(&mut self, id: u64) {
+        let cycle = self.cycle;
+        let s = self.slot(id);
+        let (selectable, ready_time) = (s.selectable(), s.ready_time);
+        let ready = &mut self.queue_mut(s.instr.kind.is_fp()).ready;
+        if selectable && ready_time <= cycle {
+            if ready.insert(id) {
+                self.work.woken += 1;
+            }
+            return;
+        }
+        ready.remove(id);
+        if selectable && ready_time != NOT_READY {
+            self.wakes.push(Reverse((ready_time, id)));
+        }
+    }
+
+    /// Put every entry whose wakeup is due on its ready set.
+    fn wake_due(&mut self) {
+        while let Some(&Reverse((at, id))) = self.wakes.peek() {
+            if at > self.cycle {
+                break;
+            }
+            self.wakes.pop();
+            self.work.events += 1;
+            // A wakeup whose entry's ready time moved on since is stale.
+            if self.rob.get(id).is_some_and(|s| s.ready_time <= self.cycle) {
+                self.place(id);
+            }
+        }
+    }
+
     // ---- Stage 1: retire.
     fn retire(&mut self) -> bool {
         let mut n = 0;
         while n < self.cfg.commit_width {
             let Some(head) = self.rob.front() else { break };
-            if head.state != State::Done || head.done_cycle > self.cycle || head.in_queue {
+            if head.state != State::Issued || head.done_cycle >= self.cycle || head.loc != Loc::Gone
+            {
                 break;
             }
-            let slot = self.rob.pop_front().expect("head exists");
+            let slot = self.rob.pop_front();
             if slot.instr.kind.is_mem() {
                 self.lsq_count -= 1;
             }
             if slot.instr.kind == InstrKind::Load && slot.instr.l1_miss {
                 self.stats.l1_misses += 1;
             }
-            self.rob_base += 1;
             self.stats.committed += 1;
             self.last_commit_cycle = self.cycle;
             n += 1;
@@ -517,13 +818,13 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             }
             self.miss_checks.pop_front();
             changed = true;
-            if load_id < self.rob_base {
+            if load_id < self.rob.base {
                 continue; // already retired (cannot happen for misses)
             }
             // Correct the load's readiness to the true latency.
             let (issue, actual) = {
                 let s = self.slot(load_id);
-                if s.state != State::Issued && s.state != State::Done {
+                if s.state != State::Issued {
                     continue; // load itself was squashed; re-check on reissue
                 }
                 (s.issue_cycle, s.done_cycle)
@@ -532,19 +833,28 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 // Stale check from an issue that was squashed and redone.
                 continue;
             }
-            self.ready_at[load_id as usize & self.ready_mask] = actual;
+            self.set_ready_at(load_id, actual);
 
             // Squash everything issued in the shadow window.
             let lo = self.cycle.saturating_sub(self.squash_window);
-            for &(c, id) in &self.recent_issues {
-                if c < lo || c >= self.cycle || id == load_id || id < self.rob_base {
+            for i in 0..self.recent_issues.len() {
+                let (c, id) = self.recent_issues[i];
+                if c < lo || c >= self.cycle || id == load_id || id < self.rob.base {
                     continue;
                 }
-                let s = &mut self.rob[(id - self.rob_base) as usize];
-                if s.state == State::Issued {
-                    s.state = State::InQueue;
-                    self.ready_at[id as usize & self.ready_mask] = NOT_READY;
+                let cycle = self.cycle;
+                let s = self.slot_mut(id);
+                // Only a not yet finished instruction is squashed.
+                if s.state == State::Issued && s.done_cycle >= cycle {
+                    // A buffer resident goes back to waiting in the buffer.
+                    s.state = if s.loc == Loc::Buf {
+                        State::InBuffer
+                    } else {
+                        State::InQueue
+                    };
                     self.stats.miss_squashes += 1;
+                    self.set_ready_at(id, NOT_READY);
+                    self.place(id);
                 }
             }
         }
@@ -558,6 +868,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
 
     // ---- Stage 3: wakeup, select, issue.
     fn select_and_issue(&mut self) -> bool {
+        self.wake_due();
         let issued_before = self.stats.issued_total;
         let [mut picks_old, mut picks_new] = std::mem::take(&mut self.picks);
         match self.cfg.policy {
@@ -565,38 +876,47 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 // One combined selection: int picks, then fp picks.
                 let mut used = Resources::zero();
                 let picks = &mut picks_old;
-                self.pick_from(&[QueuePart::IntOld, QueuePart::IntNew], &mut used, picks);
-                self.pick_from(&[QueuePart::FpOld, QueuePart::FpNew], &mut used, picks);
+                let live = self.live_ids();
+                self.work.select_scanned +=
+                    self.pick_from(&self.intq.ready, live.clone(), false, &mut used, picks);
+                self.work.select_scanned +=
+                    self.pick_from(&self.fpq.ready, live, true, &mut used, picks);
                 for &id in picks.iter() {
                     self.issue(id);
                 }
             }
             Policy::Rescue => {
                 for fp in [false, true] {
-                    let (halves_present, parts) = if fp {
-                        (self.core.fp_iq_halves, [QueuePart::FpOld, QueuePart::FpNew])
+                    let (halves_present, q) = if fp {
+                        (self.core.fp_iq_halves, &self.fpq)
                     } else {
-                        (
-                            self.core.int_iq_halves,
-                            [QueuePart::IntOld, QueuePart::IntNew],
-                        )
+                        (self.core.int_iq_halves, &self.intq)
                     };
                     picks_old.clear();
                     picks_new.clear();
                     if halves_present == 1 {
                         // Single surviving half: no cross-half policy.
                         let mut used = Resources::zero();
-                        self.pick_from(&parts[..1], &mut used, &mut picks_old);
+                        self.work.select_scanned += self.pick_from(
+                            &q.ready,
+                            self.live_ids(),
+                            fp,
+                            &mut used,
+                            &mut picks_old,
+                        );
                         for &id in &picks_old {
                             self.issue(id);
                         }
                         continue;
                     }
                     // Each half selects as if the other selects nothing.
+                    let (old, new) = q.halves(self.live_ids());
                     let mut used_old = Resources::zero();
-                    self.pick_from(&parts[..1], &mut used_old, &mut picks_old);
+                    self.work.select_scanned +=
+                        self.pick_from(&q.ready, old, fp, &mut used_old, &mut picks_old);
                     let mut used_new = Resources::zero();
-                    self.pick_from(&parts[1..], &mut used_new, &mut picks_new);
+                    self.work.select_scanned +=
+                        self.pick_from(&q.ready, new, fp, &mut used_new, &mut picks_new);
                     let total = used_old.plus(&used_new);
                     if self.budget.fits(&total) {
                         for &id in picks_old.iter().chain(&picks_new) {
@@ -648,11 +968,11 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             self.cfg.fp_add_latency,
             self.cfg.fp_mul_latency,
         );
-        let ring = id as usize & self.ready_mask;
+        let penalty = self.cfg.mispredict_penalty;
         let is_redirect = self.redirect_branch == Some(id);
         let mut miss_check = None;
         let mut resume_at = None;
-        {
+        let bypass = {
             let s = self.slot_mut(id);
             debug_assert_eq!(s.state, State::InQueue);
             s.state = State::Issued;
@@ -678,13 +998,15 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 }
             };
             s.done_cycle = cycle + latency;
-            self.ready_at[ring] = cycle + bypass;
             if is_redirect {
-                resume_at = Some(cycle + latency + self.cfg.mispredict_penalty);
+                resume_at = Some(cycle + latency + penalty);
             }
-        }
-        self.next_done = self.next_done.min(self.slot(id).done_cycle);
-        self.next_safe = self.next_safe.min(cycle + l1 + self.hold_extra);
+            bypass
+        };
+        self.place(id);
+        self.set_ready_at(id, cycle + bypass);
+        self.shadow_ends
+            .push_back((cycle + l1 + self.hold_extra, id, cycle));
         if let Some(mc) = miss_check {
             // Keep detection queue sorted by time (l1 latency constant, so
             // pushes are already in order).
@@ -699,143 +1021,76 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
         self.stats.issued_total += 1;
     }
 
-    /// Oldest-first pick across the given queue parts under the shared
-    /// budget, appended to `picks`.
+    /// Oldest-first pick from the members of `ready` (the ready set of
+    /// the fp or int queue) in `ids` under the shared budget, appended to
+    /// `picks`.
     ///
     /// Every kind an int-queue entry can hold consumes `int_width`, and
     /// every fp-queue kind consumes `fp_width`, so once the queue's width
-    /// is used up no later entry fits and the scan stops.
-    fn pick_from(&mut self, parts: &[QueuePart], used: &mut Resources, picks: &mut Vec<u64>) {
-        let mut scanned = 0;
-        self.pick_from_scan(parts, used, picks, &mut scanned);
-        self.work.select_scanned += scanned;
-    }
-
-    fn pick_from_scan(
+    /// is used up no later entry fits and the walk stops. Returns how
+    /// many entries it examined.
+    fn pick_from(
         &self,
-        parts: &[QueuePart],
+        ready: &IdSet,
+        ids: Range<u64>,
+        fp: bool,
         used: &mut Resources,
         picks: &mut Vec<u64>,
-        scanned: &mut u64,
-    ) {
-        let width_used = |used: &Resources| match parts[0] {
-            QueuePart::IntOld | QueuePart::IntNew => used.int_width >= self.budget.int_width,
-            QueuePart::FpOld | QueuePart::FpNew => used.fp_width >= self.budget.fp_width,
+    ) -> u64 {
+        let width_used = |used: &Resources| {
+            if fp {
+                used.fp_width >= self.budget.fp_width
+            } else {
+                used.int_width >= self.budget.int_width
+            }
         };
-        for &part in parts {
-            for &id in self.part(part) {
-                if width_used(used) && !self.eager() {
-                    return;
-                }
-                *scanned += 1;
-                let s = self.slot(id);
-                if s.state != State::InQueue || !self.sources_ready(id) {
-                    continue;
-                }
-                let after = used.plus(&kind_usage(s.instr.kind));
-                if !self.budget.fits(&after) {
-                    continue;
-                }
-                *used = after;
-                picks.push(id);
+        let mut scanned = 0;
+        for id in ready.members(ids) {
+            if width_used(used) {
+                break;
             }
+            scanned += 1;
+            let s = self.slot(id);
+            debug_assert!(s.selectable() && s.ready_time <= self.cycle);
+            let after = used.plus(&kind_usage(s.instr.kind));
+            if !self.budget.fits(&after) {
+                continue;
+            }
+            *used = after;
+            picks.push(id);
         }
+        scanned
     }
 
-    fn sources_ready(&self, id: u64) -> bool {
-        let s = self.slot(id);
-        for dep in s.instr.src_deps.into_iter().flatten() {
-            let producer = id.checked_sub(dep as u64);
-            let Some(p) = producer else { return false };
-            if p < self.rob_base {
-                continue; // producer retired long ago
-            }
-            if self.ready_at[p as usize & self.ready_mask] > self.cycle {
-                return false;
-            }
-        }
-        true
-    }
-
-    // ---- Stage 3b: release queue slots out of the replay shadow, and
-    // promote finished instructions to Done.
-    //
-    // Each walk runs only once the cycle reaches its bound, and
-    // recomputes the bound from what it leaves behind; `issue` lowers
-    // both bounds for the entry it issues.
-    fn remove_safe_entries(&mut self) -> bool {
-        let shadow = self.cfg.l1_latency + self.hold_extra;
-        let cycle = self.cycle;
+    // ---- Stage 3b: release queue slots out of the replay shadow.
+    fn release_due(&mut self) -> bool {
         let mut changed = false;
-        if cycle >= self.next_done || self.eager() {
-            let mut next_done = u64::MAX;
-            self.work.rob_scanned_done += self.rob.len() as u64;
-            for slot in self.rob.iter_mut() {
-                if slot.state == State::Issued {
-                    if slot.done_cycle <= cycle {
-                        slot.state = State::Done;
-                        changed = true;
-                    } else {
-                        next_done = next_done.min(slot.done_cycle);
-                    }
-                }
+        while let Some(&(at, id, issued)) = self.shadow_ends.front() {
+            if at > self.cycle {
+                break;
             }
-            self.next_done = next_done;
-        }
-        if cycle >= self.next_safe || self.eager() {
-            let rob = &mut self.rob;
-            let base = self.rob_base;
-            let mut next_safe = u64::MAX;
-            let mut released = 0;
-            for dq in [
-                &mut self.intq.old,
-                &mut self.intq.new,
-                &mut self.fpq.old,
-                &mut self.fpq.new,
-            ] {
-                dq.retain(|&id| {
-                    let s = &mut rob[(id - base) as usize];
-                    if !matches!(s.state, State::Issued | State::Done) {
-                        return true;
-                    }
-                    let safe_at = s.issue_cycle + shadow;
-                    if cycle >= safe_at {
-                        s.in_queue = false;
-                        changed = true;
-                        released += 1;
-                        false
-                    } else {
-                        next_safe = next_safe.min(safe_at);
-                        true
-                    }
-                });
+            self.shadow_ends.pop_front();
+            self.work.events += 1;
+            let Some(s) = self.rob.get(id) else {
+                continue;
+            };
+            // Squashed since (perhaps reissued), or a buffer resident,
+            // which is released once it reaches the old half (see
+            // `arrive_in_old`).
+            if s.issue_cycle != issued
+                || s.state != State::Issued
+                || !matches!(s.loc, Loc::Old | Loc::New)
+            {
+                continue;
             }
-            // An entry issued in the new half can be forwarded into the
-            // compaction buffer before its shadow ends. It is released
-            // only after it reaches the old half, so its shadow end
-            // bounds the next release too, even once it has passed.
-            for &id in self.intq.buf.iter().chain(&self.fpq.buf) {
-                let s = &rob[(id - base) as usize];
-                if matches!(s.state, State::Issued | State::Done) {
-                    next_safe = next_safe.min(s.issue_cycle + shadow);
-                }
-            }
-            self.next_safe = next_safe;
-            self.work.released += released;
+            let (loc, fp) = (s.loc, s.instr.kind.is_fp());
+            self.slot_mut(id).loc = Loc::Gone;
+            let (q, gone) = self.queue_and_gone(fp);
+            q.half_of(loc).release(gone);
+            self.work.released += 1;
+            changed = true;
         }
         changed
-    }
-
-    /// Whether to ignore the event bounds and scan everything every
-    /// cycle (tests only).
-    #[cfg(test)]
-    fn eager(&self) -> bool {
-        self.eager
-    }
-
-    #[cfg(not(test))]
-    fn eager(&self) -> bool {
-        false
     }
 
     // ---- Stage 4: compaction.
@@ -846,11 +1101,18 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             Policy::Baseline => {
                 // Single-cycle inter-segment compaction: the queue behaves
                 // as one FIFO. Entries flow new -> old freely.
-                for (q, cap) in [(&mut self.intq, self.int_cap), (&mut self.fpq, self.fp_cap)] {
-                    let half = cap / 2;
-                    while q.old.len() < half && !q.new.is_empty() {
-                        let id = q.new.pop_front().expect("non-empty");
+                for fp in [false, true] {
+                    let half = if fp { self.fp_cap } else { self.int_cap } / 2;
+                    loop {
+                        let (q, gone) = self.queue_and_gone(fp);
+                        if q.old.len() >= half {
+                            break;
+                        }
+                        let Some(id) = q.new.pop_front(gone) else {
+                            break;
+                        };
                         q.old.push_back(id);
+                        self.slot_mut(id).loc = Loc::Old;
                         changed = true;
                         moves += 1;
                     }
@@ -858,57 +1120,89 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             }
             Policy::Rescue => {
                 let buf_cap = self.cfg.compaction_buffer;
-                for (q, cap, halves) in [
-                    (&mut self.intq, self.int_cap, self.core.int_iq_halves),
-                    (&mut self.fpq, self.fp_cap, self.core.fp_iq_halves),
-                ] {
+                for fp in [false, true] {
+                    let (cap, halves) = if fp {
+                        (self.fp_cap, self.core.fp_iq_halves)
+                    } else {
+                        (self.int_cap, self.core.int_iq_halves)
+                    };
                     if halves == 1 {
                         continue; // single surviving half, no movement
                     }
                     let half = cap / 2;
-                    // Old half consumes the temporary buffer.
-                    while q.old.len() < half && !q.buf.is_empty() {
-                        let id = q.buf.pop_front().expect("non-empty");
+                    // Old half consumes the temporary buffer; entries
+                    // arriving there become selectable.
+                    loop {
+                        let (q, gone) = self.queue_and_gone(fp);
+                        if q.old.len() >= half {
+                            break;
+                        }
+                        let Some(id) = q.buf.pop_front(gone) else {
+                            break;
+                        };
                         q.old.push_back(id);
+                        self.arrive_in_old(id);
                         changed = true;
                         moves += 1;
                     }
                     // New half forwards entries toward the buffer based on
                     // *last* cycle's free-slot count (cycle-split request).
+                    let q = self.queue_mut(fp);
                     let mut quota = q.old_free_prev.min(buf_cap - q.buf.len());
-                    while quota > 0 && !q.new.is_empty() {
-                        let id = q.new.pop_front().expect("non-empty");
+                    while quota > 0 {
+                        let (q, gone) = self.queue_and_gone(fp);
+                        let Some(id) = q.new.pop_front(gone) else {
+                            break;
+                        };
                         q.buf.push_back(id);
+                        let s = self.slot_mut(id);
+                        s.loc = Loc::Buf;
+                        if s.state == State::InQueue {
+                            s.state = State::InBuffer;
+                            self.place(id);
+                        }
                         quota -= 1;
                         changed = true;
                         moves += 1;
                     }
+                    let q = self.queue_mut(fp);
                     let old_free = half - q.old.len().min(half);
                     changed |= old_free != q.old_free_prev;
                     q.old_free_prev = old_free;
-                }
-                let rob = &mut self.rob;
-                let base = self.rob_base;
-                // Buffer residents change state for bookkeeping.
-                for &id in self.intq.buf.iter().chain(&self.fpq.buf) {
-                    let s = &mut rob[(id - base) as usize];
-                    if s.state == State::InQueue {
-                        s.state = State::InBuffer;
-                        changed = true;
-                    }
-                }
-                // And entries arriving in the old half become selectable.
-                for &id in self.intq.old.iter().chain(&self.fpq.old) {
-                    let s = &mut rob[(id - base) as usize];
-                    if s.state == State::InBuffer {
-                        s.state = State::InQueue;
-                        changed = true;
-                    }
                 }
             }
         }
         self.work.compaction_moves += moves;
         changed
+    }
+
+    /// `id` moved from the compaction buffer into the old half in this
+    /// cycle's compaction.
+    fn arrive_in_old(&mut self, id: u64) {
+        let cycle = self.cycle;
+        let shadow_end = {
+            let s = self.slot_mut(id);
+            s.loc = Loc::Old;
+            match s.state {
+                State::InBuffer => {
+                    s.state = State::InQueue;
+                    None
+                }
+                State::Issued => Some(s.issue_cycle),
+                State::InQueue => None,
+            }
+        };
+        match shadow_end {
+            None => self.place(id),
+            // Its shadow ended while it sat in the buffer: the release,
+            // which runs before compaction, frees it next cycle. This
+            // cycle's release took every shadow end due by now, so the
+            // queue stays in cycle order.
+            Some(issued) if issued + self.cfg.l1_latency + self.hold_extra <= cycle => {
+                self.shadow_ends.push_front((cycle + 1, id, issued));
+            }
+            Some(_) => {}
+        }
     }
 
     // ---- Stage 5: dispatch from the fetch queue into the window.
@@ -948,29 +1242,38 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 stalled = Some(StallCause::Iq);
                 break;
             }
-            match self.cfg.policy {
-                Policy::Rescue if halves == 1 => q.old.push_back(id),
-                Policy::Rescue => q.new.push_back(id),
-                Policy::Baseline => {
-                    // FIFO semantics: fill old first, overflow to new.
-                    let half = cap / 2;
-                    if q.old.len() < half {
-                        q.old.push_back(id);
-                    } else {
-                        q.new.push_back(id);
+            let loc = match self.cfg.policy {
+                Policy::Rescue if halves == 1 => Loc::Old,
+                Policy::Rescue => Loc::New,
+                // FIFO semantics: fill old first, overflow to new.
+                Policy::Baseline if q.old.len() < cap / 2 => Loc::Old,
+                Policy::Baseline => Loc::New,
+            };
+            q.half_of(loc).push_back(id);
+            self.fetchq.pop_front();
+            debug_assert_eq!(id, self.rob.end());
+            let ring = id as usize & self.ready_mask;
+            self.ready_at[ring] = NOT_READY;
+            self.consumers[ring].clear();
+            for dep in instr.src_deps.into_iter().flatten() {
+                match id.checked_sub(dep as u64) {
+                    Some(p) if p >= self.rob.base => {
+                        self.consumers[p as usize & self.ready_mask].push(id);
                     }
+                    _ => {}
                 }
             }
-            self.fetchq.pop_front();
-            debug_assert_eq!(id, self.next_rob_id());
-            self.ready_at[id as usize & self.ready_mask] = NOT_READY;
             self.rob.push_back(Slot {
                 instr,
                 state: State::InQueue,
                 issue_cycle: 0,
                 done_cycle: u64::MAX,
-                in_queue: true,
+                loc,
+                ready_time: NOT_READY,
             });
+            let ready_time = self.sources_ready_time(id);
+            self.slot_mut(id).ready_time = ready_time;
+            self.place(id);
             if instr.kind.is_mem() {
                 self.lsq_count += 1;
             }
@@ -992,8 +1295,9 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
         }
     }
 
-    fn next_rob_id(&self) -> u64 {
-        self.rob_base + self.rob.len() as u64
+    /// The ids in the ROB.
+    fn live_ids(&self) -> Range<u64> {
+        self.rob.base..self.rob.end()
     }
 
     // ---- Stage 6: fetch.
@@ -1027,23 +1331,6 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
         }
         changed
     }
-
-    fn part(&self, part: QueuePart) -> &VecDeque<u64> {
-        match part {
-            QueuePart::IntOld => &self.intq.old,
-            QueuePart::IntNew => &self.intq.new,
-            QueuePart::FpOld => &self.fpq.old,
-            QueuePart::FpNew => &self.fpq.new,
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum QueuePart {
-    IntOld,
-    IntNew,
-    FpOld,
-    FpNew,
 }
 
 fn kind_usage(kind: InstrKind) -> Resources {
@@ -1080,10 +1367,9 @@ mod tests {
     use rescue_obs::SplitMix64;
     use rescue_workloads::{BenchmarkProfile, TraceGenerator};
 
-    /// [`simulate`] the fast way (skipping idle cycles, walking only at
-    /// the event bounds, stopping selection at the issue width) or the
-    /// reference way (stepping every cycle, scanning everything every
-    /// cycle); also returns how many cycles were stepped.
+    /// [`simulate`] the fast way (skipping idle cycles) or the reference
+    /// way (stepping every cycle); also returns how many cycles were
+    /// stepped.
     fn run(
         cfg: &SimConfig,
         core: &CoreConfig,
@@ -1094,7 +1380,6 @@ mod tests {
         core.validate();
         let mut eng = Engine::new(cfg, core, trace);
         eng.step_every_cycle = !fast;
-        eng.eager = !fast;
         let result = eng.run(n_instr);
         (result, eng.stepped)
     }
@@ -1180,16 +1465,14 @@ mod tests {
         let mut forwarded = 0;
         while eng.stats.committed < 2_000 {
             eng.step();
-            let (rob, base) = (&eng.rob, eng.rob_base);
+            let rob = &eng.rob;
             forwarded += eng
                 .intq
                 .buf
+                .ids
                 .iter()
-                .map(|&id| &rob[(id - base) as usize])
-                .filter(|s| {
-                    matches!(s.state, State::Issued | State::Done)
-                        && eng.cycle < s.issue_cycle + shadow
-                })
+                .map(|&id| rob.slot(id))
+                .filter(|s| s.state == State::Issued && eng.cycle < s.issue_cycle + shadow)
                 .count();
         }
         assert!(forwarded > 0, "no issued entry was forwarded in its shadow");
