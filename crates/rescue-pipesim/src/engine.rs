@@ -136,6 +136,9 @@ struct Slot {
     /// The latest ready time of its sources (`NOT_READY` while one has
     /// none).
     ready_time: u64,
+    /// When its own result is ready for consumers (`NOT_READY` until it
+    /// issues).
+    ready_at: u64,
 }
 
 impl Slot {
@@ -167,6 +170,7 @@ impl Rob {
             done_cycle: u64::MAX,
             loc: Loc::Gone,
             ready_time: NOT_READY,
+            ready_at: NOT_READY,
         };
         Rob {
             slots: vec![unused; ring],
@@ -202,7 +206,7 @@ impl Rob {
 
     fn push_back(&mut self, slot: Slot) {
         debug_assert!(self.len < self.slots.len());
-        let at = (self.end() & self.mask) as usize;
+        let at = self.ring_index(self.end());
         self.slots[at] = slot;
         self.len += 1;
     }
@@ -212,15 +216,21 @@ impl Rob {
         (id >= self.base && id < self.end()).then(|| self.slot(id))
     }
 
+    /// Where `id` sits in the ring.
+    fn ring_index(&self, id: u64) -> usize {
+        (id & self.mask) as usize
+    }
+
     /// The slot of `id`, which is in the ROB.
     fn slot(&self, id: u64) -> &Slot {
         debug_assert!(id >= self.base && id < self.end());
-        &self.slots[(id & self.mask) as usize]
+        &self.slots[self.ring_index(id)]
     }
 
     fn slot_mut(&mut self, id: u64) -> &mut Slot {
         debug_assert!(id >= self.base && id < self.end());
-        &mut self.slots[(id & self.mask) as usize]
+        let at = self.ring_index(id);
+        &mut self.slots[at]
     }
 }
 
@@ -453,13 +463,7 @@ struct Engine<'c, T: Iterator<Item = TraceInstr>> {
     rob: Rob,
     next_id: u64,
 
-    /// Producer readiness cycle, indexed by instruction id masked with
-    /// `ready_mask`. Only ids in the ROB are ever read or written (every
-    /// source read is guarded by `p >= rob.base`), and the ring is at
-    /// least `rob_entries` long, so live ids never share a slot.
-    ready_at: Vec<u64>,
-    ready_mask: usize,
-    /// The consumers of each producer, indexed like `ready_at`: filled
+    /// The consumers of each producer, indexed like the ROB ring: filled
     /// at the consumers' dispatch, cleared when the slot is reused. A
     /// consumer retires after its producers, so every listed id is live
     /// while its producer is.
@@ -529,20 +533,18 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
     fn new(cfg: &'c SimConfig, core: &'c CoreConfig, trace: T) -> Self {
         let (int_cap, fp_cap, lsq_cap) = core.capacities(cfg);
         let (hold_extra, squash_window) = (cfg.hold_extra, cfg.squash_window);
-        let ready_ring = cfg.rob_entries.next_power_of_two().max(64);
+        let ring = cfg.rob_entries.next_power_of_two().max(64);
         Engine {
             cfg,
             core,
             trace,
             trace_done: false,
             cycle: 0,
-            rob: Rob::new(ready_ring),
+            rob: Rob::new(ring),
             next_id: 0,
-            ready_at: vec![NOT_READY; ready_ring],
-            ready_mask: ready_ring - 1,
-            consumers: vec![Vec::new(); ready_ring],
-            intq: Queue::new(ready_ring),
-            fpq: Queue::new(ready_ring),
+            consumers: vec![Vec::new(); ring],
+            intq: Queue::new(ring),
+            fpq: Queue::new(ring),
             lsq_count: 0,
             shadow_ends: VecDeque::new(),
             wakes: BinaryHeap::new(),
@@ -732,7 +734,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 None => return NOT_READY,
                 // A retired producer's result was ready when it retired.
                 Some(p) if p < self.rob.base => {}
-                Some(p) => t = t.max(self.ready_at[p as usize & self.ready_mask]),
+                Some(p) => t = t.max(self.slot(p).ready_at),
             }
         }
         t
@@ -740,8 +742,8 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
 
     /// Set producer `p`'s ready time and recompute its consumers'.
     fn set_ready_at(&mut self, p: u64, at: u64) {
-        let ring = p as usize & self.ready_mask;
-        self.ready_at[ring] = at;
+        self.slot_mut(p).ready_at = at;
+        let ring = self.rob.ring_index(p);
         let consumers = std::mem::take(&mut self.consumers[ring]);
         for &c in &consumers {
             let t = self.sources_ready_time(c);
@@ -1252,13 +1254,13 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
             q.half_of(loc).push_back(id);
             self.fetchq.pop_front();
             debug_assert_eq!(id, self.rob.end());
-            let ring = id as usize & self.ready_mask;
-            self.ready_at[ring] = NOT_READY;
+            let ring = self.rob.ring_index(id);
             self.consumers[ring].clear();
             for dep in instr.src_deps.into_iter().flatten() {
                 match id.checked_sub(dep as u64) {
                     Some(p) if p >= self.rob.base => {
-                        self.consumers[p as usize & self.ready_mask].push(id);
+                        let ring = self.rob.ring_index(p);
+                        self.consumers[ring].push(id);
                     }
                     _ => {}
                 }
@@ -1270,6 +1272,7 @@ impl<'c, T: Iterator<Item = TraceInstr>> Engine<'c, T> {
                 done_cycle: u64::MAX,
                 loc,
                 ready_time: NOT_READY,
+                ready_at: NOT_READY,
             });
             let ready_time = self.sources_ready_time(id);
             self.slot_mut(id).ready_time = ready_time;

@@ -33,7 +33,7 @@ mod tech;
 mod yat;
 
 pub use area::{AreaModel, RescueAreas, Table2Row};
-pub use mixture::{gamma_mixture_integrate, gamma_mixture_integrate_many, ConfigProb};
+pub use mixture::{gamma_mixture_integrate, ConfigProb};
 pub use monte::{monte_carlo_yat, MonteRng};
 pub use tech::{Scenario, TechNode};
 pub use yat::{
